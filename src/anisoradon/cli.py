@@ -172,18 +172,23 @@ def _cmd_verify(args) -> int:
         writer.writerow([r.j, "" if r.k is None else r.k, r.pair,
                          repr(r.value), ctx])
     _emit(buf.getvalue(), args.out)
-    summary: dict = {}
+    fitted: dict = {}
+    skipped: dict = {}
     for pair in pairs:
+        name = f"TjQj_{pair}_j_slope"
         try:
             fit = fit_decay_rows(rows, "TjQj", pair,
                                  resolved_only=(pair in ("1oo", "(1,inf)")))
-            summary[f"TjQj_{pair}_j_slope"] = fit.slope
-        except ValueError:
-            pass
+            fitted[name] = fit.slope
+        except ValueError as exc:
+            skipped[name] = str(exc)
+    summary = {"fitted": fitted, "skipped": skipped, "rows": len(rows)}
     if args.out:
-        sys.stdout.write(report_json({"fitted": summary,
-                                      "rows": len(rows),
-                                      "csv": args.out}))
+        summary["csv"] = args.out
+        sys.stdout.write(report_json(summary))
+    else:
+        # the CSV owns stdout
+        sys.stderr.write(report_json(summary))
     return 0
 
 

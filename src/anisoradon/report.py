@@ -123,11 +123,13 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int,
     if p_grid is None:
         p_grid = [Fraction(6, 5), Fraction(3, 2), Fraction(2),
                   Fraction(3), Fraction(6)]
-    rank_for_sobolev = max(sample.min_rank, 1)
-    report["sobolev"] = {
-        "rank": rank_for_sobolev,
-        "table": sobolev_block(spec, rank_for_sobolev, p_grid),
-    }
+    report["sobolev"] = {"rank": sample.min_rank}
+    if sample.min_rank < 1:
+        report["sobolev"]["note"] = ("no sampled positive Hessian rank; "
+                                     "smoothing table withheld")
+    else:
+        report["sobolev"]["table"] = sobolev_block(spec, sample.min_rank,
+                                                   p_grid)
     report["genericity"] = genericity_block(spec)
     return report
 

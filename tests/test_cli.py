@@ -11,6 +11,8 @@ from anisoradon.presets import (dual_contraction_spec, rank_one_spec,
                                 reference_spec)
 from anisoradon.specfile import save_spec, spec_to_dict
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
 
 @pytest.fixture()
 def ref_spec_path(tmp_path):
@@ -34,6 +36,9 @@ def test_analyze_reference_spec(ref_spec_path):
     assert report["homogeneity"]["status"] == "ok"
     assert report["hessian"]["min_rank_upper_bound"] == 0
     assert report["region"]["hypothesis_holds"] is False
+    # no smoothing table at an assumed rank the sampling never saw
+    assert report["sobolev"]["rank"] == 0
+    assert "table" not in report["sobolev"] and report["sobolev"]["note"]
     assert report["genericity"]["k1"] == 1
 
 
@@ -132,6 +137,19 @@ def test_verify_writes_csv(ref_spec_path, tmp_path):
     assert len(rows) == 1 + 3 * 2
     summary = json.loads(out)
     assert "TjQj_11_j_slope" in summary["fitted"]
+
+
+def test_verify_lists_skipped_fits():
+    # at grid 32 only j = 1, 2 resolve the (1,oo) norm: too few to fit
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "32")
+    assert code == 0, err
+    assert out.startswith("j,k,normPair,value,predictedSlopeContext")
+    summary = json.loads(err)
+    assert set(summary["fitted"]) == {"TjQj_11_j_slope", "TjQj_oooo_j_slope"}
+    assert summary["skipped"] == {
+        "TjQj_1oo_j_slope": "need at least three samples to fit a decay slope"}
+    assert summary["rows"] == 18
 
 
 def test_knapp_subcommand(ref_spec_path):
