@@ -2,12 +2,11 @@
 experiments for degenerate Radon-like averaging operators with anisotropic
 dilation structure."""
 
-from .scaling import (MultiIndex, Scale, Weights, aniso_ratio, dilate,
-                      dilate_exact, isotropic_weights, scaled_norm)
+from .scaling import MultiIndex, Weights, isotropic_weights
 from .polynomials import (GradedDecomposition, Monomial, Polynomial,
-                          lambda_basis, principal_part, quasidegree_decompose)
+                          lambda_basis, quasidegree_decompose)
 from .hessian import (HessianMatrix, RankSampleReport, generic_rank_trial,
-                      min_rank_sample, mixed_hessian, rank_at)
+                      min_rank_sample, mixed_hessian)
 from .exponents import (GenericityReport, OperatorSpec, RieszRegion,
                         SobolevBound, check_homogeneity, classify_pq,
                         genericity_report, riesz_region, sobolev_smoothing)
@@ -15,12 +14,10 @@ from .exponents import (GenericityReport, OperatorSpec, RieszRegion,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex", "Scale", "Weights", "dilate", "dilate_exact", "scaled_norm",
-    "aniso_ratio", "isotropic_weights", "Monomial", "Polynomial",
-    "GradedDecomposition", "quasidegree_decompose", "principal_part",
-    "lambda_basis", "HessianMatrix", "RankSampleReport", "mixed_hessian",
-    "rank_at", "min_rank_sample", "generic_rank_trial", "OperatorSpec",
-    "RieszRegion", "SobolevBound", "GenericityReport", "check_homogeneity",
-    "riesz_region", "classify_pq", "sobolev_smoothing", "genericity_report",
-    "__version__",
+    "MultiIndex", "Weights", "isotropic_weights", "Monomial", "Polynomial",
+    "GradedDecomposition", "quasidegree_decompose", "lambda_basis",
+    "HessianMatrix", "RankSampleReport", "mixed_hessian", "min_rank_sample",
+    "generic_rank_trial", "OperatorSpec", "RieszRegion", "SobolevBound",
+    "GenericityReport", "check_homogeneity", "riesz_region", "classify_pq",
+    "sobolev_smoothing", "genericity_report", "__version__",
 ]

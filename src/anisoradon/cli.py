@@ -20,8 +20,7 @@ from .errors import (AnisoradonError, DilationCapError, HomogeneityViolation,
                      NumericalError, ResolutionError, SchemaError,
                      SingularMapError, VanishingPrincipalPart,
                      WeightOrderViolation)
-from .exponents import (check_homogeneity, genericity_report, riesz_region,
-                        sobolev_smoothing)
+from .exponents import check_homogeneity, genericity_report, riesz_region
 from .hessian import generic_rank_trial
 from .numerics import (Grid, decay_table, dual_principal_check,
                        fit_decay_rows, knapp_exponent_table)
@@ -113,15 +112,7 @@ def _cmd_generic(args) -> int:
                       MultiIndex(_int_list(args.alpha_dprime)),
                       MultiIndex(_int_list(args.beta_prime)))
     rep = genericity_report(weights)
-    lo, hi = rep.threshold_interval()
-    out = {
-        "k1": rep.k1,
-        "lambda_residues": sorted(rep.lambda_set),
-        "k2": rep.k2,
-        "threshold": rep.threshold(),
-        "threshold_interval": [lo, hi],
-        "density_lower_bound": rational_str(rep.density_lower_bound),
-    }
+    out = genericity_block(rep)
     if args.n_range:
         try:
             lo_n, hi_n = (int(v) for v in args.n_range.split(":"))

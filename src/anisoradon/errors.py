@@ -27,10 +27,6 @@ class WeightOrderViolation(AnisoradonError, ValueError):
     """The output weights do not strictly dominate the x''-weights."""
 
 
-class NoPrincipalPart(AnisoradonError, ValueError):
-    """The zero polynomial has no principal part."""
-
-
 class DegenerateSpace(AnisoradonError, ValueError):
     """A requested weighted-homogeneous monomial space is empty."""
 

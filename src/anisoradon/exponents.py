@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import Literal
 
 from .errors import (DegenerateDenominator, HomogeneityViolation,
                      VanishingPrincipalPart, WeightOrderViolation)
@@ -296,52 +294,3 @@ def genericity_report(w: Weights) -> GenericityReport:
         n_prime=w.n_prime, n_dprime=w.n_dprime, k1=k1, lambda_set=residues,
         k2=len(residues),
         density_lower_bound=Fraction(1, k1 ** w.n_dprime))
-
-
-# -- numeric min-sum oracle for the vertices -----------------------------------
-
-def minsum_vertex_regression(alpha_prime_sum: int, beta_prime_sum: int,
-                             beta_dprime_sum: int, n_dprime: int, rank: int,
-                             vertex: int, peaks: Sequence[tuple[int, int]] = (),
-                             pad: int = 40) -> tuple[float, float]:
-    """Fit the (|E|, |F|) exponents of the dyadic min-sum directly.
-
-    Sums min{2^(j|b''|+k n'') E F, 2^(-j a) E or F, 2^(-j(a+b)/2 - k r/2)
-    sqrt(E F)} over the (j, k) lattice for a family of (E, F) pairs chosen so
-    the balance point sits at prescribed positive (j0, k0), then regresses
-    log2 of the sum on (log2 E, log2 F).  Returns the fitted pair
-    (E-exponent, F-exponent) = (1/p, 1 - 1/q); independent of the
-    closed-form vertex solution.
-    """
-    a_p, b_p, b_dd = alpha_prime_sum, beta_prime_sum, beta_dprime_sum
-    at, bt = a_p + b_dd, b_p + b_dd
-    if vertex not in (1, 2):
-        raise ValueError("vertex must be 1 or 2")
-    if not peaks:
-        peaks = [(j0, k0) for j0 in range(4, 13, 2) for k0 in range(6, 19, 3)]
-    rows, targets = [], []
-    jmax = max(j0 for j0, _ in peaks) + pad
-    kmax = max(k0 for _, k0 in peaks) + pad
-    jj, kk = np.meshgrid(np.arange(jmax + 1), np.arange(kmax + 1),
-                         indexing="ij")
-    for j0, k0 in peaks:
-        if vertex == 1:
-            v = -(j0 * at + k0 * n_dprime)
-            u = v + j0 * (a_p - b_p) - k0 * rank
-        else:
-            u = -(j0 * bt + k0 * n_dprime)
-            v = u - j0 * (a_p - b_p) - k0 * rank
-        term1 = jj * b_dd + kk * n_dprime + u + v
-        if vertex == 1:
-            term2 = -jj * a_p + u
-        else:
-            term2 = -jj * b_p + v
-        term3 = -jj * (a_p + b_p) / 2.0 - kk * rank / 2.0 + (u + v) / 2.0
-        m = np.minimum(term1, np.minimum(term2, term3))
-        peak = m.max()
-        log_sum = peak + math.log2(np.sum(np.exp2(m - peak)))
-        rows.append([u, v, 1.0])
-        targets.append(log_sum)
-    sol, *_ = np.linalg.lstsq(np.array(rows, dtype=float),
-                              np.array(targets, dtype=float), rcond=None)
-    return float(sol[0]), float(sol[1])

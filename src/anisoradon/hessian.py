@@ -3,15 +3,16 @@
 The central object is the n' x n' matrix whose (i, j) entry is
 ``d^2/dx'_i dy'_j`` of ``eta'' . S^P`` for a tuple S^P of weighted-homogeneous
 polynomials.  Entries are linear in the auxiliary frequency variable eta'';
-they are stored as eta''-polynomials with exact polynomial coefficients so
-that ranks at rational points, dilation invariance and minor certificates can
-all be checked with no floating point at all.
+they are stored as eta''-polynomials with exact polynomial coefficients, from
+which minor certificates are built symbolically.
 
-Rank sampling draws rational points from a fundamental domain of the
-anisotropic dilation group (the dilations act on the rank, so a compact shell
-suffices) using counter-based per-trial random streams, and reports the
-minimal observed rank as an upper-bound certificate for the true minimal
-rank.
+For bulk sampling the entries are compiled once into a single evaluator that
+returns the exact integer matrix at a rational point: int64 arithmetic when
+an a-priori bound rules out overflow, Python integers otherwise.  Rank
+sampling draws rational points from a fundamental domain of the anisotropic
+dilation group (the dilations act on the rank, so a compact shell suffices)
+using counter-based per-trial random streams, and reports the minimal
+observed rank as an upper-bound certificate for the true minimal rank.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,18 +89,6 @@ class EtaPolynomial:
                     acc[key] = prod
         return EtaPolynomial(self.n_dprime, acc)
 
-    def evaluate(self, x: Sequence, xx: Sequence, y: Sequence,
-                 eta: Sequence) -> Fraction:
-        total = Fraction(0)
-        for exp, poly in self.terms.items():
-            factor = Fraction(1)
-            for e, val in zip(exp, eta):
-                if e:
-                    factor *= Fraction(val) ** e
-            if factor:
-                total += factor * poly.evaluate(x, xx, y)
-        return total
-
 
 @dataclass(frozen=True)
 class HessianMatrix:
@@ -116,11 +105,6 @@ class HessianMatrix:
     @property
     def n_dprime(self) -> int:
         return self.weights.n_dprime
-
-    def evaluate(self, point: Point, eta: Sequence) -> list[list[Fraction]]:
-        x, xx, y = point
-        return [[entry.evaluate(x, xx, y, eta) for entry in row]
-                for row in self.entries]
 
 
 def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -192,54 +176,6 @@ def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def rational_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix (denominators cleared row by row)."""
-    cleared = []
-    for r in rows:
-        fr = [Fraction(v) for v in r]
-        den = 1
-        for v in fr:
-            den = den * v.denominator // gcd(den, v.denominator)
-        cleared.append([int(v * den) for v in fr])
-    return integer_matrix_rank(cleared)
-
-
-def minor_rank_oracle(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Brute-force rank: the largest k with a nonvanishing k x k minor.
-
-    Exponential in the size; intended as an independent oracle for small
-    matrices (n' <= 4).
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-
-    def det(sub: list[list[Fraction]]) -> Fraction:
-        k = len(sub)
-        if k == 1:
-            return sub[0][0]
-        total = Fraction(0)
-        for j in range(k):
-            if sub[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in sub[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * sub[0][j] * det(minor)
-        return total
-
-    for k in range(min(n_rows, n_cols), 0, -1):
-        for rsel in itertools.combinations(range(n_rows), k):
-            for csel in itertools.combinations(range(n_cols), k):
-                sub = [[Fraction(rows[r][c]) for c in csel] for r in rsel]
-                if det(sub) != 0:
-                    return k
-    return 0
-
-
-def rank_at(h: HessianMatrix, point: Point, eta: Sequence) -> int:
-    """Exact rank of the Hessian at a rational point."""
-    return rational_matrix_rank(h.evaluate(point, eta))
-
-
 # -- fast exact evaluation for bulk sampling ---------------------------------
 
 class _CompiledHessian:
@@ -249,12 +185,16 @@ class _CompiledHessian:
     coefficients, and sample points carry a common denominator, so the
     evaluated matrix is an integer matrix that is a global nonzero multiple
     of the true one: ranks agree.
+
+    Each monomial is stored as ``max_degree`` variable indices.  Index
+    ``nvars`` is a sentinel for the homogenizing variable, which reads the
+    point's denominator, so ``max_degree`` gather-and-multiply steps evaluate
+    every monomial of any degree already scaled by den**max_degree.
     """
 
     def __init__(self, h: HessianMatrix):
         self.n_prime = h.n_prime
-        self.n_dprime = h.n_dprime
-        nvars = 2 * h.n_prime + h.n_dprime
+        self.nvars = 2 * h.n_prime + h.n_dprime
         den = 1
         for row in h.entries:
             for entry in row:
@@ -263,7 +203,7 @@ class _CompiledHessian:
                         den = den * m.coeff.denominator // gcd(
                             den, m.coeff.denominator)
         coeffs: list[int] = []
-        exps: list[tuple[int, ...]] = []
+        factors: list[list[int]] = []
         eta_idx: list[int] = []
         slot: list[int] = []
         for i, row in enumerate(h.entries):
@@ -272,85 +212,51 @@ class _CompiledHessian:
                     l = eta_exp.index(1)  # entries are linear in eta''
                     for m in poly.monomials():
                         coeffs.append(int(m.coeff * den))
-                        exps.append(m.exp_x + m.exp_xx + m.exp_y)
+                        factors.append([v for v, e in enumerate(
+                            m.exp_x + m.exp_xx + m.exp_y) for _ in range(e)])
                         eta_idx.append(l)
                         slot.append(i * h.n_prime + j)
-        self.coeffs = coeffs
-        self.exps = exps
-        self.eta_idx = eta_idx
-        self.slot = slot
-        self.nvars = nvars
-        self.max_degree = max((sum(e) for e in exps), default=0)
-        self.max_coeff = max((abs(c) for c in coeffs), default=0)
-        self._np_exps = np.array(exps, dtype=np.int64).reshape(-1, nvars)
-        self._np_coeffs = np.array(coeffs, dtype=np.int64)
-        self._np_eta_idx = np.array(eta_idx, dtype=np.int64)
-        self._np_slot = np.array(slot, dtype=np.int64)
-        self._np_deg_comp = np.array(
-            [self.max_degree - sum(e) for e in exps], dtype=np.int64)
-        # degree <= 2 entries factor into at most two variable indices, which
-        # replaces the power table by two gathers
-        self._pair_idx = None
-        if self.max_degree <= 2 and exps:
-            pairs = []
-            for e in exps:
-                active = [v for v, ev in enumerate(e) for _ in range(ev)]
-                active += [-1] * (2 - len(active))
-                pairs.append(active)
-            self._pair_idx = np.array(pairs, dtype=np.int64)
+        self.max_degree = max(map(len, factors), default=0)
+        self.max_coeff = max(map(abs, coeffs), default=0)
+        # row k holds the k-th factor of every monomial
+        self._var_idx = np.array(
+            [f + [self.nvars] * (self.max_degree - len(f)) for f in factors],
+            dtype=np.int64).reshape(len(factors), self.max_degree).T.copy()
+        self._coeffs = {object: np.array(coeffs, dtype=object)}
+        if self.max_coeff < 2 ** 62:
+            self._coeffs[np.int64] = np.array(coeffs, dtype=np.int64)
+        self._eta_idx = np.array(eta_idx, dtype=np.int64)
+        self._slot = np.array(slot, dtype=np.int64)
 
     def _fits_int64(self, den: int, max_eta: int) -> bool:
-        if not self.coeffs:
+        if not len(self._slot):
             return True
         # |num_v| <= den after shell normalization, so each term is bounded by
         # max_coeff * den**max_degree * max_eta; the slot sums add at most
         # len(coeffs) of them
         bound = self.max_coeff * den ** self.max_degree * max(max_eta, 1) \
-            * max(len(self.coeffs), 1)
+            * len(self._slot)
         return bound < 2 ** 62
 
     def evaluate_scaled(self, nums: Sequence[int], den: int,
                         eta_nums: Sequence[int]) -> list[list[int]]:
         """Entries scaled by den**max_degree (times the eta numerators).
 
-        Requires |nums_v| <= den (guaranteed by shell normalization); the
-        vectorized int64 path is used whenever the a-priori bound fits, with
-        an exact big-integer fallback otherwise.
+        Requires |nums_v| <= den (guaranteed by shell normalization).  The
+        a-priori bound picks the array type: int64 when no sum can
+        overflow, exact Python integers otherwise.
         """
         n = self.n_prime
-        if self._fits_int64(den, max((abs(e) for e in eta_nums), default=1)):
-            kv = np.array(nums, dtype=np.int64)
-            if self._pair_idx is not None:
-                ext = np.concatenate([kv, [np.int64(1)]])  # sentinel -1 -> 1
-                powp = ext[self._pair_idx[:, 0]] * ext[self._pair_idx[:, 1]]
-            else:
-                powp = np.where(self._np_exps > 0,
-                                kv[None, :] ** self._np_exps, 1).prod(axis=1)
-            terms = self._np_coeffs * powp \
-                * np.array(eta_nums, dtype=np.int64)[self._np_eta_idx] \
-                * np.int64(den) ** self._np_deg_comp
-            flat_np = np.zeros(n * n, dtype=np.int64)
-            np.add.at(flat_np, self._np_slot, terms)
-            flat = [int(v) for v in flat_np]
-            return [flat[i * n:(i + 1) * n] for i in range(n)]
-        pow_table = [[1] * (self.max_degree + 1) for _ in range(self.nvars)]
-        for v, k in enumerate(nums):
-            row = pow_table[v]
-            for e in range(1, self.max_degree + 1):
-                row[e] = row[e - 1] * k
-        den_pow = [den ** e for e in range(self.max_degree + 1)]
-        flat = [0] * (n * n)
-        for c, e, l, s in zip(self.coeffs, self.exps, self.eta_idx, self.slot):
-            term = c * eta_nums[l]
-            if term == 0:
-                continue
-            deg = 0
-            for v, ev in enumerate(e):
-                if ev:
-                    term *= pow_table[v][ev]
-                    deg += ev
-            flat[s] += term * den_pow[self.max_degree - deg]
-        return [flat[i * n:(i + 1) * n] for i in range(n)]
+        dtype = np.int64 if self._fits_int64(
+            den, max(map(abs, eta_nums), default=1)) else object
+        values = np.array([*nums, den], dtype=dtype)
+        terms = self._coeffs[dtype] \
+            * np.array(eta_nums, dtype=dtype)[self._eta_idx]
+        for idx in self._var_idx:
+            terms = terms * values[idx]
+        flat = np.zeros(n * n, dtype=dtype)
+        np.add.at(flat, self._slot, terms)
+        return flat.reshape(n, n).tolist()
 
 
 # -- sampling ----------------------------------------------------------------
@@ -389,23 +295,42 @@ def _stream(seed: int, *words: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _probe_points(n_prime: int, n_dprime: int) -> list[tuple[list[Fraction], list[Fraction]]]:
+def _probe_points(n_prime: int, n_dprime: int):
     """Deterministic coordinate-axis probes (covering each hyperplane of the
-    shell) paired with eta'' unit vectors and the all-ones eta''."""
+    shell) paired with eta'' unit vectors and the all-ones eta''.  They are
+    integer points: (numerators, denominator 1, eta'')."""
     nvars = 2 * n_prime + n_dprime
-    pts = []
-    for i in range(nvars):
-        coords = [Fraction(0)] * nvars
-        coords[i] = Fraction(1)
-        pts.append(coords)
-    etas = []
-    for l in range(n_dprime):
-        eta = [Fraction(0)] * n_dprime
-        eta[l] = Fraction(1)
-        etas.append(eta)
+    axes = [[int(v == i) for v in range(nvars)] for i in range(nvars)]
+    etas = [[int(m == l) for m in range(n_dprime)] for l in range(n_dprime)]
     if n_dprime > 1:
-        etas.append([Fraction(1)] * n_dprime)
-    return [(p, e) for p in pts for e in etas]
+        etas.append([1] * n_dprime)
+    return [(p, 1, e) for p in axes for e in etas]
+
+
+def _shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
+                  seed: int):
+    """``samples`` random shell points (numerators, SAMPLE_DENOMINATOR,
+    integer eta''), drawn from the stream keyed by ``seed``."""
+    rng = _stream(seed, 0)
+    D = SAMPLE_DENOMINATOR
+    drawn = 0
+    while drawn < samples:
+        raw = rng.integers(-D, D + 1, size=len(weights_flat))
+        if not np.any(raw):
+            continue
+        eta_raw = rng.integers(-D, D + 1, size=n_dprime)
+        if not np.any(eta_raw):
+            continue
+        # integer shell normalization: grow by the weight dilation until some
+        # |num_v| * 2^(w_v) >= D (i.e. some |z_v| >= 2^(-w_v)); |z_v| <= 1
+        # holds throughout because it holds initially
+        nums = [int(v) for v in raw]
+        while all(abs(k) * 2 ** w < D for k, w in zip(nums, weights_flat)):
+            nums = [k * 2 ** w for k, w in zip(nums, weights_flat)]
+        # the rank is invariant under rescaling eta'', so evaluate with the
+        # raw integer eta and normalize only the reported witness
+        yield nums, D, [int(v) for v in eta_raw]
+        drawn += 1
 
 
 def min_rank_sample(h: HessianMatrix, samples: int, seed: int,
@@ -420,71 +345,28 @@ def min_rank_sample(h: HessianMatrix, samples: int, seed: int,
         raise ValueError("need at least one sample")
     compiled = _CompiledHessian(h)
     n_p, n_d = h.n_prime, h.n_dprime
-    nvars = compiled.nvars
     weights_flat = (tuple(h.weights.alpha_prime)
                     + tuple(h.weights.alpha_dprime)
                     + tuple(h.weights.beta_prime))
+    points = _shell_points(weights_flat, n_d, samples, seed)
+    if include_probes:
+        points = itertools.chain(_probe_points(n_p, n_d), points)
 
     best_rank = n_p + 1
     best_witness = None
     tried = 0
-
-    def record(r: int, coords: list[Fraction], eta: list[Fraction]) -> None:
-        nonlocal best_rank, best_witness, tried
+    for nums, den, eta in points:
+        r = integer_matrix_rank(compiled.evaluate_scaled(nums, den, eta))
         tried += 1
         if _report_ranks is not None:
             _report_ranks[r] += 1
         if r < best_rank:
             best_rank = r
+            coords = [Fraction(k, den) for k in nums]
+            m = max(map(abs, eta))
             point = (tuple(coords[:n_p]), tuple(coords[n_p:n_p + n_d]),
                      tuple(coords[n_p + n_d:]))
-            best_witness = (point, tuple(eta))
-
-    def consider(coords: list[Fraction], eta: list[Fraction]) -> None:
-        den = 1
-        for v in list(coords) + list(eta):
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in coords]
-        eta_nums = [int(v * den) for v in eta]
-        mat = compiled.evaluate_scaled(nums, den, eta_nums)
-        record(integer_matrix_rank(mat), coords, eta)
-
-    if include_probes:
-        for coords, eta in _probe_points(n_p, n_d):
-            consider(coords, eta)
-
-    rng = _stream(seed, 0)
-    D = SAMPLE_DENOMINATOR
-    drawn = 0
-    while drawn < samples:
-        raw = rng.integers(-D, D + 1, size=nvars)
-        if not np.any(raw):
-            continue
-        eta_raw = rng.integers(-D, D + 1, size=n_d)
-        if not np.any(eta_raw):
-            continue
-        # integer shell normalization: grow by the weight dilation until some
-        # |num_v| * 2^(w_v) >= D (i.e. some |z_v| >= 2^(-w_v)); |z_v| <= 1
-        # holds throughout because it holds initially
-        nums = [int(v) for v in raw]
-        while all(abs(k) * 2 ** w < D for k, w in zip(nums, weights_flat)):
-            nums = [k * 2 ** w for k, w in zip(nums, weights_flat)]
-        # the rank is invariant under rescaling eta'', so evaluate with the
-        # raw integer eta and normalize only the reported witness
-        eta_ints = [int(v) for v in eta_raw]
-        mat = compiled.evaluate_scaled(nums, D, eta_ints)
-        r = integer_matrix_rank(mat)
-        tried += 1
-        if _report_ranks is not None:
-            _report_ranks[r] += 1
-        if r < best_rank:
-            best_rank = r
-            coords = [Fraction(k, D) for k in nums]
-            m = max(abs(e) for e in eta_ints)
-            point = (tuple(coords[:n_p]), tuple(coords[n_p:n_p + n_d]),
-                     tuple(coords[n_p + n_d:]))
-            best_witness = (point, tuple(Fraction(e, m) for e in eta_ints))
-        drawn += 1
+            best_witness = (point, tuple(Fraction(e, m) for e in eta))
 
     assert best_witness is not None
     return RankSampleReport(min_rank=best_rank, witness=best_witness,

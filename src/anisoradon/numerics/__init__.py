@@ -4,8 +4,8 @@ from .cutoffs import bump_profile, phi0, phi_product, phi_radial, band_annulus
 from .grid import Grid
 from .operators import (ComposedOperator, FourierMultiplier,
                         SparseKernelOperator, bessel_multiplier,
-                        discretize_tj, discretize_uj, frequency_multiplier,
-                        pjk_multiplier, plambda_multiplier, qj_multiplier)
+                        discretize_tj, discretize_uj, pjk_multiplier,
+                        plambda_multiplier, qj_multiplier)
 from .norms import DecayFit, decay_slope, operator_norm, power_iteration
 from .experiments import (DecayRow, decay_table, dual_principal_check,
                           fit_decay_rows, knapp_exponent_table, knapp_integral,
@@ -14,7 +14,7 @@ from .experiments import (DecayRow, decay_table, dual_principal_check,
 
 __all__ = [
     "Grid", "SparseKernelOperator", "FourierMultiplier", "ComposedOperator",
-    "discretize_tj", "discretize_uj", "frequency_multiplier", "qj_multiplier",
+    "discretize_tj", "discretize_uj", "qj_multiplier",
     "pjk_multiplier", "bessel_multiplier", "plambda_multiplier",
     "operator_norm", "power_iteration", "decay_slope", "DecayFit", "DecayRow",
     "decay_table", "fit_decay_rows", "knapp_integral", "knapp_exponent_table",

@@ -11,7 +11,6 @@ must be restricted to the resolved rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 

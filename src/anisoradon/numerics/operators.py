@@ -14,6 +14,7 @@ symbol at each discrete frequency, inverse FFT.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,16 +27,20 @@ from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
 from .cutoffs import band_annulus, phi0, phi_radial
 from .grid import Grid
 
+# A verify run peaks at about 220 B per mesh entry of its largest slab
+# (760 MB at 3.2 M entries, 516 MB at 2.1 M), so 2**23 entries keep a run
+# under about 2 GB.
+MAX_MESH_ENTRIES = 2 ** 23
+
 
 # -- operator containers -------------------------------------------------------
 
 class SparseKernelOperator:
     """Explicit (sparse) matrix acting on flattened grid functions."""
 
-    def __init__(self, grid: Grid, matrix: sp.spmatrix, meta: dict | None = None):
+    def __init__(self, grid: Grid, matrix: sp.spmatrix):
         self.grid = grid
         self.matrix = matrix.tocsr()
-        self.meta = meta or {}
         self._csc = None
 
     @property
@@ -63,14 +68,12 @@ class FourierMultiplier:
     """
 
     def __init__(self, grid: Grid, symbol: np.ndarray,
-                 ydd_block: np.ndarray | None = None,
-                 meta: dict | None = None):
+                 ydd_block: np.ndarray | None = None):
         if symbol.shape != grid.shape():
             raise ValueError("symbol shape does not match the grid")
         self.grid = grid
         self.symbol = symbol
         self.ydd_block = ydd_block
-        self.meta = meta or {}
         self._flipped = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -93,49 +96,32 @@ class FourierMultiplier:
         the identity)."""
         if self.ydd_block is None:
             raise ValueError("symbol is not a pure y''-multiplier")
-        n = self.grid.points_per_axis
-        n_dd = self.ydd_block.ndim
-        kernel = np.fft.ifftn(self.ydd_block).real
-        idx = [np.arange(n)] * n_dd
-        if n_dd == 1:
-            a = idx[0][:, None] - idx[0][None, :]
-            return kernel[a % n]
-        if n ** (2 * n_dd) > 64_000_000:
-            raise MemoryError("y''-kernel matrix too large to materialize")
-        flat_a = np.arange(n ** n_dd)
-        coords = np.unravel_index(flat_a, (n,) * n_dd)
-        out = np.empty((n ** n_dd, n ** n_dd))
-        for b in flat_a:
-            bc = np.unravel_index(b, (n,) * n_dd)
-            sel = tuple((ca - cb) % n for ca, cb in zip(coords, bc))
-            out[:, b] = kernel[sel]
-        return out
+        return _circulant(np.fft.ifftn(self.ydd_block).real)
 
     def to_dense(self) -> np.ndarray:
-        kernel = np.fft.ifftn(self.symbol).real
-        shape = self.grid.shape()
-        size = self.grid.size
-        if size * size > 64_000_000:
-            raise MemoryError("multiplier too large to materialize")
-        flat = np.arange(size)
-        coords = np.unravel_index(flat, shape)
-        out = np.empty((size, size))
-        for b in flat:
-            bc = np.unravel_index(b, shape)
-            sel = tuple((ca - cb) % self.grid.points_per_axis
-                        for ca, cb in zip(coords, bc))
-            out[:, b] = kernel[sel]
-        return out
+        return _circulant(np.fft.ifftn(self.symbol).real)
+
+
+def _circulant(kernel: np.ndarray) -> np.ndarray:
+    """Dense matrix of periodic convolution with ``kernel`` (equal axes):
+    entry (a, b) over C-order flat indices is kernel[(a - b) mod n]."""
+    if kernel.size ** 2 > 64_000_000:
+        raise MemoryError("convolution matrix too large to materialize")
+    n, d = kernel.shape[0], kernel.ndim
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    # axis k of the index varies along output axes k (row) and d + k (column)
+    sel = tuple(diff.reshape((1,) * k + (n,) + (1,) * (d - 1) + (n,)
+                             + (1,) * (d - 1 - k)) for k in range(d))
+    return kernel[sel].reshape(kernel.size, kernel.size)
 
 
 class ComposedOperator:
     """left o right, applied right-to-left."""
 
-    def __init__(self, left, right, meta: dict | None = None):
+    def __init__(self, left, right):
         self.left = left
         self.right = right
         self.grid = left.grid
-        self.meta = meta or {}
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.left.apply(self.right.apply(v))
@@ -205,14 +191,16 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     # per-axis windows limited by supp(psi) (2 rho) and the outer phi shell
     windows: list[np.ndarray] = []
     for c in range(ndims):
-        wgt = weights[c] if c < n else weights[n + (c - n)]
-        extent = min(2.0 * rho, np.ldexp(4.0 * rho, -j * wgt), L)
+        extent = min(2.0 * rho, np.ldexp(4.0 * rho, -j * weights[c]), L)
         idx = np.nonzero(np.abs(nodes) <= extent + 1e-12)[0]
         windows.append(idx)
-    if any(len(w) == 0 for w in windows):
-        empty = sp.csr_matrix((grid.size, grid.size))
-        return SparseKernelOperator(grid, empty,
-                                    meta={"j": j, "shell": shell, "empty": True})
+    entries = math.prod(map(len, windows))
+    if entries > MAX_MESH_ENTRIES:
+        raise MemoryError(f"slab j={j} needs {entries} mesh entries, more "
+                          f"than the limit of {MAX_MESH_ENTRIES}")
+    if entries == 0:
+        return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
+                                                         grid.size)))
 
     def shaped(arr: np.ndarray, dim: int) -> np.ndarray:
         return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
@@ -223,12 +211,12 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     def product_cutoff(scale_j: int | None) -> np.ndarray:
         out = np.ones(mesh_shape)
         for c in range(ndims):
-            wgt = weights[c] if c < n else weights[n + (c - n)]
             t = axes[c]
             if scale_j is None:
                 out = out * phi0(t / rho)
             else:
-                out = out * phi0(np.ldexp(t, scale_j * wgt) / (2.0 * rho))
+                out = out * phi0(np.ldexp(t, scale_j * weights[c])
+                                 / (2.0 * rho))
         return out
 
     psi = product_cutoff(None)
@@ -239,9 +227,8 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
 
     mask = cutoff != 0.0
     if not mask.any():
-        empty = sp.csr_matrix((grid.size, grid.size))
-        return SparseKernelOperator(grid, empty,
-                                    meta={"j": j, "shell": shell, "empty": True})
+        return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
+                                                         grid.size)))
 
     # flat row index over the x-axes, flat y'-part of the column index
     row_flat = np.zeros(mesh_shape, dtype=np.int64)
@@ -284,8 +271,7 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         (np.concatenate(vals_out),
          (np.concatenate(rows_out), np.concatenate(cols_out))),
         shape=(grid.size, grid.size))
-    return SparseKernelOperator(grid, coo.tocsr(),
-                                meta={"j": j, "shell": shell})
+    return SparseKernelOperator(grid, coo.tocsr())
 
 
 def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
@@ -322,7 +308,7 @@ def qj_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
     """Low-pass in xi'' at the anisotropic scale 2^(j beta'')."""
     block = phi_radial(_scaled_ydd_radius(grid, n_prime, beta_dprime, j))
     return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block, meta={"kind": "Qj", "j": j})
+                             ydd_block=block)
 
 
 def pjk_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
@@ -331,8 +317,7 @@ def pjk_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
     rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
     block = phi_radial(np.ldexp(rad, -k - 1)) - phi_radial(np.ldexp(rad, -k))
     return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block,
-                             meta={"kind": "Pjk", "j": j, "k": k})
+                             ydd_block=block)
 
 
 def bessel_multiplier(grid: Grid, s: float, gamma: MultiIndex) -> FourierMultiplier:
@@ -369,9 +354,7 @@ def bessel_multiplier(grid: Grid, s: float, gamma: MultiIndex) -> FourierMultipl
         jj += 1
         if jj > 100000:  # unreachable: the grid frequency range is finite
             raise RuntimeError("dyadic sum failed to terminate")
-    return FourierMultiplier(grid, symbol,
-                             meta={"kind": "Bessel", "s": float(s),
-                                   "gamma": tuple(gamma), "terms": jj - 1})
+    return FourierMultiplier(grid, symbol)
 
 
 def plambda_multiplier(grid: Grid, n_prime: int, lam: float,
@@ -388,21 +371,4 @@ def plambda_multiplier(grid: Grid, n_prime: int, lam: float,
         vals.reshape((1,) * axis + (-1,) + (1,) * (n_dd - 1 - axis)),
         (grid.points_per_axis,) * n_dd).copy()
     return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block,
-                             meta={"kind": "Plambda", "lam": lam, "axis": axis})
-
-
-def frequency_multiplier(kind: str, spec: OperatorSpec, grid: Grid,
-                         **params) -> FourierMultiplier:
-    """Tagged dispatcher mirroring the experiment configuration surface."""
-    if kind == "Qj":
-        return qj_multiplier(grid, spec.n_prime, spec.beta_dprime, params["j"])
-    if kind == "Pjk":
-        return pjk_multiplier(grid, spec.n_prime, spec.beta_dprime,
-                              params["j"], params["k"])
-    if kind == "Bessel":
-        return bessel_multiplier(grid, params["s"], params["gamma"])
-    if kind == "Plambda":
-        return plambda_multiplier(grid, spec.n_prime, params["lam"],
-                                  params["axis"])
-    raise ValueError(f"unknown multiplier kind {kind!r}")
+                             ydd_block=block)

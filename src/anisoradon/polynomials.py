@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NoPrincipalPart
-from .scaling import MultiIndex, Weights
+from .scaling import Weights
 
 ExponentTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -126,14 +125,6 @@ class Polynomial:
         """Terms in canonical graded-lex order."""
         return [Monomial(self._terms[e], *e)
                 for e in sorted(self._terms, key=_order_key)]
-
-    def coefficient(self, exps: ExponentTriple) -> Fraction:
-        return self._terms.get(exps, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(a) + sum(b) + sum(c) for a, b, c in self._terms)
 
     def _same_dims(self, other: "Polynomial") -> None:
         if (self.n_prime, self.n_dprime) != (other.n_prime, other.n_dprime):
@@ -262,12 +253,6 @@ class Polynomial:
                 + sum(wi * e for wi, e in zip(w.alpha_dprime, b))
                 + sum(wi * e for wi, e in zip(w.beta_prime, c)))
 
-    def dilated(self, w: Weights, j: int) -> "Polynomial":
-        """p(2**(j alpha') x', 2**(j alpha'') x'', 2**(j beta') y'), exactly."""
-        terms = {e: c * Fraction(2) ** (j * self.quasidegree_of(e, w))
-                 for e, c in self._terms.items()}
-        return Polynomial(self.n_prime, self.n_dprime, terms)
-
 
 @dataclass(frozen=True)
 class GradedDecomposition:
@@ -278,15 +263,6 @@ class GradedDecomposition:
 
     def degrees(self) -> list[int]:
         return sorted(self.parts)
-
-    def part(self, degree: int, n_prime: int, n_dprime: int) -> Polynomial:
-        return self.parts.get(degree, Polynomial.zero(n_prime, n_dprime))
-
-    def reconstruct(self, n_prime: int, n_dprime: int) -> Polynomial:
-        total = Polynomial.zero(n_prime, n_dprime)
-        for p in self.parts.values():
-            total = total + p
-        return total
 
 
 def quasidegree_decompose(p: Polynomial, w: Weights) -> GradedDecomposition:
@@ -299,20 +275,6 @@ def quasidegree_decompose(p: Polynomial, w: Weights) -> GradedDecomposition:
         buckets.setdefault(d, {})[exps] = coeff
     return GradedDecomposition(
         {d: Polynomial(p.n_prime, p.n_dprime, t) for d, t in buckets.items()})
-
-
-def principal_part(p: Polynomial, w: Weights) -> tuple[int, Polynomial]:
-    """Lowest occupied quasidegree and the corresponding graded part.
-
-    This is the rescaling limit of p under the weight dilations: composing
-    the part with (2**(j alpha) x, 2**(j beta') y') multiplies it by
-    2**(j l) exactly.
-    """
-    if p.is_zero():
-        raise NoPrincipalPart("the zero polynomial has no principal part")
-    decomp = quasidegree_decompose(p, w)
-    l = min(decomp.parts)
-    return l, decomp.parts[l]
 
 
 def is_quasihomogeneous(p: Polynomial, w: Weights, degree: int) -> bool:

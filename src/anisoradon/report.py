@@ -13,9 +13,10 @@ from fractions import Fraction
 from . import __version__
 from .errors import (HomogeneityViolation, VanishingPrincipalPart,
                      WeightOrderViolation)
-from .exponents import (OperatorSpec, check_homogeneity, genericity_report,
-                        riesz_region, sobolev_smoothing)
+from .exponents import (GenericityReport, OperatorSpec, check_homogeneity,
+                        genericity_report, riesz_region, sobolev_smoothing)
 from .hessian import min_rank_sample, mixed_hessian
+from .scaling import MultiIndex
 from .specfile import poly_to_terms, rational_str, spec_to_dict
 
 
@@ -77,18 +78,22 @@ def sobolev_block(spec: OperatorSpec, rank: int,
     return out
 
 
-def genericity_block(spec: OperatorSpec) -> dict:
-    rep = genericity_report(spec.weights)
+def genericity_block(rep: GenericityReport,
+                     beta_dprime: MultiIndex | None = None) -> dict:
+    """Genericity quantities; admissibility is reported only for a given
+    beta''."""
     lo, hi = rep.threshold_interval()
-    return {
+    block = {
         "k1": rep.k1,
         "lambda_residues": sorted(rep.lambda_set),
         "k2": rep.k2,
         "threshold": rep.threshold(),
         "threshold_interval": [lo, hi],
         "density_lower_bound": rational_str(rep.density_lower_bound),
-        "beta_dprime_admissible": rep.admissible(spec.beta_dprime),
     }
+    if beta_dprime is not None:
+        block["beta_dprime_admissible"] = rep.admissible(beta_dprime)
+    return block
 
 
 def analyze_report(spec: OperatorSpec, samples: int, seed: int,
@@ -130,7 +135,8 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int,
     else:
         report["sobolev"]["table"] = sobolev_block(spec, sample.min_rank,
                                                    p_grid)
-    report["genericity"] = genericity_block(spec)
+    report["genericity"] = genericity_block(genericity_report(spec.weights),
+                                            spec.beta_dprime)
     return report
 
 

@@ -1,26 +1,18 @@
-"""Multiindex arithmetic, anisotropic dyadic dilations and scaled norms.
+"""Multiindex arithmetic and the dilation weights of an operator family.
 
 Every other module builds on the conventions fixed here: a multiindex is an
-integer vector, the dyadic dilation of a real vector rescales coordinate ``i``
-by ``2**(j * gamma_i)``, and a scale induces the weighted Euclidean norm
-``(sum_i 2**(2 s_i) v_i**2)**(1/2)``.  All integer/rational computations are
-exact; real dilations use binary exponent scaling, which is itself exact in
-IEEE floating point for moderate exponents.
+integer vector, and the dyadic dilation at scale j rescales a coordinate of
+weight ``g`` by ``2**(j * g)``.  The weights (alpha', alpha'', beta') fix the
+quasihomogeneous grading of polynomials and the windows of the grid
+discretization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-import numpy as np
-
-from .errors import DilationCapError
-
-# 2**900 stays comfortably inside the double range (overflow at 2**1024),
-# leaving headroom for squaring inside scaled_norm.
+# 2**900 stays comfortably inside the double range (overflow at 2**1024)
 DILATION_EXPONENT_CAP = 900
 
 
@@ -50,25 +42,13 @@ class MultiIndex:
         """Sum of the entries (may be negative)."""
         return sum(self.entries)
 
-    def concat(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.entries + other.entries)
-
-    def scaled(self, factor: int) -> "MultiIndex":
-        return MultiIndex(factor * e for e in self.entries)
-
-
-class Scale(MultiIndex):
-    """A multiindex attached to the ambient space, used to weight norms and
-    derivatives; one entry per coordinate."""
-
 
 @dataclass(frozen=True)
 class Weights:
     """The dilation weights (alpha', alpha'', beta') of an operator family.
 
     beta'' is deliberately not stored here: the genericity analysis varies it
-    while these three stay fixed.  Derived concatenations are built on demand
-    once a beta'' is supplied.
+    while these three stay fixed.
     """
 
     alpha_prime: MultiIndex
@@ -92,73 +72,8 @@ class Weights:
     def n_dprime(self) -> int:
         return len(self.alpha_dprime)
 
-    @property
-    def alpha(self) -> MultiIndex:
-        """(alpha', alpha''): the x-side dilation weights."""
-        return self.alpha_prime.concat(self.alpha_dprime)
-
-    def alpha_tilde(self, beta_dprime: MultiIndex) -> MultiIndex:
-        """(alpha', beta'')."""
-        return self.alpha_prime.concat(beta_dprime)
-
-    def beta(self, beta_dprime: MultiIndex) -> MultiIndex:
-        """(beta', beta'')."""
-        return self.beta_prime.concat(beta_dprime)
-
 
 def isotropic_weights(n_prime: int, n_dprime: int) -> Weights:
     """All-ones weights (averages over hypersurface-like isotropic families)."""
     return Weights(MultiIndex([1] * n_prime), MultiIndex([1] * n_dprime),
                    MultiIndex([1] * n_prime))
-
-
-def _check_cap(j: int, gamma: MultiIndex) -> None:
-    worst = max((abs(j * g) for g in gamma), default=0)
-    if worst > DILATION_EXPONENT_CAP:
-        raise DilationCapError(
-            f"dilation exponent {worst} exceeds cap {DILATION_EXPONENT_CAP}")
-
-
-def dilate(gamma: MultiIndex, j: int, z: Sequence[float]) -> np.ndarray:
-    """Componentwise dyadic dilation: entry i becomes 2**(j*gamma_i) * z_i."""
-    if len(gamma) != len(z):
-        raise ValueError(f"length mismatch: {len(gamma)} vs {len(z)}")
-    _check_cap(j, gamma)
-    arr = np.asarray(z, dtype=float)
-    exps = np.array([j * g for g in gamma], dtype=np.int64)
-    return np.ldexp(arr, exps)
-
-
-def dilate_exact(gamma: MultiIndex, j: int, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact rational version of :func:`dilate` (no exponent cap needed)."""
-    if len(gamma) != len(z):
-        raise ValueError(f"length mismatch: {len(gamma)} vs {len(z)}")
-    out = []
-    for g, zi in zip(gamma, z):
-        e = j * g
-        zi = Fraction(zi)
-        out.append(zi * Fraction(2) ** e)
-    return tuple(out)
-
-
-def scaled_norm(scale: Scale, v: Sequence[float]) -> float:
-    """Length of v relative to the scale: (sum_i 2**(2 s_i) v_i**2)**(1/2)."""
-    if len(scale) != len(v):
-        raise ValueError(f"length mismatch: {len(scale)} vs {len(v)}")
-    _check_cap(1, scale)
-    arr = np.asarray(v, dtype=float)
-    exps = np.array(scale.entries, dtype=np.int64)
-    return float(math.sqrt(float(np.sum(np.ldexp(arr, exps) ** 2))))
-
-
-def aniso_ratio(delta: MultiIndex, gamma: MultiIndex) -> Fraction:
-    """max_i delta_i / gamma_i as an exact rational.
-
-    This is the quantity written delta/gamma in scale bookkeeping; gamma must
-    have positive entries.
-    """
-    if len(delta) != len(gamma):
-        raise ValueError(f"length mismatch: {len(delta)} vs {len(gamma)}")
-    if any(g <= 0 for g in gamma):
-        raise ValueError("gamma must have strictly positive entries")
-    return max(Fraction(d, g) for d, g in zip(delta, gamma))

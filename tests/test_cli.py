@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from anisoradon.cli import main
+from anisoradon.numerics import operators
 from anisoradon.presets import (dual_contraction_spec, rank_one_spec,
                                 reference_spec)
 from anisoradon.specfile import save_spec, spec_to_dict
@@ -150,6 +151,17 @@ def test_verify_lists_skipped_fits():
     assert summary["skipped"] == {
         "TjQj_1oo_j_slope": "need at least three samples to fit a decay slope"}
     assert summary["rows"] == 18
+
+
+def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
+    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 100)
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "16", "--out", str(out_csv))
+    assert code == 2 and not out_csv.exists()
+    error = json.loads(err)
+    assert error["error"] == "MemoryError"
+    assert "more than the limit of 100" in error["message"]
 
 
 def test_knapp_subcommand(ref_spec_path):

@@ -7,10 +7,10 @@ from anisoradon.errors import (HomogeneityViolation, VanishingPrincipalPart,
                                WeightOrderViolation)
 from anisoradon.exponents import (OperatorSpec, check_homogeneity,
                                   classify_pq, genericity_report,
-                                  minsum_vertex_regression, riesz_region,
-                                  sobolev_smoothing)
+                                  riesz_region, sobolev_smoothing)
 from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
+from oracles import minsum_vertex_regression
 
 F = Fraction
 

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from anisoradon.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -56,16 +58,10 @@ def _parse(text: str, is_csv: bool):
         rows = list(csv.reader(text.splitlines()))
         # the value column is a float; the rest are exact
         return [rows[0]] + [r[:3] + [float(r[3])] + r[4:] for r in rows[1:]]
-    if not text:
-        return None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text) if text else None
 
 
 def run_case(argv: list[str], out: Path) -> dict:
-    from anisoradon.cli import main
     argv = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):

@@ -1,16 +1,18 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from anisoradon.errors import DegenerateSpace
-from anisoradon.hessian import (EtaPolynomial, generic_rank_trial,
-                                integer_matrix_rank, min_rank_sample,
-                                minor_rank_oracle, mixed_hessian, rank_at,
-                                rational_matrix_rank,
+from anisoradon.hessian import (SAMPLE_DENOMINATOR, EtaPolynomial,
+                                _CompiledHessian, generic_rank_trial,
+                                generic_trial_tuple, integer_matrix_rank,
+                                min_rank_sample, mixed_hessian,
                                 symbolic_minor_certificate)
 from anisoradon.polynomials import Monomial, Polynomial, lambda_basis
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
+from oracles import minor_rank_oracle, sympy_hessian
 
 F = Fraction
 
@@ -19,6 +21,23 @@ def poly(n_p, n_d, *terms):
     return Polynomial.from_monomials(
         n_p, n_d,
         [Monomial(F(c), tuple(a), tuple(b), tuple(d)) for c, a, b, d in terms])
+
+
+def scaled_matrix(h, point, eta):
+    """The compiled Hessian at a rational point of the unit box, as
+    ``evaluate_scaled`` returns it; eta'' is cleared to integers (the rank
+    is invariant under rescaling eta'')."""
+    coords = [F(v) for block in point for v in block]
+    assert all(abs(v) <= 1 for v in coords)
+    den = math.lcm(*(v.denominator for v in coords))
+    eta_den = math.lcm(*(F(e).denominator for e in eta))
+    return _CompiledHessian(h).evaluate_scaled(
+        [int(v * den) for v in coords], den,
+        [int(F(e) * eta_den) for e in eta])
+
+
+def rank_at(h, point, eta):
+    return integer_matrix_rank(scaled_matrix(h, point, eta))
 
 
 def test_mixed_hessian_single_mixed_partial():
@@ -74,8 +93,7 @@ def test_rank_at_elimination_oracle_case():
              (1, [0, 1], [0], [0, 2]))
     h = mixed_hessian((s,), w, MultiIndex([3]))
     pt = ((F(0), F(0)), (F(0),), (F(1), F(0)))
-    mat = h.evaluate(pt, (F(1),))
-    assert mat == [[F(0), F(1)], [F(2), F(0)]]
+    assert scaled_matrix(h, pt, (F(1),)) == [[0, 1], [2, 0]]
     assert rank_at(h, pt, (F(1),)) == 2
 
 
@@ -84,9 +102,8 @@ def test_exact_rank_matches_minor_oracle():
     for _ in range(60):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        mat = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
-                for _ in range(m)] for _ in range(n)]
-        assert rational_matrix_rank(mat) == minor_rank_oracle(mat)
+        mat = [[int(rng.integers(-3, 4)) for _ in range(m)] for _ in range(n)]
+        assert integer_matrix_rank(mat) == minor_rank_oracle(mat)
 
 
 def test_integer_rank_basics():
@@ -100,16 +117,16 @@ def test_eta_linearity_exact():
     w = isotropic_weights(2, 2)
     s1 = poly(2, 2, (2, [1, 0], [0, 0], [1, 0]), (1, [0, 1], [0, 0], [0, 1]))
     s2 = poly(2, 2, (1, [1, 1], [0, 0], [0, 0]), (3, [0, 0], [0, 0], [1, 1]))
-    h = mixed_hessian((s1, s2), w, MultiIndex([2, 2]))
+    compiled = _CompiledHessian(mixed_hessian((s1, s2), w,
+                                              MultiIndex([2, 2])))
     for _ in range(20):
-        pt = tuple(tuple(F(int(rng.integers(-4, 5)), 2) for _ in range(k))
-                   for k in (2, 2, 2))
-        e1 = tuple(F(int(rng.integers(-4, 5))) for _ in range(2))
-        e2 = tuple(F(int(rng.integers(-4, 5))) for _ in range(2))
-        both = tuple(a + b for a, b in zip(e1, e2))
-        m1 = h.evaluate(pt, e1)
-        m2 = h.evaluate(pt, e2)
-        ms = h.evaluate(pt, both)
+        nums = [int(v) for v in rng.integers(-4, 5, size=6)]
+        e1 = [int(v) for v in rng.integers(-4, 5, size=2)]
+        e2 = [int(v) for v in rng.integers(-4, 5, size=2)]
+        both = [a + b for a, b in zip(e1, e2)]
+        m1 = compiled.evaluate_scaled(nums, 4, e1)
+        m2 = compiled.evaluate_scaled(nums, 4, e2)
+        ms = compiled.evaluate_scaled(nums, 4, both)
         for i in range(2):
             for j in range(2):
                 assert ms[i][j] == m1[i][j] + m2[i][j]
@@ -127,11 +144,13 @@ def test_dilation_rank_invariance():
                for c, m in zip(coeffs, basis) if c])
     h = mixed_hessian((s,), w, bdd)
     for _ in range(10):
-        xp = tuple(F(int(rng.integers(-4, 5)), 2) for _ in range(2))
-        xdd = (F(int(rng.integers(-4, 5)), 2),)
-        yp = tuple(F(int(rng.integers(-4, 5)), 2) for _ in range(2))
+        # |coordinates| <= 1/16, so every dilation below stays in the unit box
+        xp = tuple(F(int(rng.integers(-2, 3)), 32) for _ in range(2))
+        xdd = (F(int(rng.integers(-2, 3)), 32),)
+        yp = tuple(F(int(rng.integers(-2, 3)), 32) for _ in range(2))
         eta = (F(int(rng.integers(1, 5))),)
         base = rank_at(h, (xp, xdd, yp), eta)
+        assert base == sympy_hessian((s,), xp + xdd + yp, eta).rank()
         for j in range(-2, 3):
             xp_j = tuple(v * F(2) ** (-j * a)
                          for v, a in zip(xp, w.alpha_prime))
@@ -178,8 +197,33 @@ def test_min_rank_sample_witness_consistency():
     rep = min_rank_sample(h, 25, seed=4)
     point, eta = rep.witness
     assert rank_at(h, point, eta) == rep.min_rank
+    coords = point[0] + point[1] + point[2]
+    assert sympy_hessian((s,), coords, eta).rank() == rep.min_rank
     assert any(v != 0 for v in eta)
     assert max(abs(v) for v in eta) == 1  # sup-sphere surrogate
+
+
+def test_big_integer_evaluation_matches_sympy():
+    # degree-12 entries: the a-priori bound exceeds int64, so the evaluation
+    # runs on exact Python integers.  The denominator is finer than the
+    # sampler's so that the exact entries themselves exceed int64.
+    w, bdd = isotropic_weights(2, 1), MultiIndex([14])
+    polys = generic_trial_tuple(w, bdd, seed=0, trial_index=0)
+    compiled = _CompiledHessian(mixed_hessian(polys, w, bdd))
+    assert compiled.max_degree == 12
+    assert not compiled._fits_int64(SAMPLE_DENOMINATOR, 1)
+    D = 2 ** 10
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        nums = [int(v) for v in rng.integers(-D, D + 1, size=5)]
+        nums[int(rng.integers(5))] = D  # on the shell: some |z_v| = 1
+        eta = [int(rng.choice([-1, 1]) * rng.integers(1, 17))]
+        got = compiled.evaluate_scaled(nums, D, eta)
+        want = sympy_hessian(polys, [F(k, D) for k in nums], eta)
+        assert got == [[int(D ** 12 * want[i, j]) for j in range(2)]
+                       for i in range(2)]
+        assert max(abs(v) for row in got for v in row) >= 2 ** 63
+        assert integer_matrix_rank(got) == want.rank()
 
 
 def test_min_rank_sample_deterministic():
@@ -240,5 +284,5 @@ def test_eta_polynomial_arithmetic():
     b = EtaPolynomial(1, {(1,): q})
     prod = a * b
     assert list(prod.terms) == [(2,)]
-    assert prod.evaluate([0], [0], [F(1, 2)], [3]) == 2 * F(1, 2) * 9
+    assert prod.terms[(2,)] == p * q
     assert (a - a).is_zero()
