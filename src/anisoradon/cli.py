@@ -69,6 +69,13 @@ def _p_grid(text: str) -> list[Fraction]:
     return grid
 
 
+def _check_rank(spec, rank: int | None) -> None:
+    """The mixed Hessian is n' x n', so its rank lies in 1..n'."""
+    if rank is not None and not 1 <= rank <= spec.n_prime:
+        raise SchemaError(f"--rank {rank} is outside 1..n' = "
+                          f"1..{spec.n_prime}")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
@@ -81,6 +88,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_region(args) -> int:
     spec = load_spec(args.spec)
+    _check_rank(spec, args.rank)
     a_p, b_p, b_dd = spec.weight_sums()
     block = region_block(a_p, b_p, b_dd, spec.n_dprime, args.rank)
     _emit(report_json(block), args.out)
@@ -94,6 +102,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_sobolev(args) -> int:
     spec = load_spec(args.spec)
+    _check_rank(spec, args.rank)
     a_p, b_p, b_dd = spec.weight_sums()
     region = riesz_region(a_p, b_p, b_dd, spec.n_dprime, args.rank)
     out = {
@@ -149,6 +158,7 @@ def _cmd_sample_generic(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
+    _check_rank(spec, args.rank)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=args.grid,
                 half_width=args.half_width)
     pairs = tuple(tok for tok in args.norms.split(",") if tok)

@@ -13,6 +13,9 @@ from anisoradon.presets import (dual_contraction_spec, rank_one_spec,
 from anisoradon.specfile import save_spec, spec_to_dict
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+# n' = 2, n'' = 1, beta'' = (3): rank 2 satisfies the rank hypothesis
+RANK_TWO_SPEC = str(Path(__file__).resolve().parent
+                    / "golden" / "inputs" / "iso_2_1_b3.json")
 
 
 @pytest.fixture()
@@ -84,25 +87,37 @@ def test_region_hypothesis_fails_exit_3(tmp_path):
     assert svg.exists() and "<svg" in svg.read_text()
 
 
-def test_region_with_vertices(ref_spec_path, tmp_path):
+def test_region_with_vertices(tmp_path):
     svg = tmp_path / "region.svg"
-    code, out, err = run_cli("region", "--spec", ref_spec_path, "--rank", "2",
+    code, out, err = run_cli("region", "--spec", RANK_TWO_SPEC, "--rank", "2",
                              "--svg", str(svg))
     assert code == 0, err
     block = json.loads(out)
     assert block["hypothesis_holds"] is True
-    assert block["vertices"]["V1"] == ["5/6", "1/2"]
-    assert block["vertices"]["V2"] == ["1/2", "1/6"]
+    assert block["vertices"]["V1"] == ["4/5", "2/5"]
+    assert block["vertices"]["V2"] == ["3/5", "1/5"]
     text = svg.read_text()
     assert "V1" in text and "polygon" in text
 
 
-def test_sobolev_table(ref_spec_path):
-    code, out, err = run_cli("sobolev", "--spec", ref_spec_path, "--rank",
+def test_sobolev_table():
+    code, out, err = run_cli("sobolev", "--spec", RANK_TWO_SPEC, "--rank",
                              "2", "--p-grid", "3/2:3:1/2")
     assert code == 0, err
     table = json.loads(out)["table"]
     assert [row["p"] for row in table] == ["3/2", "2", "5/2", "3"]
+
+
+@pytest.mark.parametrize("command", [["region"], ["sobolev"],
+                                     ["verify", "--grid", "16"]])
+@pytest.mark.parametrize("rank", ["0", "2", "7"])
+def test_rank_outside_one_to_n_prime_is_refused(ref_spec_path, command,
+                                                rank):
+    # the mixed Hessian of an n' = 1 spec is 1 x 1
+    code, out, err = run_cli(command[0], "--spec", ref_spec_path, "--rank",
+                             rank, *command[1:])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
 
 
 def test_generic_subcommand():

@@ -33,6 +33,7 @@ SPECS = ("reference", "rank_one", "dual_quadratic")
 PER_SPEC = {
     "analyze": ["analyze"],
     "sample-generic": ["sample-generic"],
+    # n' = 1 for all three specs: rank 2 is refused
     "region": ["region", "--rank", "2"],
     "sobolev": ["sobolev", "--rank", "2"],
     "knapp": ["knapp", "--tmin", "-6", "--tmax", "-1"],
@@ -51,6 +52,9 @@ CASES["iso_4_2_b55/sample-generic"] = [
 CASES["iso_2_1_b14/sample-generic"] = [
     "sample-generic", "--spec", "tests/golden/inputs/iso_2_1_b14.json",
     "--tuples", "2", "--points", "30"]
+# n' = 2, so rank 2 is admissible and the endpoint vertices are emitted
+CASES["iso_2_1_b3/region"] = [
+    "region", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
 
 
 def _parse(text: str, is_csv: bool):
