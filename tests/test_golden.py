@@ -52,6 +52,10 @@ CASES["iso_4_2_b55/sample-generic"] = [
 CASES["iso_2_1_b14/sample-generic"] = [
     "sample-generic", "--spec", "tests/golden/inputs/iso_2_1_b14.json",
     "--tuples", "2", "--points", "30"]
+# the TjPjk rows, with the rank-dependent k-slope context of the (2,2) norm
+CASES["rank_one/verify-kmax"] = [
+    "verify", "--spec", "specs/rank_one.json", "--grid", "32", "--jmax", "4",
+    "--kmax", "1", "--rank", "1", "--norms", "11,oooo,1oo,22"]
 # n' = 2, so rank 2 is admissible and the endpoint vertices are emitted
 CASES["iso_2_1_b3/region"] = [
     "region", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
