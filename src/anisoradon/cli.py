@@ -24,6 +24,7 @@ from .exponents import check_homogeneity, genericity_report, riesz_region
 from .hessian import generic_rank_trial
 from .numerics import (Grid, decay_table, dual_principal_check,
                        fit_decay_rows, knapp_exponent_table)
+from .numerics.norms import normalize_pair
 from .report import (analyze_report, genericity_block, region_block,
                      report_json, riesz_svg, sobolev_block)
 from .scaling import MultiIndex, Weights
@@ -161,7 +162,7 @@ def _cmd_verify(args) -> int:
     _check_rank(spec, args.rank)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=args.grid,
                 half_width=args.half_width)
-    pairs = tuple(tok for tok in args.norms.split(",") if tok)
+    pairs = tuple(normalize_pair(tok) for tok in args.norms.split(",") if tok)
     families = ("TjQj", "TjPjk") if args.kmax >= 0 else ("TjQj",)
     rows = decay_table(spec, grid, jmax=args.jmax, kmax=max(args.kmax, 0),
                        pairs=pairs, families=families, rank=args.rank)
@@ -169,7 +170,8 @@ def _cmd_verify(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["j", "k", "normPair", "value", "predictedSlopeContext"])
     for r in rows:
-        ctx = f"family={r.family};{r.context};resolved={int(r.resolved)}"
+        flag = "" if r.converged else ";unconverged"
+        ctx = f"family={r.family};{r.context}{flag};resolved={int(r.resolved)}"
         writer.writerow([r.j, "" if r.k is None else r.k, r.pair,
                          repr(r.value), ctx])
     _emit(buf.getvalue(), args.out)
@@ -179,7 +181,7 @@ def _cmd_verify(args) -> int:
         name = f"TjQj_{pair}_j_slope"
         try:
             fit = fit_decay_rows(rows, "TjQj", pair,
-                                 resolved_only=(pair in ("1oo", "(1,inf)")))
+                                 resolved_only=(pair == "1oo"))
             fitted[name] = fit.slope
         except ValueError as exc:
             skipped[name] = str(exc)

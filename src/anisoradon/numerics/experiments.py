@@ -53,6 +53,7 @@ class DecayRow:
     value: float
     resolved: bool
     context: str
+    converged: bool      # False: power iteration stopped at its step cap
 
 
 def _predicted_context(spec: OperatorSpec, family: str, pair: str,
@@ -75,15 +76,29 @@ def _predicted_context(spec: OperatorSpec, family: str, pair: str,
     return ""
 
 
-def _norm_with_flag(comp, pair: str, tol: float) -> tuple[float, str]:
-    """Norm value plus a flag when power iteration stopped at its cap
-    (the last iterate is still reported, as a bound estimate)."""
+def _norm_with_flag(comp, pair: str, tol: float) -> tuple[float, bool]:
+    """Norm value and whether it converged.  When power iteration stops at
+    its cap the last iterate is still reported, as a bound estimate."""
     try:
-        return operator_norm(comp, pair, tol=tol), ""
+        return operator_norm(comp, pair, tol=tol), True
     except NumericalError as exc:
         if exc.last_value is None:
             raise
-        return float(exc.last_value), ";unconverged"
+        return float(exc.last_value), False
+
+
+def _pieces(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
+            families: tuple[str, ...]):
+    """The frequency pieces (family, k, multiplier, resolved) of slab j, in
+    row order.  Each multiplier is built only when its turn comes."""
+    n_p, b_dd = spec.n_prime, spec.beta_dprime
+    if "TjQj" in families:
+        yield ("TjQj", None, qj_multiplier(grid, n_p, b_dd, j),
+               q_resolved(grid, b_dd, j))
+    if "TjPjk" in families:
+        for k in range(kmax + 1):
+            yield ("TjPjk", k, pjk_multiplier(grid, n_p, b_dd, j, k),
+                   p_shell_resolved(grid, b_dd, j, k))
 
 
 def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = 0,
@@ -96,25 +111,14 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = 0,
     rows: list[DecayRow] = []
     for j in range(jmin, jmax + 1):
         tj = discretize_tj(spec, grid, j)
-        if "TjQj" in families:
-            qj = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
-            comp = ComposedOperator(tj, qj)
-            res = q_resolved(grid, spec.beta_dprime, j)
+        for family, k, multiplier, res in _pieces(spec, grid, j, kmax,
+                                                  families):
+            comp = ComposedOperator(tj, multiplier)
             for pair in pairs:
-                value, flag = _norm_with_flag(comp, pair, power_tol)
-                ctx = _predicted_context(spec, "TjQj", pair, rank) + flag
-                rows.append(DecayRow("TjQj", j, None, pair, value, res, ctx))
-        if "TjPjk" in families:
-            for k in range(kmax + 1):
-                pjk = pjk_multiplier(grid, spec.n_prime, spec.beta_dprime,
-                                     j, k)
-                comp = ComposedOperator(tj, pjk)
-                res = p_shell_resolved(grid, spec.beta_dprime, j, k)
-                for pair in pairs:
-                    value, flag = _norm_with_flag(comp, pair, power_tol)
-                    ctx = _predicted_context(spec, "TjPjk", pair, rank) + flag
-                    rows.append(DecayRow("TjPjk", j, k, pair, value, res,
-                                         ctx))
+                value, converged = _norm_with_flag(comp, pair, power_tol)
+                ctx = _predicted_context(spec, family, pair, rank)
+                rows.append(DecayRow(family, j, k, pair, value, res, ctx,
+                                     converged))
     return rows
 
 
@@ -265,13 +269,13 @@ def knapp_exponent_table(spec: OperatorSpec, t_min: int, t_max: int,
 
 # -- duality ----------------------------------------------------------------------
 
-def _newton_invert_shear(spec: OperatorSpec, xp: np.ndarray, yp: np.ndarray,
-                         target: np.ndarray, tol: float = 1e-12,
+def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
+                         yp: np.ndarray, target: np.ndarray,
+                         tol: float = 1e-12,
                          max_steps: int = 50) -> np.ndarray:
-    """Solve x'' + S(x', x'', y') = target for x'' by Newton iteration."""
+    """Solve x'' + S(x', x'', y') = target for x'' by Newton iteration;
+    partials[l][m] is dS_l/dx''_m."""
     n_d = spec.n_dprime
-    partials = [[spec.s[l].partial_derivative("xx", m) for m in range(n_d)]
-                for l in range(n_d)]
     xdd = target.copy()
     for _ in range(max_steps):
         s_val = np.array([float(spec.s[l].evaluate(xp, xdd, yp))
@@ -308,6 +312,8 @@ def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
     principal = check_homogeneity(spec)
     w = spec.weights
     n_p, n_d = spec.n_prime, spec.n_dprime
+    partials = [[spec.s[l].partial_derivative("xx", m) for m in range(n_d)]
+                for l in range(n_d)]
     rng = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed), np.uint64(11)], dtype=np.uint64)))
     worst = 0.0
@@ -318,7 +324,7 @@ def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
         xp_s = np.ldexp(xp, [-j * a for a in w.alpha_prime])
         ydd_s = np.ldexp(ydd, [-j * a for a in w.alpha_dprime])
         yp_s = np.ldexp(yp, [-j * b for b in w.beta_prime])
-        xdd_sol = _newton_invert_shear(spec, xp_s, yp_s, ydd_s)
+        xdd_sol = _newton_invert_shear(spec, partials, xp_s, yp_s, ydd_s)
         for l in range(n_d):
             dual = -float(spec.s[l].evaluate(xp_s, xdd_sol, yp_s))
             scaled = np.ldexp(dual, j * spec.beta_dprime[l])

@@ -9,10 +9,8 @@ except one:
   (1,inf):   max absolute entry divided by the cell volume,
   (2,2):     largest singular value (power iteration on A^T A).
 
-Composites of an averaging slab with a y''-frequency multiplier are handled
-without materializing the product: the composite's absolute column sums, row
-sums and entries are streamed one y'-block at a time through the dense
-y''-kernel of the multiplier.
+The first three are read off ``ComposedOperator.abs_stats``, which a
+composite computes once however many of them are asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NumericalError
-from .operators import ComposedOperator, FourierMultiplier, SparseKernelOperator
+from .operators import ComposedOperator, FourierMultiplier
 
 _PAIR_ALIASES = {
     "11": "11", "(1,1)": "11",
@@ -76,56 +74,6 @@ def power_iteration(op, tol: float = 1e-6, maxiter: int = 500,
         f"(last estimate {last})", last_value=last)
 
 
-def _sparse_abs_stats(op: SparseKernelOperator) -> tuple[float, float, float]:
-    m = op.matrix
-    if m.nnz == 0:
-        return 0.0, 0.0, 0.0
-    absm = abs(m)
-    col = float(np.asarray(absm.sum(axis=0)).max())
-    row = float(np.asarray(absm.sum(axis=1)).max())
-    return col, row, float(np.abs(m.data).max())
-
-
-def _composite_abs_stats(left: SparseKernelOperator,
-                         right: FourierMultiplier) -> tuple[float, float, float]:
-    """Absolute-kernel stats of left o right for a y''-only multiplier."""
-    grid = left.grid
-    kernel = right.ydd_kernel_matrix()
-    n_block = kernel.shape[0]
-    n_yp = grid.size // n_block
-    a = left.matrix_csc
-    rowsums = np.zeros(grid.size)
-    max_col = 0.0
-    max_abs = 0.0
-    for b in range(n_yp):
-        sub = a[:, b * n_block:(b + 1) * n_block]
-        if sub.nnz == 0:
-            continue
-        sub_csr = sub.tocsr()
-        rows_nz = np.unique(sub.indices)
-        g = np.abs(sub_csr[rows_nz, :] @ kernel)
-        max_col = max(max_col, float(g.sum(axis=0).max()))
-        rowsums[rows_nz] += g.sum(axis=1)
-        max_abs = max(max_abs, float(g.max()))
-    return max_col, float(rowsums.max()), max_abs
-
-
-def _abs_stats(op) -> tuple[float, float, float]:
-    if isinstance(op, SparseKernelOperator):
-        return _sparse_abs_stats(op)
-    if isinstance(op, FourierMultiplier):
-        kernel = op.ydd_kernel_matrix()  # raises unless y''-only
-        col = float(np.abs(kernel).sum(axis=0).max())
-        row = float(np.abs(kernel).sum(axis=1).max())
-        return col, row, float(np.abs(kernel).max())
-    if isinstance(op, ComposedOperator) \
-            and isinstance(op.left, SparseKernelOperator) \
-            and isinstance(op.right, FourierMultiplier) \
-            and op.right.ydd_block is not None:
-        return _composite_abs_stats(op.left, op.right)
-    raise TypeError(f"absolute-kernel norms unavailable for {type(op).__name__}")
-
-
 def operator_norm(op, pair: str, tol: float = 1e-6, maxiter: int = 500,
                   seed: int = 0) -> float:
     """Quadrature-weighted operator norm of a grid operator."""
@@ -134,7 +82,10 @@ def operator_norm(op, pair: str, tol: float = 1e-6, maxiter: int = 500,
         if isinstance(op, FourierMultiplier):
             return float(np.abs(op.symbol).max())
         return power_iteration(op, tol=tol, maxiter=maxiter, seed=seed)
-    col, row, entry = _abs_stats(op)
+    if not isinstance(op, ComposedOperator):
+        raise TypeError(
+            f"absolute-kernel norms unavailable for {type(op).__name__}")
+    col, row, entry = op.abs_stats
     if pair == "11":
         return col
     if pair == "oooo":

@@ -13,6 +13,7 @@ symbol at each discrete frequency, inverse FFT.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -41,13 +42,10 @@ class SparseKernelOperator:
     def __init__(self, grid: Grid, matrix: sp.spmatrix):
         self.grid = grid
         self.matrix = matrix.tocsr()
-        self._csc = None
 
-    @property
+    @functools.cached_property
     def matrix_csc(self) -> sp.csc_matrix:
-        if self._csc is None:
-            self._csc = self.matrix.tocsc()
-        return self._csc
+        return self.matrix.tocsc()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -74,19 +72,21 @@ class FourierMultiplier:
         self.grid = grid
         self.symbol = symbol
         self.ydd_block = ydd_block
-        self._flipped = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         field = np.asarray(v, dtype=float).reshape(self.grid.shape())
         out = np.fft.ifftn(np.fft.fftn(field) * self.symbol)
         return out.real.ravel()
 
+    @functools.cached_property
+    def _flipped(self) -> np.ndarray:
+        """The symbol at minus each frequency: the transpose's symbol."""
+        flipped = self.symbol
+        for ax in range(self.grid.dim):
+            flipped = np.roll(np.flip(flipped, ax), 1, ax)
+        return flipped
+
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        if self._flipped is None:
-            flipped = self.symbol
-            for ax in range(self.grid.dim):
-                flipped = np.roll(np.flip(flipped, ax), 1, ax)
-            self._flipped = flipped
         field = np.asarray(v, dtype=float).reshape(self.grid.shape())
         out = np.fft.ifftn(np.fft.fftn(field) * self._flipped)
         return out.real.ravel()
@@ -134,6 +134,40 @@ class ComposedOperator:
         if isinstance(self.left, SparseKernelOperator):
             return self.left.matrix @ right
         return self.left.to_dense() @ right
+
+    @functools.cached_property
+    def abs_stats(self) -> tuple[float, float, float]:
+        """(max column sum, max row sum, max entry) of the absolute kernel.
+
+        Defined for an averaging slab composed with a y''-only multiplier,
+        and computed once per composite.  The product is never materialized:
+        its absolute column sums, row sums and entries are streamed one
+        y'-block at a time through the dense y''-kernel of the multiplier.
+        """
+        left, right = self.left, self.right
+        if not (isinstance(left, SparseKernelOperator)
+                and isinstance(right, FourierMultiplier)
+                and right.ydd_block is not None):
+            raise TypeError("absolute-kernel norms need a slab composed with "
+                            "a y''-only multiplier")
+        kernel = right.ydd_kernel_matrix()
+        n_block = kernel.shape[0]
+        n_yp = self.grid.size // n_block
+        a = left.matrix_csc
+        rowsums = np.zeros(self.grid.size)
+        max_col = 0.0
+        max_abs = 0.0
+        for b in range(n_yp):
+            sub = a[:, b * n_block:(b + 1) * n_block]
+            if sub.nnz == 0:
+                continue
+            sub_csr = sub.tocsr()
+            rows_nz = np.unique(sub.indices)
+            g = np.abs(sub_csr[rows_nz, :] @ kernel)
+            max_col = max(max_col, float(g.sum(axis=0).max()))
+            rowsums[rows_nz] += g.sum(axis=1)
+            max_abs = max(max_abs, float(g.max()))
+        return max_col, float(rowsums.max()), max_abs
 
 
 # -- averaging-piece discretization --------------------------------------------

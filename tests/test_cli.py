@@ -168,6 +168,21 @@ def test_verify_lists_skipped_fits():
     assert summary["rows"] == 18
 
 
+def test_verify_marks_unconverged_rows_in_the_context(monkeypatch):
+    from anisoradon.numerics import experiments
+    original = experiments.operator_norm
+    monkeypatch.setattr(experiments, "operator_norm",
+                        lambda op, pair, **kw: original(op, pair, maxiter=3,
+                                                        **kw))
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "16", "--jmax", "3", "--norms",
+                             "11,22")
+    assert code == 0, err
+    contexts = [row[4] for row in csv.reader(out.splitlines()[1:])]
+    assert contexts[0] == "family=TjQj;j-slope<=-|alpha'|=-1;resolved=1"
+    assert contexts[1].endswith(";unconverged;resolved=1")
+
+
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 100)
     out_csv = tmp_path / "decay.csv"

@@ -5,9 +5,10 @@ import pytest
 
 from anisoradon.errors import ResolutionError, SingularMapError
 from anisoradon.exponents import OperatorSpec
-from anisoradon.numerics import (Grid, decay_slope, decay_table,
-                                 dual_principal_check, fit_decay_rows,
-                                 knapp_exponent_table, knapp_integral,
+from anisoradon.numerics import (FourierMultiplier, Grid, decay_slope,
+                                 decay_table, dual_principal_check,
+                                 fit_decay_rows, knapp_exponent_table,
+                                 knapp_integral,
                                  p_shell_resolved, q_resolved,
                                  summation_by_parts_residual)
 from anisoradon.polynomials import Monomial, Polynomial
@@ -154,3 +155,33 @@ def test_decay_table_rows_and_fits():
     assert fit.slope < 0  # decay, even on a coarse grid
     with pytest.raises(ValueError):
         fit_decay_rows(rows, "TjQj", "11", over="k")
+
+
+def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
+    # 3 slabs x (TjQj + TjPj0 + TjPj1) = 9 composites, 3 absolute norms each
+    kernels = []
+    original = FourierMultiplier.ydd_kernel_matrix
+
+    def counted(self):
+        kernels.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FourierMultiplier, "ydd_kernel_matrix", counted)
+    grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
+    rows = decay_table(reference_spec(), grid, jmax=3, kmax=1,
+                       pairs=("11", "oooo", "1oo"),
+                       families=("TjQj", "TjPjk"))
+    assert len(rows) == 27
+    assert len(kernels) == 9 == len(set(map(id, kernels)))
+
+
+def test_decay_table_flags_unconverged_rows(monkeypatch):
+    from anisoradon.numerics import experiments
+    original = experiments.operator_norm
+    monkeypatch.setattr(experiments, "operator_norm",
+                        lambda op, pair, **kw: original(op, pair, maxiter=3,
+                                                        **kw))
+    grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
+    rows = decay_table(reference_spec(), grid, jmax=2, pairs=("11", "22"))
+    assert [r.converged for r in rows] == [True, False] * 2
+    assert all(r.value > 0 and "unconverged" not in r.context for r in rows)

@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from anisoradon.errors import DilationCapError
-from anisoradon.numerics import (ComposedOperator, Grid, SparseKernelOperator,
+from anisoradon.numerics import (ComposedOperator, FourierMultiplier, Grid,
+                                 SparseKernelOperator, bessel_multiplier,
                                  discretize_tj, discretize_uj, operator_norm,
                                  qj_multiplier)
 from anisoradon.numerics.cutoffs import phi0
 from anisoradon.presets import reference_spec
+from anisoradon.scaling import MultiIndex
 
 SPEC = reference_spec()
 SMALL = Grid(dim=2, points_per_axis=32, half_width=2.0)
@@ -105,10 +107,24 @@ def _embedded_matrix_op():
 
 
 def test_norm_conventions_on_small_matrix():
+    # an all-ones y''-multiplier (n' = 0, n'' = 1) has the identity kernel
     op = _embedded_matrix_op()
-    assert operator_norm(op, "(1,1)") == 6.0
-    assert operator_norm(op, "(inf,inf)") == 7.0
-    assert operator_norm(op, "(1,inf)") == 4.0
+    ones = np.ones(op.grid.shape())
+    comp = ComposedOperator(op, FourierMultiplier(op.grid, ones,
+                                                  ydd_block=ones))
+    assert operator_norm(comp, "(1,1)") == 6.0
+    assert operator_norm(comp, "(inf,inf)") == 7.0
+    assert operator_norm(comp, "(1,inf)") == 4.0
+
+
+def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
+    op = _embedded_matrix_op()
+    with pytest.raises(TypeError):
+        operator_norm(op, "11")
+    bessel = bessel_multiplier(op.grid, 1.0, MultiIndex([1]))
+    for bare_or_mixed in (bessel, ComposedOperator(op, bessel)):
+        with pytest.raises(TypeError):
+            operator_norm(bare_or_mixed, "11")
 
 
 def test_two_norm_power_iteration():
