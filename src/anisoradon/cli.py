@@ -70,11 +70,14 @@ def _p_grid(text: str) -> list[Fraction]:
     return grid
 
 
-def _check_rank(spec, rank: int | None) -> None:
-    """The mixed Hessian is n' x n', so its rank lies in 1..n'."""
-    if rank is not None and not 1 <= rank <= spec.n_prime:
-        raise SchemaError(f"--rank {rank} is outside 1..n' = "
+def _load_ranked_spec(args):
+    """The spec, after refusing a --rank outside 1..n' (the mixed Hessian
+    is n' x n')."""
+    spec = load_spec(args.spec)
+    if args.rank is not None and not 1 <= args.rank <= spec.n_prime:
+        raise SchemaError(f"--rank {args.rank} is outside 1..n' = "
                           f"1..{spec.n_prime}")
+    return spec
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -88,8 +91,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    spec = load_spec(args.spec)
-    _check_rank(spec, args.rank)
+    spec = _load_ranked_spec(args)
     a_p, b_p, b_dd = spec.weight_sums()
     block = region_block(a_p, b_p, b_dd, spec.n_dprime, args.rank)
     _emit(report_json(block), args.out)
@@ -102,8 +104,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_sobolev(args) -> int:
-    spec = load_spec(args.spec)
-    _check_rank(spec, args.rank)
+    spec = _load_ranked_spec(args)
     a_p, b_p, b_dd = spec.weight_sums()
     region = riesz_region(a_p, b_p, b_dd, spec.n_dprime, args.rank)
     out = {
@@ -158,8 +159,7 @@ def _cmd_sample_generic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    _check_rank(spec, args.rank)
+    spec = _load_ranked_spec(args)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=args.grid,
                 half_width=args.half_width)
     pairs = tuple(normalize_pair(tok) for tok in args.norms.split(",") if tok)

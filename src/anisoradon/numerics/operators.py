@@ -53,9 +53,6 @@ class SparseKernelOperator:
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         return self.matrix.T @ v
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 class FourierMultiplier:
     """Multiplication by a real symbol at each discrete frequency.
@@ -72,21 +69,19 @@ class FourierMultiplier:
         self.grid = grid
         self.symbol = symbol
         self.ydd_block = ydd_block
+        self._flipped = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         field = np.asarray(v, dtype=float).reshape(self.grid.shape())
         out = np.fft.ifftn(np.fft.fftn(field) * self.symbol)
         return out.real.ravel()
 
-    @functools.cached_property
-    def _flipped(self) -> np.ndarray:
-        """The symbol at minus each frequency: the transpose's symbol."""
-        flipped = self.symbol
-        for ax in range(self.grid.dim):
-            flipped = np.roll(np.flip(flipped, ax), 1, ax)
-        return flipped
-
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        if self._flipped is None:
+            flipped = self.symbol
+            for ax in range(self.grid.dim):
+                flipped = np.roll(np.flip(flipped, ax), 1, ax)
+            self._flipped = flipped
         field = np.asarray(v, dtype=float).reshape(self.grid.shape())
         out = np.fft.ifftn(np.fft.fftn(field) * self._flipped)
         return out.real.ravel()
@@ -129,35 +124,25 @@ class ComposedOperator:
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         return self.right.apply_transpose(self.left.apply_transpose(v))
 
-    def to_dense(self) -> np.ndarray:
-        right = self.right.to_dense()
-        if isinstance(self.left, SparseKernelOperator):
-            return self.left.matrix @ right
-        return self.left.to_dense() @ right
-
     @functools.cached_property
     def abs_stats(self) -> tuple[float, float, float]:
-        """(max column sum, max row sum, max entry) of the absolute kernel.
+        """(max column sum, max row sum, max entry) of the absolute kernel of
+        a slab composed with a y''-only multiplier, computed once.
 
-        Defined for an averaging slab composed with a y''-only multiplier,
-        and computed once per composite.  The product is never materialized:
-        its absolute column sums, row sums and entries are streamed one
-        y'-block at a time through the dense y''-kernel of the multiplier.
-        """
+        The product is never materialized: its absolute column sums, row sums
+        and entries are streamed one y'-block at a time through the dense
+        y''-kernel of the multiplier."""
         left, right = self.left, self.right
         if not (isinstance(left, SparseKernelOperator)
                 and isinstance(right, FourierMultiplier)
                 and right.ydd_block is not None):
-            raise TypeError("absolute-kernel norms need a slab composed with "
-                            "a y''-only multiplier")
+            raise TypeError("no absolute-kernel norms for this composite")
         kernel = right.ydd_kernel_matrix()
         n_block = kernel.shape[0]
-        n_yp = self.grid.size // n_block
         a = left.matrix_csc
         rowsums = np.zeros(self.grid.size)
-        max_col = 0.0
-        max_abs = 0.0
-        for b in range(n_yp):
+        max_col = max_abs = 0.0
+        for b in range(self.grid.size // n_block):
             sub = a[:, b * n_block:(b + 1) * n_block]
             if sub.nnz == 0:
                 continue
