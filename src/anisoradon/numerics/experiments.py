@@ -53,7 +53,7 @@ class DecayRow:
     value: float
     resolved: bool
     context: str
-    converged: bool      # False: power iteration stopped at its step cap
+    converged: bool      # False: Lanczos stopped at its cap of products
 
 
 def _predicted_context(spec: OperatorSpec, family: str, pair: str,
@@ -76,11 +76,11 @@ def _predicted_context(spec: OperatorSpec, family: str, pair: str,
     return ""
 
 
-def _norm_with_flag(comp, pair: str, tol: float) -> tuple[float, bool]:
-    """Norm value and whether it converged.  When power iteration stops at
-    its cap the last iterate is still reported, as a bound estimate."""
+def _norm_with_flag(comp, pair: str) -> tuple[float, bool]:
+    """Norm value and whether it converged.  When the Lanczos (2,2) norm
+    stops at its cap the last Ritz estimate, a lower bound, is reported."""
     try:
-        return operator_norm(comp, pair, tol=tol), True
+        return operator_norm(comp, pair), True
     except NumericalError as exc:
         if exc.last_value is None:
             raise
@@ -104,8 +104,7 @@ def _pieces(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
 def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = 0,
                 pairs: tuple[str, ...] = ("11", "oooo", "1oo"),
                 families: tuple[str, ...] = ("TjQj",),
-                rank: int | None = None, jmin: int = 1,
-                power_tol: float = 1e-6) -> list[DecayRow]:
+                rank: int | None = None, jmin: int = 1) -> list[DecayRow]:
     """Measure norms of the dyadic pieces over a (j, k) range."""
     pairs = tuple(normalize_pair(p) for p in pairs)
     rows: list[DecayRow] = []
@@ -115,7 +114,7 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = 0,
                                                   families):
             comp = ComposedOperator(tj, multiplier)
             for pair in pairs:
-                value, converged = _norm_with_flag(comp, pair, power_tol)
+                value, converged = _norm_with_flag(comp, pair)
                 ctx = _predicted_context(spec, family, pair, rank)
                 rows.append(DecayRow(family, j, k, pair, value, res, ctx,
                                      converged))

@@ -7,8 +7,8 @@ periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.
 
-Frequency multipliers are matrix-free: forward FFT, multiply by the exact
-symbol at each discrete frequency, inverse FFT.
+Frequency multipliers are matrix-free: real FFT over the axes the symbol
+depends on, multiplication by its even part, inverse real FFT.
 """
 
 from __future__ import annotations
@@ -55,11 +55,13 @@ class SparseKernelOperator:
 
 
 class FourierMultiplier:
-    """Multiplication by a real symbol at each discrete frequency.
+    """Real part of the multiplication by a real symbol s at each discrete
+    frequency: a multiplication by the even part (s(xi) + s(-xi))/2, so the
+    operator is symmetric.
 
     ``ydd_block`` is set when the symbol depends on the y''-frequencies only;
-    it stores that dependence as an array over the trailing n'' axes, which
-    is what the streaming norm computations need.
+    it stores that dependence as an array over the trailing n'' axes, the
+    only axes the FFT then runs over.
     """
 
     def __init__(self, grid: Grid, symbol: np.ndarray,
@@ -69,22 +71,26 @@ class FourierMultiplier:
         self.grid = grid
         self.symbol = symbol
         self.ydd_block = ydd_block
-        self._flipped = None
+
+    @functools.cached_property
+    def _half_symbol(self) -> np.ndarray:
+        factor = self.symbol if self.ydd_block is None else self.ydd_block
+        flipped = factor  # s(-xi): index i goes to -i mod N on every axis
+        for ax in range(factor.ndim):
+            flipped = np.roll(np.flip(flipped, ax), 1, ax)
+        return ((factor + flipped) / 2)[..., :factor.shape[-1] // 2 + 1]
+
+    def _filter(self, v: np.ndarray) -> np.ndarray:
+        axes = tuple(range(-self._half_symbol.ndim, 0))
+        field = np.asarray(v, dtype=float).reshape(self.grid.shape())
+        spectrum = np.fft.rfftn(field, axes=axes) * self._half_symbol
+        return np.fft.irfftn(spectrum, axes=axes).ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        field = np.asarray(v, dtype=float).reshape(self.grid.shape())
-        out = np.fft.ifftn(np.fft.fftn(field) * self.symbol)
-        return out.real.ravel()
+        return self._filter(v)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        if self._flipped is None:
-            flipped = self.symbol
-            for ax in range(self.grid.dim):
-                flipped = np.roll(np.flip(flipped, ax), 1, ax)
-            self._flipped = flipped
-        field = np.asarray(v, dtype=float).reshape(self.grid.shape())
-        out = np.fft.ifftn(np.fft.fftn(field) * self._flipped)
-        return out.real.ravel()
+        return self._filter(v)
 
     def ydd_kernel_matrix(self) -> np.ndarray:
         """Dense convolution matrix of the y''-only factor (the y'-factor is

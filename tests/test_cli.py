@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -181,6 +184,24 @@ def test_verify_marks_unconverged_rows_in_the_context(monkeypatch):
     contexts = [row[4] for row in csv.reader(out.splitlines()[1:])]
     assert contexts[0] == "family=TjQj;j-slope<=-|alpha'|=-1;resolved=1"
     assert contexts[1].endswith(";unconverged;resolved=1")
+
+
+def test_verify_leaves_the_sparse_solvers_unimported(tmp_path):
+    # importing scipy.sparse.linalg adds about 9 MB to every run's peak
+    # resident memory; the (2,2) norm needs none of it
+    script = (
+        "import sys\n"
+        "from anisoradon.cli import main\n"
+        f"code = main(['verify', '--spec', {str(SPECS / 'rank_one.json')!r},"
+        f" '--grid', '16', '--norms', '11,22',"
+        f" '--out', {str(tmp_path / 'decay.csv')!r}])\n"
+        "print(code, 'scipy.sparse.linalg' in sys.modules)\n")
+    src = str(SPECS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):

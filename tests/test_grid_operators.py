@@ -1,18 +1,32 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from anisoradon.errors import DilationCapError
+from anisoradon.exponents import OperatorSpec
 from anisoradon.numerics import (ComposedOperator, FourierMultiplier, Grid,
                                  SparseKernelOperator, bessel_multiplier,
                                  discretize_tj, discretize_uj, operator_norm,
-                                 qj_multiplier)
+                                 pjk_multiplier, qj_multiplier)
 from anisoradon.numerics.cutoffs import phi0
+from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.presets import reference_spec
-from anisoradon.scaling import MultiIndex
+from anisoradon.scaling import MultiIndex, isotropic_weights
 
 SPEC = reference_spec()
 SMALL = Grid(dim=2, points_per_axis=32, half_width=2.0)
+
+
+def _two_dprime_spec() -> OperatorSpec:
+    """n' = 1, n'' = 2: S = (x' y', y'^2), beta'' = (2, 2)."""
+    def mono(ex, ey):
+        return Polynomial.from_monomials(
+            1, 2, [Monomial(Fraction(1), (ex,), (0, 0), (ey,))])
+    return OperatorSpec(weights=isotropic_weights(1, 2),
+                        beta_dprime=MultiIndex([2, 2]),
+                        s=(mono(1, 1), mono(0, 2)), psi_radius=0.5)
 
 
 def test_grid_validation():
@@ -112,9 +126,9 @@ def test_norm_conventions_on_small_matrix():
     ones = np.ones(op.grid.shape())
     comp = ComposedOperator(op, FourierMultiplier(op.grid, ones,
                                                   ydd_block=ones))
-    assert operator_norm(comp, "(1,1)") == 6.0
-    assert operator_norm(comp, "(inf,inf)") == 7.0
-    assert operator_norm(comp, "(1,inf)") == 4.0
+    assert operator_norm(comp, "11") == 6.0
+    assert operator_norm(comp, "oooo") == 7.0
+    assert operator_norm(comp, "1oo") == 4.0
 
 
 def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
@@ -127,11 +141,11 @@ def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
             operator_norm(bare_or_mixed, "11")
 
 
-def test_two_norm_power_iteration():
+def test_two_norm_of_small_matrix():
     op = _embedded_matrix_op()
     # largest singular value of [[1,2],[3,4]]: sqrt(15 + sqrt(221))
     exact = np.sqrt(15 + np.sqrt(221))
-    assert operator_norm(op, "22") == pytest.approx(exact, abs=1e-3)
+    assert operator_norm(op, "22") == pytest.approx(exact, rel=1e-12)
 
 
 def test_two_norm_zero_operator():
@@ -155,20 +169,39 @@ def test_dense_and_matrix_free_agree():
 
 
 def test_composed_norms_match_dense():
-    tj = discretize_tj(SPEC, SMALL, 1)
-    q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 1)
-    comp = ComposedOperator(tj, q)
-    dense = tj.matrix @ q.to_dense()
-    col = np.abs(dense).sum(axis=0).max()
-    row = np.abs(dense).sum(axis=1).max()
-    entry = np.abs(dense).max()
-    assert operator_norm(comp, "11") == pytest.approx(col, rel=1e-12)
-    assert operator_norm(comp, "oooo") == pytest.approx(row, rel=1e-12)
-    assert operator_norm(comp, "1oo") == pytest.approx(
-        entry / SMALL.cell_volume, rel=1e-12)
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(SMALL.size)
-    assert np.abs(comp.apply(v) - dense @ v).max() < 1e-10
+    # n'' = 1, then n'' = 2, where the real FFT runs over two axes
+    for spec, grid in ((SPEC, SMALL),
+                       (_two_dprime_spec(), Grid(dim=3, points_per_axis=8))):
+        tj = discretize_tj(spec, grid, 1)
+        q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
+        comp = ComposedOperator(tj, q)
+        dense = tj.matrix @ q.to_dense()
+        col = np.abs(dense).sum(axis=0).max()
+        row = np.abs(dense).sum(axis=1).max()
+        entry = np.abs(dense).max()
+        assert operator_norm(comp, "11") == pytest.approx(col, rel=1e-12)
+        assert operator_norm(comp, "oooo") == pytest.approx(row, rel=1e-12)
+        assert operator_norm(comp, "1oo") == pytest.approx(
+            entry / grid.cell_volume, rel=1e-12)
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(grid.size)
+        assert np.abs(comp.apply(v) - dense @ v).max() < 1e-10
+        for mult in (q, pjk_multiplier(grid, 1, spec.beta_dprime, 1, 0)):
+            exact = np.linalg.norm(tj.matrix @ mult.to_dense(), 2)
+            assert exact > 0
+            assert operator_norm(ComposedOperator(tj, mult), "22") \
+                == pytest.approx(exact, rel=1e-10)
+
+
+def test_two_norm_of_zero_composites():
+    empty_slab = discretize_tj(SPEC, SMALL, 9)
+    q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 9)
+    # a shell at 2^20 times the Qj scale lies beyond the grid's frequencies
+    off_grid = pjk_multiplier(SMALL, 1, SPEC.beta_dprime, 1, 20)
+    assert not off_grid.symbol.any()
+    for comp in (ComposedOperator(empty_slab, q),
+                 ComposedOperator(discretize_tj(SPEC, SMALL, 1), off_grid)):
+        assert operator_norm(comp, "22") == 0.0
 
 
 def test_transpose_of_multiplier():
@@ -177,3 +210,34 @@ def test_transpose_of_multiplier():
     rng = np.random.default_rng(4)
     v = rng.standard_normal(SMALL.size)
     assert np.abs(q.apply_transpose(v) - dense.T @ v).max() < 1e-10
+
+
+def _uneven_multipliers(grid):
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal(grid.points_per_axis)
+    yield FourierMultiplier(grid, rng.standard_normal(grid.shape()))
+    yield FourierMultiplier(grid, np.broadcast_to(block, grid.shape()).copy(),
+                            ydd_block=block)
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: [bessel_multiplier(grid, 1.0, MultiIndex([1, 2]))],
+    _uneven_multipliers,
+], ids=["bessel", "uneven"])
+def test_multiplier_is_the_real_part_of_the_complex_filter(make):
+    # apply keeps the real part of ifftn(fftn(v) * symbol), which is the
+    # dense operator; that operator is symmetric even for a symbol that is
+    # not even in the frequencies
+    grid = Grid(dim=2, points_per_axis=16)
+    rng = np.random.default_rng(6)
+    for mult in make(grid):
+        dense = mult.to_dense()
+        assert np.abs(dense - dense.T).max() < 1e-12
+        for _ in range(3):
+            v = rng.standard_normal(grid.size)
+            complex_filter = np.fft.ifftn(
+                np.fft.fftn(v.reshape(grid.shape())) * mult.symbol).real
+            assert np.abs(mult.apply(v) - dense @ v).max() < 1e-10
+            assert np.abs(mult.apply(v) - complex_filter.ravel()).max() \
+                < 1e-12
+            assert np.array_equal(mult.apply_transpose(v), mult.apply(v))
