@@ -24,13 +24,12 @@ import numpy as np
 from ..errors import NumericalError
 from .operators import ComposedOperator
 
-_PAIRS = ("11", "oooo", "1oo", "22")
 _RITZ_TOL = 1e-12   # relative residual of the top Ritz pair at which to stop
 _KRYLOV_DIM = 20    # Lanczos steps between restarts
 
 
 def normalize_pair(pair: str) -> str:
-    if pair not in _PAIRS:
+    if pair not in ("11", "oooo", "1oo", "22"):
         raise ValueError(f"unknown norm pair {pair!r}")
     return pair
 

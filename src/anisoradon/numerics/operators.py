@@ -60,8 +60,8 @@ class FourierMultiplier:
     operator is symmetric.
 
     ``ydd_block`` is set when the symbol depends on the y''-frequencies only;
-    it stores that dependence as an array over the trailing n'' axes, the
-    only axes the FFT then runs over.
+    it stores that dependence as an array over the trailing n'' axes, for
+    the streaming norm computations and as the only axes the FFT runs over.
     """
 
     def __init__(self, grid: Grid, symbol: np.ndarray,
@@ -86,6 +86,7 @@ class FourierMultiplier:
         spectrum = np.fft.rfftn(field, axes=axes) * self._half_symbol
         return np.fft.irfftn(spectrum, axes=axes).ravel()
 
+    # two methods, not one under two names: a wrapper of one must not wrap both
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self._filter(v)
 

@@ -152,6 +152,15 @@ def test_two_norm_zero_operator():
     grid = Grid(dim=1, points_per_axis=8, half_width=4.0)
     op = SparseKernelOperator(grid, sp.csr_matrix((8, 8)))
     assert operator_norm(op, "22") == 0.0
+    # zero composites: an empty slab, and a shell at 2^20 times the Qj
+    # scale, beyond the grid's frequencies
+    empty_slab = discretize_tj(SPEC, SMALL, 9)
+    q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 9)
+    off_grid = pjk_multiplier(SMALL, 1, SPEC.beta_dprime, 1, 20)
+    assert empty_slab.matrix.nnz == 0 and not off_grid.symbol.any()
+    for comp in (ComposedOperator(empty_slab, q),
+                 ComposedOperator(discretize_tj(SPEC, SMALL, 1), off_grid)):
+        assert operator_norm(comp, "22") == 0.0
 
 
 def test_multiplier_two_norm_is_symbol_sup():
@@ -193,17 +202,6 @@ def test_composed_norms_match_dense():
                 == pytest.approx(exact, rel=1e-10)
 
 
-def test_two_norm_of_zero_composites():
-    empty_slab = discretize_tj(SPEC, SMALL, 9)
-    q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 9)
-    # a shell at 2^20 times the Qj scale lies beyond the grid's frequencies
-    off_grid = pjk_multiplier(SMALL, 1, SPEC.beta_dprime, 1, 20)
-    assert not off_grid.symbol.any()
-    for comp in (ComposedOperator(empty_slab, q),
-                 ComposedOperator(discretize_tj(SPEC, SMALL, 1), off_grid)):
-        assert operator_norm(comp, "22") == 0.0
-
-
 def test_transpose_of_multiplier():
     q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 1)
     dense = q.to_dense()
@@ -212,25 +210,17 @@ def test_transpose_of_multiplier():
     assert np.abs(q.apply_transpose(v) - dense.T @ v).max() < 1e-10
 
 
-def _uneven_multipliers(grid):
-    rng = np.random.default_rng(9)
-    block = rng.standard_normal(grid.points_per_axis)
-    yield FourierMultiplier(grid, rng.standard_normal(grid.shape()))
-    yield FourierMultiplier(grid, np.broadcast_to(block, grid.shape()).copy(),
-                            ydd_block=block)
-
-
-@pytest.mark.parametrize("make", [
-    lambda grid: [bessel_multiplier(grid, 1.0, MultiIndex([1, 2]))],
-    _uneven_multipliers,
-], ids=["bessel", "uneven"])
-def test_multiplier_is_the_real_part_of_the_complex_filter(make):
+def test_multiplier_is_the_real_part_of_the_complex_filter():
     # apply keeps the real part of ifftn(fftn(v) * symbol), which is the
     # dense operator; that operator is symmetric even for a symbol that is
-    # not even in the frequencies
+    # not even in the frequencies (the random full symbol and y''-block)
     grid = Grid(dim=2, points_per_axis=16)
-    rng = np.random.default_rng(6)
-    for mult in make(grid):
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal(grid.points_per_axis)
+    for mult in (bessel_multiplier(grid, 1.0, MultiIndex([1, 2])),
+                 FourierMultiplier(grid, rng.standard_normal(grid.shape())),
+                 FourierMultiplier(grid, np.broadcast_to(
+                     block, grid.shape()).copy(), ydd_block=block)):
         dense = mult.to_dense()
         assert np.abs(dense - dense.T).max() < 1e-12
         for _ in range(3):
