@@ -44,10 +44,14 @@ PER_SPEC = {
 CASES = {f"{spec}/{name}": [argv[0], "--spec", f"specs/{spec}.json",
                             *argv[1:]]
          for spec in SPECS for name, argv in PER_SPEC.items()}
-# degree-3 Hessian entries (int64 evaluation) and degree-12 entries, whose
-# a-priori bound exceeds int64 (exact big-integer evaluation)
+# degree-3 Hessian entries (int64 evaluation) at n' = 4 and n' = 6, and
+# degree-12 entries, whose a-priori bound exceeds int64 (exact big-integer
+# evaluation)
 CASES["iso_4_2_b55/sample-generic"] = [
     "sample-generic", "--spec", "tests/golden/inputs/iso_4_2_b55.json",
+    "--tuples", "3", "--points", "40"]
+CASES["iso_6_2_b55/sample-generic"] = [
+    "sample-generic", "--spec", "tests/golden/inputs/iso_6_2_b55.json",
     "--tuples", "3", "--points", "40"]
 CASES["iso_2_1_b14/sample-generic"] = [
     "sample-generic", "--spec", "tests/golden/inputs/iso_2_1_b14.json",
