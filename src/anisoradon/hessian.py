@@ -1,27 +1,49 @@
-"""Symbolic mixed Hessians and exact rank estimation off the origin.
+"""Mixed Hessians and exact rank estimation off the origin.
 
 The central object is the n' x n' matrix whose (i, j) entry is
 ``d^2/dx'_i dy'_j`` of ``eta'' . S^P`` for a tuple S^P of weighted-homogeneous
-polynomials.  Entries are linear in the auxiliary frequency variable eta'';
-they are stored as eta''-polynomials with exact polynomial coefficients, from
-which minor certificates are built symbolically.
+polynomials.  Entries are linear in the auxiliary frequency variable eta''.
+``mixed_hessian`` stores them as eta''-polynomials with exact polynomial
+coefficients, from which minor certificates are built symbolically.
 
-For bulk sampling the entries are compiled once into a single evaluator that
-returns the exact integer matrix at a rational point: int64 arithmetic when
-an a-priori bound rules out overflow, Python integers otherwise.  Rank
-sampling draws rational points from a fundamental domain of the anisotropic
-dilation group (the dilations act on the rank, so a compact shell suffices)
-using counter-based per-trial random streams, and reports the minimal
-observed rank as an upper-bound certificate for the true minimal rank.
+Rank sampling differentiates nothing symbolically.  The second derivative
+``d^2/dx'_i dy'_j`` of a monomial with exponents (a, b, c) is a_i c_j times a
+monomial of lower degree, in slot (i, j): integer bookkeeping.
+``_CompiledHessian`` does that bookkeeping once for the weights and the
+monomial exponents of each component, and is then a linear map from integer
+monomial coefficients to Hessian terms; ``bind`` applies it to one tuple of
+coefficients.  ``sample-generic`` compiles the monomial basis of each
+component once and binds every trial's coefficients; ``analyze`` compiles
+the monomials of the principal part and binds its coefficients with the
+denominators cleared.
+
+A ``BoundHessian`` evaluates chunks of points in draw order, about
+``CHUNK_ENTRIES`` point x term entries at a time: one gather per factor over
+(points x terms), then the terms, sorted by slot, are summed with
+``np.add.reduceat``.  Each point carries its own denominator, and the result
+is an integer matrix that is a nonzero multiple of the true one, so ranks
+agree.  An a-priori bound on the chunk picks int64 arithmetic when no sum can
+overflow, Python integers otherwise.
+
+Ranks are screened by a stacked elimination modulo the prime
+``SCREEN_PRIME`` in int64.  The rank mod p is at most the rank over Q, so a
+nonzero determinant mod p certifies full rank; only the matrices that fail
+the screen go to fraction-free (Bareiss) elimination over the integers.
+
+Rank sampling draws rational points from a fundamental domain of the
+anisotropic dilation group (the dilations act on the rank, so a compact shell
+suffices) using counter-based per-trial random streams, and reports the
+minimal observed rank, with the first point in draw order that attains it, as
+an upper-bound certificate for the true minimal rank.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +58,12 @@ Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 # denominator used for random rational sample coordinates; small integers keep
 # the exact elimination fast
 SAMPLE_DENOMINATOR = 16
+# point x term entries evaluated at once: bounds the evaluation temporaries to
+# a few MB whatever the number of terms
+CHUNK_ENTRIES = 2 ** 16
+# modulus of the rank screen: residues below 2^31 multiply without
+# overflowing int64
+SCREEN_PRIME = 2 ** 31 - 1
 
 
 class EtaPolynomial:
@@ -107,13 +135,10 @@ class HessianMatrix:
         return self.weights.n_dprime
 
 
-def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
-                  beta_dprime: MultiIndex) -> HessianMatrix:
-    """Build the matrix with entries sum_l eta''_l d^2 s_l / dx'_i dy'_j.
-
-    Every component must be weighted-homogeneous of its target degree
-    beta''_l (the zero polynomial qualifies for any degree).
-    """
+def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
+                     beta_dprime: MultiIndex) -> None:
+    """Reject a tuple whose component l is not weighted-homogeneous of
+    degree beta''_l."""
     if len(s_principal) != w.n_dprime or len(beta_dprime) != w.n_dprime:
         raise ValueError("expected one polynomial and one degree per output "
                          "coordinate")
@@ -121,6 +146,16 @@ def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
         if not is_quasihomogeneous(poly, w, deg):
             raise ValueError(
                 f"component {l} is not quasihomogeneous of degree {deg}")
+
+
+def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
+                  beta_dprime: MultiIndex) -> HessianMatrix:
+    """Build the matrix with entries sum_l eta''_l d^2 s_l / dx'_i dy'_j.
+
+    Every component must be weighted-homogeneous of its target degree
+    beta''_l (the zero polynomial qualifies for any degree).
+    """
+    _check_principal(s_principal, w, beta_dprime)
     n_p, n_d = w.n_prime, w.n_dprime
     rows = []
     for i in range(n_p):
@@ -176,87 +211,183 @@ def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-# -- fast exact evaluation for bulk sampling ---------------------------------
+def _nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
+    """Which of a stack of integer matrices, shape (points, n, n), are
+    nonsingular modulo ``SCREEN_PRIME``: one stacked elimination in int64."""
+    n_points, n, _ = mats.shape
+    p = SCREEN_PRIME
+    a = np.mod(mats, p).astype(np.int64)
+    nonsingular = np.ones(n_points, dtype=bool)
+    rows = np.arange(n_points)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        nonsingular &= nonzero.any(axis=1)
+        piv = k + nonzero.argmax(axis=1)
+        top = a[rows, piv].copy()
+        a[rows, piv] = a[rows, k]
+        a[rows, k] = top
+        # row_r <- a_kk row_r - a_rk row_k: a nonzero multiple of row_r plus
+        # a multiple of row_k, so the rank mod p is unchanged
+        a[:, k + 1:, k:] = (a[:, k, k, None, None] * a[:, k + 1:, k:]
+                            - a[:, k + 1:, k:k + 1] * a[:, None, k, k:]) % p
+    return nonsingular
+
+
+def _screened_ranks(mats: np.ndarray) -> np.ndarray:
+    """Ranks over Q of a stack of integer matrices, shape (points, n, n).
+
+    The rank mod p is at most the rank over Q, so a matrix that is
+    nonsingular mod p has full rank; only the others go to
+    ``integer_matrix_rank``.
+    """
+    ranks = np.full(len(mats), mats.shape[1])
+    for k in np.flatnonzero(~_nonsingular_mod_p(mats)):
+        ranks[k] = integer_matrix_rank(mats[k].tolist())
+    return ranks
+
+
+# -- the compiled Hessian map ------------------------------------------------
 
 class _CompiledHessian:
-    """Integer-cleared entry evaluator for bulk rational sampling.
+    """The linear map from monomial coefficients to mixed-Hessian terms.
 
-    All entries are multiplied by the common denominator of their
-    coefficients, and sample points carry a common denominator, so the
-    evaluated matrix is an integer matrix that is a global nonzero multiple
-    of the true one: ranks agree.
+    ``components[l]`` lists the exponent tuples, over (x', x'', y'), of the
+    monomials of component l.  Each term of the map is one (monomial, slot)
+    pair whose second derivative is nonzero: the index of its coefficient in
+    the concatenated coefficient list, its multiplier a_i c_j and the
+    variables of its lower monomial.  The terms are sorted by slot and, within
+    a slot, by component l, so evaluation sums each (slot, l) segment with
+    one ``np.add.reduceat``, multiplies it by eta''_l, and sums the segments
+    of each slot with a second one.
 
-    Each monomial is stored as ``max_degree`` variable indices.  Index
+    Each lower monomial is stored as ``max_degree`` variable indices.  Index
     ``nvars`` is a sentinel for the homogenizing variable, which reads the
     point's denominator, so ``max_degree`` gather-and-multiply steps evaluate
     every monomial of any degree already scaled by den**max_degree.
     """
 
-    def __init__(self, h: HessianMatrix):
-        self.n_prime = h.n_prime
-        self.nvars = 2 * h.n_prime + h.n_dprime
-        den = 1
-        for row in h.entries:
-            for entry in row:
-                for poly in entry.terms.values():
-                    for m in poly.monomials():
-                        den = den * m.coeff.denominator // gcd(
-                            den, m.coeff.denominator)
-        coeffs: list[int] = []
-        factors: list[list[int]] = []
-        eta_idx: list[int] = []
-        slot: list[int] = []
-        for i, row in enumerate(h.entries):
-            for j, entry in enumerate(row):
-                for eta_exp, poly in entry.terms.items():
-                    l = eta_exp.index(1)  # entries are linear in eta''
-                    for m in poly.monomials():
-                        coeffs.append(int(m.coeff * den))
-                        factors.append([v for v, e in enumerate(
-                            m.exp_x + m.exp_xx + m.exp_y) for _ in range(e)])
-                        eta_idx.append(l)
-                        slot.append(i * h.n_prime + j)
-        self.max_degree = max(map(len, factors), default=0)
-        self.max_coeff = max(map(abs, coeffs), default=0)
-        # row k holds the k-th factor of every monomial
-        self._var_idx = np.array(
-            [f + [self.nvars] * (self.max_degree - len(f)) for f in factors],
-            dtype=np.int64).reshape(len(factors), self.max_degree).T.copy()
-        self._coeffs = {object: np.array(coeffs, dtype=object)}
+    def __init__(self, w: Weights,
+                 components: Sequence[Sequence[tuple[int, ...]]]):
+        n = self.n_prime = w.n_prime
+        self.n_dprime = w.n_dprime
+        self.weights_flat = (tuple(w.alpha_prime) + tuple(w.alpha_dprime)
+                             + tuple(w.beta_prime))
+        self.nvars = len(self.weights_flat)
+        self.sizes = [len(c) for c in components]
+        exps = np.array([e for c in components for e in c],
+                        dtype=np.int64).reshape(-1, self.nvars)
+        component = np.repeat(np.arange(len(components)), self.sizes)
+        y0 = self.nvars - n
+        source, mult, lower, slot = [], [], [], []
+        for i in range(n):
+            for j in range(n):
+                hit = np.flatnonzero(exps[:, i] * exps[:, y0 + j])
+                low = exps[hit]
+                mult.append(low[:, i] * low[:, y0 + j])
+                low[:, i] -= 1
+                low[:, y0 + j] -= 1
+                source.append(hit)
+                lower.append(low)
+                slot.append(np.full(len(hit), i * n + j))
+        self._source = np.concatenate(source)
+        self._mult = np.concatenate(mult).astype(object)
+        lower = np.concatenate(lower)
+        degree = lower.sum(axis=1)
+        self.max_degree = int(degree.max(initial=0))
+        # pad every monomial with the sentinel up to max_degree factors; row k
+        # of _var_idx holds the k-th factor of every term
+        padded = np.hstack([lower, (self.max_degree - degree)[:, None]])
+        self._var_idx = np.repeat(
+            np.tile(np.arange(self.nvars + 1), len(padded)),
+            padded.ravel()).reshape(len(padded), self.max_degree).T.copy()
+        # within a slot the terms are already ordered by component, so each
+        # (slot, component) segment is contiguous and sums before its eta''
+        # factor is applied
+        segments, self._starts = np.unique(
+            np.concatenate(slot) * self.n_dprime + component[self._source],
+            return_index=True)
+        self._seg_eta = segments % self.n_dprime
+        self._slots, self._slot_starts = np.unique(
+            segments // self.n_dprime, return_index=True)
+
+    @property
+    def n_terms(self) -> int:
+        return len(self._source)
+
+    def bind(self, coeffs: Sequence[Sequence[int]]) -> "BoundHessian":
+        """The Hessian of eta'' . S for the integer coefficients
+        ``coeffs[l]`` of the monomials of component l."""
+        if [len(c) for c in coeffs] != self.sizes:
+            raise ValueError("expected one coefficient per monomial")
+        flat = np.array([int(v) for c in coeffs for v in c], dtype=object)
+        return BoundHessian(self, flat[self._source] * self._mult)
+
+
+class BoundHessian:
+    """The mixed Hessian of one coefficient tuple, evaluated in batches of
+    points; see ``_CompiledHessian`` for the term layout."""
+
+    def __init__(self, compiled: _CompiledHessian, terms: np.ndarray):
+        self.map = compiled
+        self.max_coeff = max(map(abs, terms), default=0)
+        self._coeffs = {object: terms}
         if self.max_coeff < 2 ** 62:
-            self._coeffs[np.int64] = np.array(coeffs, dtype=np.int64)
-        self._eta_idx = np.array(eta_idx, dtype=np.int64)
-        self._slot = np.array(slot, dtype=np.int64)
+            self._coeffs[np.int64] = terms.astype(np.int64)
 
     def _fits_int64(self, den: int, max_eta: int) -> bool:
-        if not len(self._slot):
-            return True
         # |num_v| <= den after shell normalization, so each term is bounded by
-        # max_coeff * den**max_degree * max_eta; the slot sums add at most
-        # len(coeffs) of them
-        bound = self.max_coeff * den ** self.max_degree * max(max_eta, 1) \
-            * len(self._slot)
+        # max_coeff * den**max_degree, and every partial sum, weighted by
+        # eta'', by max_eta times n_terms of them
+        bound = self.max_coeff * den ** self.map.max_degree \
+            * max(max_eta, 1) * self.map.n_terms
         return bound < 2 ** 62
 
-    def evaluate_scaled(self, nums: Sequence[int], den: int,
-                        eta_nums: Sequence[int]) -> list[list[int]]:
-        """Entries scaled by den**max_degree (times the eta numerators).
+    def evaluate(self, nums: Sequence[Sequence[int]], dens: Sequence[int],
+                 etas: Sequence[Sequence[int]]) -> np.ndarray:
+        """The matrices at points ``nums[k] / dens[k]`` with eta'' =
+        ``etas[k]``, each scaled by dens[k]**max_degree, stacked into shape
+        (points, n', n').
 
-        Requires |nums_v| <= den (guaranteed by shell normalization).  The
-        a-priori bound picks the array type: int64 when no sum can
-        overflow, exact Python integers otherwise.
+        Requires |nums[k][v]| <= dens[k] (guaranteed by shell
+        normalization).  The a-priori bound on the whole batch picks the
+        array type: int64 when no sum can overflow, exact Python integers
+        otherwise.
         """
-        n = self.n_prime
-        dtype = np.int64 if self._fits_int64(
-            den, max(map(abs, eta_nums), default=1)) else object
-        values = np.array([*nums, den], dtype=dtype)
-        terms = self._coeffs[dtype] \
-            * np.array(eta_nums, dtype=dtype)[self._eta_idx]
-        for idx in self._var_idx:
-            terms = terms * values[idx]
-        flat = np.zeros(n * n, dtype=dtype)
-        np.add.at(flat, self._slot, terms)
-        return flat.reshape(n, n).tolist()
+        m = self.map
+        n = m.n_prime
+        max_eta = max((abs(int(e)) for eta in etas for e in eta), default=1)
+        dtype = np.int64 if self._fits_int64(max(map(int, dens)), max_eta) \
+            else object
+        values = np.empty((len(dens), m.nvars + 1), dtype=dtype)
+        values[:, :m.nvars] = nums
+        values[:, m.nvars] = dens
+        terms = np.tile(self._coeffs[dtype], (len(dens), 1))
+        for idx in m._var_idx:
+            terms *= values[:, idx]
+        flat = np.zeros((len(dens), n * n), dtype=dtype)
+        if m.n_terms:
+            sums = np.add.reduceat(terms, m._starts, axis=1) \
+                * np.asarray(etas, dtype=dtype)[:, m._seg_eta]
+            flat[:, m._slots] = np.add.reduceat(sums, m._slot_starts, axis=1)
+        return flat.reshape(-1, n, n)
+
+
+def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
+                      beta_dprime: MultiIndex) -> BoundHessian:
+    """The mixed Hessian of eta'' . S^P, compiled and bound for sampling.
+
+    The coefficients are multiplied by their common denominator, a global
+    positive factor that leaves every rank unchanged.
+    """
+    _check_principal(s_principal, w, beta_dprime)
+    monos = [p.monomials() for p in s_principal]
+    den = math.lcm(*(m.coeff.denominator for ms in monos for m in ms))
+    compiled = _CompiledHessian(w, [[_flat(m) for m in ms] for ms in monos])
+    return compiled.bind([[int(m.coeff * den) for m in ms] for ms in monos])
+
+
+def _flat(m: Monomial) -> tuple[int, ...]:
+    return m.exp_x + m.exp_xx + m.exp_y
 
 
 # -- sampling ----------------------------------------------------------------
@@ -333,7 +464,7 @@ def _shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
         drawn += 1
 
 
-def min_rank_sample(h: HessianMatrix, samples: int, seed: int,
+def min_rank_sample(h: BoundHessian, samples: int, seed: int,
                     include_probes: bool = True,
                     _report_ranks: Counter | None = None) -> RankSampleReport:
     """Minimal observed rank over sampled shell points.
@@ -343,30 +474,30 @@ def min_rank_sample(h: HessianMatrix, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    compiled = _CompiledHessian(h)
-    n_p, n_d = h.n_prime, h.n_dprime
-    weights_flat = (tuple(h.weights.alpha_prime)
-                    + tuple(h.weights.alpha_dprime)
-                    + tuple(h.weights.beta_prime))
-    points = _shell_points(weights_flat, n_d, samples, seed)
+    m = h.map
+    n_p, n_d = m.n_prime, m.n_dprime
+    points = _shell_points(m.weights_flat, n_d, samples, seed)
     if include_probes:
         points = itertools.chain(_probe_points(n_p, n_d), points)
+    per_chunk = max(1, CHUNK_ENTRIES // max(m.n_terms, 1))
 
     best_rank = n_p + 1
     best_witness = None
     tried = 0
-    for nums, den, eta in points:
-        r = integer_matrix_rank(compiled.evaluate_scaled(nums, den, eta))
-        tried += 1
+    while chunk := list(itertools.islice(points, per_chunk)):
+        ranks = _screened_ranks(h.evaluate(*zip(*chunk)))
+        tried += len(chunk)
         if _report_ranks is not None:
-            _report_ranks[r] += 1
-        if r < best_rank:
-            best_rank = r
+            _report_ranks.update(ranks.tolist())
+        first = int(np.argmin(ranks))  # the first minimal rank in draw order
+        if ranks[first] < best_rank:
+            best_rank = int(ranks[first])
+            nums, den, eta = chunk[first]
             coords = [Fraction(k, den) for k in nums]
-            m = max(map(abs, eta))
+            top = max(map(abs, eta))
             point = (tuple(coords[:n_p]), tuple(coords[n_p:n_p + n_d]),
                      tuple(coords[n_p + n_d:]))
-            best_witness = (point, tuple(Fraction(e, m) for e in eta))
+            best_witness = (point, tuple(Fraction(e, top) for e in eta))
 
     assert best_witness is not None
     return RankSampleReport(min_rank=best_rank, witness=best_witness,
@@ -384,27 +515,38 @@ def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
     return bases
 
 
+def _trial_coefficients(sizes: Sequence[int], seed: int, trial_index: int,
+                        coefficient_bound: int) -> list[list[int]]:
+    """The coefficients of trial ``trial_index``, one list per component.
+
+    They are uniform on {-M..M} \\ {0}, drawn from the counter-based stream
+    keyed by (seed, trial_index), component after component.
+    """
+    rng = _stream(seed, trial_index, 1)
+    M = coefficient_bound
+    coeffs = []
+    for size in sizes:
+        raw = rng.integers(1, 2 * M + 1, size=size)
+        coeffs.append(np.where(raw <= M, raw - M - 1, raw - M).tolist())
+    return coeffs
+
+
 def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
                         trial_index: int,
                         coefficient_bound: int = 10) -> tuple[Polynomial, ...]:
     """The random weighted-homogeneous tuple of trial ``trial_index``.
 
-    Coefficients are uniform on {-M..M} \\ {0} on each monomial basis, drawn
-    from the counter-based stream keyed by (seed, trial_index); callers can
-    regenerate any trial for independent cross-checks.
+    Its coefficients on each monomial basis are those that
+    ``generic_rank_trial`` samples; callers can regenerate any trial for
+    independent cross-checks.
     """
     bases = _weighted_bases(w, beta_dprime)
-    rng = _stream(seed, trial_index, 1)
-    M = coefficient_bound
-    polys = []
-    for basis in bases:
-        raw = rng.integers(1, 2 * M + 1, size=len(basis))
-        coeffs = [int(c) - M - 1 if c <= M else int(c) - M for c in raw]
-        polys.append(Polynomial.from_monomials(
-            w.n_prime, w.n_dprime,
-            [Monomial(Fraction(c), m.exp_x, m.exp_xx, m.exp_y)
-             for c, m in zip(coeffs, basis)]))
-    return tuple(polys)
+    coeffs = _trial_coefficients([len(b) for b in bases], seed, trial_index,
+                                 coefficient_bound)
+    return tuple(Polynomial.from_monomials(
+        w.n_prime, w.n_dprime,
+        [Monomial(Fraction(c), m.exp_x, m.exp_xx, m.exp_y)
+         for c, m in zip(cs, basis)]) for cs, basis in zip(coeffs, bases))
 
 
 def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
@@ -414,16 +556,17 @@ def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
     coefficient tuples on the weighted-homogeneous monomial basis.
 
     Deterministic given the seed: trial t draws from the counter-based
-    stream keyed by (seed, t).
+    stream keyed by (seed, t).  The basis is compiled once; each trial only
+    binds its coefficients.
     """
-    _weighted_bases(w, beta_dprime)  # fail fast on a degenerate space
+    bases = _weighted_bases(w, beta_dprime)
+    compiled = _CompiledHessian(w, [[_flat(m) for m in b] for b in bases])
     report = GenericRankReport(tuples=tuples,
                                points_per_tuple=points_per_tuple, seed=seed,
                                coefficient_bound=coefficient_bound)
     for t in range(tuples):
-        polys = generic_trial_tuple(w, beta_dprime, seed, t,
-                                    coefficient_bound)
-        h = mixed_hessian(polys, w, beta_dprime)
+        h = compiled.bind(_trial_coefficients(
+            compiled.sizes, seed, t, coefficient_bound))
         sub = min_rank_sample(h, points_per_tuple, seed=(seed * 1000003 + t),
                               include_probes=False,
                               _report_ranks=report.evaluation_ranks)

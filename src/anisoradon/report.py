@@ -15,7 +15,7 @@ from .errors import (HomogeneityViolation, VanishingPrincipalPart,
                      WeightOrderViolation)
 from .exponents import (GenericityReport, OperatorSpec, check_homogeneity,
                         genericity_report, riesz_region, sobolev_smoothing)
-from .hessian import min_rank_sample, mixed_hessian
+from .hessian import min_rank_sample, principal_hessian
 from .scaling import MultiIndex
 from .specfile import poly_to_terms, rational_str, spec_to_dict
 
@@ -113,7 +113,7 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int,
         "status": "ok",
         "principal_parts": [poly_to_terms(p) for p in principal],
     }
-    hess = mixed_hessian(principal, spec.weights, spec.beta_dprime)
+    hess = principal_hessian(principal, spec.weights, spec.beta_dprime)
     sample = min_rank_sample(hess, samples, seed)
     report["hessian"] = {
         "min_rank_upper_bound": sample.min_rank,

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
-from anisoradon.hessian import (SAMPLE_DENOMINATOR, EtaPolynomial,
-                                _CompiledHessian, generic_rank_trial,
+from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
+                                EtaPolynomial, _CompiledHessian,
+                                _nonsingular_mod_p, _probe_points,
+                                _screened_ranks, _shell_points,
+                                _trial_coefficients, generic_rank_trial,
                                 generic_trial_tuple, integer_matrix_rank,
                                 min_rank_sample, mixed_hessian,
-                                symbolic_minor_certificate)
+                                principal_hessian, symbolic_minor_certificate)
 from anisoradon.polynomials import Monomial, Polynomial, lambda_basis
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
 from oracles import minor_rank_oracle, sympy_hessian
@@ -24,16 +31,35 @@ def poly(n_p, n_d, *terms):
 
 
 def scaled_matrix(h, point, eta):
-    """The compiled Hessian at a rational point of the unit box, as
-    ``evaluate_scaled`` returns it; eta'' is cleared to integers (the rank
-    is invariant under rescaling eta'')."""
+    """The bound Hessian at a rational point of the unit box, as
+    ``evaluate`` returns it; eta'' is cleared to integers (the rank is
+    invariant under rescaling eta'')."""
     coords = [F(v) for block in point for v in block]
     assert all(abs(v) <= 1 for v in coords)
     den = math.lcm(*(v.denominator for v in coords))
     eta_den = math.lcm(*(F(e).denominator for e in eta))
-    return _CompiledHessian(h).evaluate_scaled(
-        [int(v * den) for v in coords], den,
-        [int(F(e) * eta_den) for e in eta])
+    return h.evaluate([[int(v * den) for v in coords]], [den],
+                      [[int(F(e) * eta_den) for e in eta]])[0].tolist()
+
+
+def scaled_sympy(polys, nums, den, eta, max_degree):
+    """den**max_degree times the ``sympy`` mixed partials at nums / den."""
+    want = sympy_hessian(polys, [F(k, den) for k in nums], eta)
+    scaled = want * den ** max_degree
+    assert all(v.is_integer for v in scaled)
+    return [[int(v) for v in row] for row in scaled.tolist()]
+
+
+def counting_rank(monkeypatch):
+    """Count the matrices that reach the Bareiss fallback."""
+    calls = []
+
+    def rank(rows):
+        calls.append(rows)
+        return integer_matrix_rank(rows)
+
+    monkeypatch.setattr(hessian, "integer_matrix_rank", rank)
+    return calls
 
 
 def rank_at(h, point, eta):
@@ -76,11 +102,11 @@ def test_mixed_hessian_rejects_inhomogeneous():
 def test_rank_at_identity_and_zero():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (1, [0, 1], [0], [0, 1]))
-    h = mixed_hessian((s,), w, MultiIndex([2]))
+    h = principal_hessian((s,), w, MultiIndex([2]))
     pt = ((F(1), F(1)), (F(0),), (F(1), F(1)))
     assert rank_at(h, pt, (F(1),)) == 2
-    zero = mixed_hessian((poly(2, 1, (1, [0, 0], [0], [3, 0])),), w,
-                         MultiIndex([3]))
+    zero = principal_hessian((poly(2, 1, (1, [0, 0], [0], [3, 0])),), w,
+                             MultiIndex([3]))
     # d^2/dx dy of y^3 vanishes identically
     assert rank_at(zero, pt, (F(1),)) == 0
 
@@ -91,7 +117,7 @@ def test_rank_at_elimination_oracle_case():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 1]), (1, [0, 1], [0], [2, 0]),
              (1, [0, 1], [0], [0, 2]))
-    h = mixed_hessian((s,), w, MultiIndex([3]))
+    h = principal_hessian((s,), w, MultiIndex([3]))
     pt = ((F(0), F(0)), (F(0),), (F(1), F(0)))
     assert scaled_matrix(h, pt, (F(1),)) == [[0, 1], [2, 0]]
     assert rank_at(h, pt, (F(1),)) == 2
@@ -117,19 +143,14 @@ def test_eta_linearity_exact():
     w = isotropic_weights(2, 2)
     s1 = poly(2, 2, (2, [1, 0], [0, 0], [1, 0]), (1, [0, 1], [0, 0], [0, 1]))
     s2 = poly(2, 2, (1, [1, 1], [0, 0], [0, 0]), (3, [0, 0], [0, 0], [1, 1]))
-    compiled = _CompiledHessian(mixed_hessian((s1, s2), w,
-                                              MultiIndex([2, 2])))
+    h = principal_hessian((s1, s2), w, MultiIndex([2, 2]))
     for _ in range(20):
         nums = [int(v) for v in rng.integers(-4, 5, size=6)]
         e1 = [int(v) for v in rng.integers(-4, 5, size=2)]
         e2 = [int(v) for v in rng.integers(-4, 5, size=2)]
         both = [a + b for a, b in zip(e1, e2)]
-        m1 = compiled.evaluate_scaled(nums, 4, e1)
-        m2 = compiled.evaluate_scaled(nums, 4, e2)
-        ms = compiled.evaluate_scaled(nums, 4, both)
-        for i in range(2):
-            for j in range(2):
-                assert ms[i][j] == m1[i][j] + m2[i][j]
+        m1, m2, ms = h.evaluate([nums] * 3, [4] * 3, [e1, e2, both])
+        assert (ms == m1 + m2).all()
 
 
 def test_dilation_rank_invariance():
@@ -142,7 +163,7 @@ def test_dilation_rank_invariance():
     s = Polynomial.from_monomials(
         2, 1, [Monomial(F(c), m.exp_x, m.exp_xx, m.exp_y)
                for c, m in zip(coeffs, basis) if c])
-    h = mixed_hessian((s,), w, bdd)
+    h = principal_hessian((s,), w, bdd)
     for _ in range(10):
         # |coordinates| <= 1/16, so every dilation below stays in the unit box
         xp = tuple(F(int(rng.integers(-2, 3)), 32) for _ in range(2))
@@ -165,7 +186,7 @@ def test_dilation_rank_invariance():
 def test_min_rank_sample_constant_rank():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (1, [0, 1], [0], [0, 1]))
-    h = mixed_hessian((s,), w, MultiIndex([2]))
+    h = principal_hessian((s,), w, MultiIndex([2]))
     for plan in ((5, 0), (40, 3)):
         rep = min_rank_sample(h, *plan)
         assert rep.min_rank == 2
@@ -175,7 +196,8 @@ def test_min_rank_sample_constant_rank():
 def test_min_rank_sample_axis_probe_finds_zero():
     # H = 2 eta y' vanishes on y' = 0; the axis probes include x'=1, y'=0
     w = isotropic_weights(1, 1)
-    h = mixed_hessian((poly(1, 1, (1, [1], [0], [2])),), w, MultiIndex([3]))
+    h = principal_hessian((poly(1, 1, (1, [1], [0], [2])),), w,
+                          MultiIndex([3]))
     rep = min_rank_sample(h, 10, seed=0)
     assert rep.min_rank == 0
     (xp, xdd, yp), eta = rep.witness
@@ -186,14 +208,15 @@ def test_min_rank_sample_axis_probe_finds_zero():
 
 def test_min_rank_sample_zero_hessian():
     w = isotropic_weights(1, 1)
-    h = mixed_hessian((poly(1, 1, (1, [0], [0], [2])),), w, MultiIndex([2]))
+    h = principal_hessian((poly(1, 1, (1, [0], [0], [2])),), w,
+                          MultiIndex([2]))
     assert min_rank_sample(h, 5, seed=1).min_rank == 0
 
 
 def test_min_rank_sample_witness_consistency():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (2, [0, 1], [0], [0, 1]))
-    h = mixed_hessian((s,), w, MultiIndex([2]))
+    h = principal_hessian((s,), w, MultiIndex([2]))
     rep = min_rank_sample(h, 25, seed=4)
     point, eta = rep.witness
     assert rank_at(h, point, eta) == rep.min_rank
@@ -209,27 +232,119 @@ def test_big_integer_evaluation_matches_sympy():
     # sampler's so that the exact entries themselves exceed int64.
     w, bdd = isotropic_weights(2, 1), MultiIndex([14])
     polys = generic_trial_tuple(w, bdd, seed=0, trial_index=0)
-    compiled = _CompiledHessian(mixed_hessian(polys, w, bdd))
-    assert compiled.max_degree == 12
-    assert not compiled._fits_int64(SAMPLE_DENOMINATOR, 1)
+    h = principal_hessian(polys, w, bdd)
+    assert h.map.max_degree == 12
+    assert not h._fits_int64(SAMPLE_DENOMINATOR, 1)
     D = 2 ** 10
     rng = np.random.default_rng(14)
+    nums, etas = [], []
     for _ in range(20):
-        nums = [int(v) for v in rng.integers(-D, D + 1, size=5)]
-        nums[int(rng.integers(5))] = D  # on the shell: some |z_v| = 1
-        eta = [int(rng.choice([-1, 1]) * rng.integers(1, 17))]
-        got = compiled.evaluate_scaled(nums, D, eta)
-        want = sympy_hessian(polys, [F(k, D) for k in nums], eta)
-        assert got == [[int(D ** 12 * want[i, j]) for j in range(2)]
-                       for i in range(2)]
-        assert max(abs(v) for row in got for v in row) >= 2 ** 63
-        assert integer_matrix_rank(got) == want.rank()
+        point = [int(v) for v in rng.integers(-D, D + 1, size=5)]
+        point[int(rng.integers(5))] = D  # on the shell: some |z_v| = 1
+        nums.append(point)
+        etas.append([int(rng.choice([-1, 1]) * rng.integers(1, 17))])
+    got = h.evaluate(nums, [D] * 20, etas)
+    assert got.dtype == object
+    ranks = _screened_ranks(got)
+    for point, eta, mat, rank in zip(nums, etas, got, ranks):
+        want = sympy_hessian(polys, [F(k, D) for k in point], eta)
+        assert mat.tolist() == [[int(D ** 12 * want[i, j]) for j in range(2)]
+                                for i in range(2)]
+        assert max(abs(v) for v in mat.ravel()) >= 2 ** 63
+        assert integer_matrix_rank(mat.tolist()) == want.rank()
+        assert rank == want.rank()
+
+
+@pytest.mark.parametrize("alpha_dprime, bdd, dtype", [
+    ((1, 1), (4, 5), np.int64),
+    # entries of degree up to 12: the shell points push the bound past int64
+    ((1,), (14,), object),
+])
+def test_batched_evaluation_mixes_probes_and_shell_points(
+        alpha_dprime, bdd, dtype):
+    # anisotropic weights: the lower monomials differ in degree, so the
+    # homogenizing factor reads each point's own denominator
+    w = Weights(MultiIndex([1, 2]), MultiIndex(alpha_dprime),
+                MultiIndex([2, 1]))
+    bdd = MultiIndex(bdd)
+    polys = generic_trial_tuple(w, bdd, seed=1, trial_index=0)
+    h = principal_hessian(polys, w, bdd)
+    probes = _probe_points(2, w.n_dprime)
+    shells = list(_shell_points(h.map.weights_flat, w.n_dprime, len(probes),
+                                seed=2))
+    # one chunk: denominators 1 and SAMPLE_DENOMINATOR alternate
+    chunk = [pt for pair in zip(probes, shells) for pt in pair]
+    got = h.evaluate(*zip(*chunk))
+    assert got.dtype == dtype
+    for (nums, den, eta), mat in zip(chunk, got):
+        assert mat.tolist() == scaled_sympy(polys, nums, den, eta,
+                                            h.map.max_degree)
+    # probes alone fit int64 whatever the degree
+    assert h.evaluate(*zip(*probes)).dtype == np.int64
+
+
+def test_compiled_basis_binds_the_trial_tuple():
+    # sample-generic binds the compiled basis to the coefficients that
+    # generic_trial_tuple draws: the same map as the trial's own Hessian
+    w, bdd = isotropic_weights(3, 2), MultiIndex([3, 4])
+    bases = [lambda_basis(w, d) for d in bdd]
+    compiled = _CompiledHessian(
+        w, [[m.exp_x + m.exp_xx + m.exp_y for m in b] for b in bases])
+    points = list(_shell_points(compiled.weights_flat, 2, 30, seed=5))
+    for t in range(3):
+        bound = compiled.bind(_trial_coefficients(compiled.sizes, 8, t, 10))
+        own = principal_hessian(generic_trial_tuple(w, bdd, 8, t), w, bdd)
+        assert (bound.evaluate(*zip(*points))
+                == own.evaluate(*zip(*points))).all()
+    with pytest.raises(ValueError):
+        compiled.bind([[1]] * 2)
+
+
+def test_screen_sends_det_p_to_bareiss(monkeypatch):
+    calls = counting_rank(monkeypatch)
+    p = SCREEN_PRIME
+    mats = np.array([[[p, 0], [0, 1]], [[2, 1], [1, 1]], [[p + 1, 0], [0, 1]]])
+    assert _nonsingular_mod_p(mats).tolist() == [False, True, True]
+    assert _screened_ranks(mats).tolist() == [2, 2, 2]
+    assert calls == [[[p, 0], [0, 1]]]
+
+
+small_ints = st.integers(-3, 3) | st.sampled_from(
+    [SCREEN_PRIME, -SCREEN_PRIME, 2 * SCREEN_PRIME])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small square integer matrices, some with entries that vanish mod p,
+    some products of a thin pair (rank below n)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    r = draw(st.integers(0, n - 1))
+    b = draw(st.lists(st.lists(small_ints, min_size=r, max_size=r),
+                      min_size=n, max_size=n))
+    c = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_ranks_match_sympy(mat):
+    want = sympy.Matrix(mat).rank()
+    assert integer_matrix_rank(mat) == want
+    stack = np.array([mat], dtype=object)
+    assert _screened_ranks(stack).tolist() == [want]
+    if want < len(mat):  # a singular matrix never passes the screen
+        assert not _nonsingular_mod_p(stack)[0]
 
 
 def test_min_rank_sample_deterministic():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (1, [0, 1], [0], [0, 1]))
-    h = mixed_hessian((s,), w, MultiIndex([2]))
+    h = principal_hessian((s,), w, MultiIndex([2]))
     a = min_rank_sample(h, 30, seed=12)
     b = min_rank_sample(h, 30, seed=12)
     assert a == b
