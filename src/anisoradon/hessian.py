@@ -19,11 +19,13 @@ denominators cleared.
 
 A ``BoundHessian`` evaluates chunks of points in draw order, about
 ``CHUNK_ENTRIES`` point x term entries at a time: one gather per factor over
-(points x terms), then the terms, sorted by slot, are summed with
-``np.add.reduceat``.  Each point carries its own denominator, and the result
-is an integer matrix that is a nonzero multiple of the true one, so ranks
-agree.  An a-priori bound on the chunk picks int64 arithmetic when no sum can
-overflow, Python integers otherwise.
+(points x terms), then the terms, sorted by slot and component, are summed
+with ``np.add.reduceat`` and weighted by eta''.  Each point carries its own
+denominator (1 for the axis probes, ``SAMPLE_DENOMINATOR`` for shell points),
+so both kinds share a chunk.  Each result is an integer matrix that is a
+nonzero multiple of the true one, so ranks agree.  An a-priori bound on the
+chunk picks int64 arithmetic when no sum can overflow, Python integers
+otherwise.
 
 Ranks are screened by a stacked elimination modulo the prime
 ``SCREEN_PRIME`` in int64.  The rank mod p is at most the rank over Q, so a
