@@ -60,8 +60,8 @@ Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 # denominator used for random rational sample coordinates; small integers keep
 # the exact elimination fast
 SAMPLE_DENOMINATOR = 16
-# point x term entries evaluated at once: bounds the evaluation temporaries to
-# a few MB whatever the number of terms
+# point x term entries evaluated at once (at least one point): keeps the
+# evaluation temporaries to a few MB
 CHUNK_ENTRIES = 2 ** 16
 # modulus of the rank screen: residues below 2^31 multiply without
 # overflowing int64
