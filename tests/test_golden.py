@@ -63,6 +63,14 @@ CASES["rank_one/verify-kmax"] = [
 # n' = 2, so rank 2 is admissible and the endpoint vertices are emitted
 CASES["iso_2_1_b3/region"] = [
     "region", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
+# the same spec at an admissible rank, so the table over the default p-grid
+# is emitted
+CASES["iso_2_1_b3/sobolev"] = [
+    "sobolev", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
+# weights only, no spec: the genericity block and its threshold table
+CASES["generic/n-range"] = [
+    "generic", "--alpha-prime", "1", "--alpha-dprime", "1,1",
+    "--beta-prime", "1", "--n-range", "5:8"]
 
 
 def _parse(text: str, is_csv: bool):
