@@ -129,6 +129,8 @@ def _cmd_generic(args) -> int:
             lo_n, hi_n = (int(v) for v in args.n_range.split(":"))
         except ValueError as exc:
             raise SchemaError("n-range must have the form a:b") from exc
+        if not 1 <= lo_n <= hi_n:
+            raise SchemaError(f"n-range {args.n_range} needs 1 <= a <= b")
         out["threshold_by_n_prime"] = [
             {"n_prime": n, "threshold": rep.threshold(n_prime=n),
              "exceeds_rank_1": rep.threshold_exceeds(1, n_prime=n)}

@@ -133,6 +133,15 @@ def test_generic_subcommand():
     assert [r["n_prime"] for r in rep["threshold_by_n_prime"]] == [5, 6, 7]
 
 
+@pytest.mark.parametrize("n_range", ["0:1", "5:2"])
+def test_generic_refuses_an_empty_or_nonpositive_n_range(n_range):
+    code, out, err = run_cli("generic", "--alpha-prime", "1",
+                             "--alpha-dprime", "1", "--beta-prime", "1",
+                             "--n-range", n_range)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_sample_generic(tmp_path):
     path = tmp_path / "vdc.json"
     save_spec(rank_one_spec(), path)
