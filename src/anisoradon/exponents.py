@@ -79,13 +79,13 @@ def check_homogeneity(spec: OperatorSpec) -> tuple[Polynomial, ...]:
     any_nonzero = False
     for l, (poly, target) in enumerate(zip(spec.s, spec.beta_dprime)):
         decomp = quasidegree_decompose(poly, w)
-        low = [d for d in decomp.parts if d < target]
+        low = [d for d in decomp if d < target]
         if low:
             raise HomogeneityViolation(
                 f"component {l} has monomials at quasidegree {min(low)} "
                 f"below the target {target}; the rescaling limit diverges")
-        part = decomp.parts.get(target, Polynomial.zero(spec.n_prime,
-                                                        spec.n_dprime))
+        part = decomp.get(target, Polynomial.zero(spec.n_prime,
+                                                  spec.n_dprime))
         principal.append(part)
         any_nonzero = any_nonzero or not part.is_zero()
     if not any_nonzero:

@@ -3,8 +3,8 @@
 The central object is the n' x n' matrix whose (i, j) entry is
 ``d^2/dx'_i dy'_j`` of ``eta'' . S^P`` for a tuple S^P of weighted-homogeneous
 polynomials.  Entries are linear in the auxiliary frequency variable eta''.
-``mixed_hessian`` stores them as eta''-polynomials with exact polynomial
-coefficients, from which minor certificates are built symbolically.
+``mixed_hessian`` lists, for each entry, the exact second derivatives
+d^2 s_l / dx'_i dy'_j of the components.
 
 Rank sampling differentiates nothing symbolically.  The second derivative
 ``d^2/dx'_i dy'_j`` of a monomial with exponents (a, b, c) is a_i c_j times a
@@ -68,75 +68,6 @@ CHUNK_ENTRIES = 2 ** 16
 SCREEN_PRIME = 2 ** 31 - 1
 
 
-class EtaPolynomial:
-    """A polynomial in eta'' whose coefficients are (x', x'', y')-polynomials."""
-
-    __slots__ = ("n_dprime", "terms")
-
-    def __init__(self, n_dprime: int,
-                 terms: dict[tuple[int, ...], Polynomial] | None = None):
-        self.n_dprime = n_dprime
-        self.terms: dict[tuple[int, ...], Polynomial] = {}
-        if terms:
-            for exp, poly in terms.items():
-                if len(exp) != n_dprime:
-                    raise ValueError("eta exponent length mismatch")
-                if not poly.is_zero():
-                    self.terms[exp] = poly
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "EtaPolynomial") -> "EtaPolynomial":
-        terms = dict(self.terms)
-        for exp, poly in other.terms.items():
-            if exp in terms:
-                s = terms[exp] + poly
-                if s.is_zero():
-                    del terms[exp]
-                else:
-                    terms[exp] = s
-            else:
-                terms[exp] = poly
-        return EtaPolynomial(self.n_dprime, terms)
-
-    def __neg__(self) -> "EtaPolynomial":
-        return EtaPolynomial(self.n_dprime,
-                             {e: -p for e, p in self.terms.items()})
-
-    def __sub__(self, other: "EtaPolynomial") -> "EtaPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "EtaPolynomial") -> "EtaPolynomial":
-        acc: dict[tuple[int, ...], Polynomial] = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = p1 * p2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return EtaPolynomial(self.n_dprime, acc)
-
-
-@dataclass(frozen=True)
-class HessianMatrix:
-    """Mixed Hessian of eta'' . S^P; entries linear in eta'' by construction."""
-
-    weights: Weights
-    beta_dprime: MultiIndex
-    entries: tuple[tuple[EtaPolynomial, ...], ...]
-
-    @property
-    def n_prime(self) -> int:
-        return self.weights.n_prime
-
-    @property
-    def n_dprime(self) -> int:
-        return self.weights.n_dprime
-
-
 def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
                      beta_dprime: MultiIndex) -> None:
     """Reject a tuple whose component l is not weighted-homogeneous of
@@ -151,28 +82,29 @@ def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
 
 
 def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
-                  beta_dprime: MultiIndex) -> HessianMatrix:
-    """Build the matrix with entries sum_l eta''_l d^2 s_l / dx'_i dy'_j.
+                  beta_dprime: MultiIndex
+                  ) -> tuple[tuple[dict[int, Polynomial], ...], ...]:
+    """The n' x n' matrix whose entry (i, j) maps each component l to
+    d^2 s_l / dx'_i dy'_j, zero derivatives left out; the Hessian entry is
+    sum_l eta''_l times these.
 
     Every component must be weighted-homogeneous of its target degree
     beta''_l (the zero polynomial qualifies for any degree).
     """
     _check_principal(s_principal, w, beta_dprime)
-    n_p, n_d = w.n_prime, w.n_dprime
+    n_p = w.n_prime
     rows = []
     for i in range(n_p):
         row = []
         for j in range(n_p):
-            terms: dict[tuple[int, ...], Polynomial] = {}
+            entry = {}
             for l, poly in enumerate(s_principal):
                 second = poly.partial_derivative("x", i).partial_derivative("y", j)
-                if second.is_zero():
-                    continue
-                exp = tuple(1 if m == l else 0 for m in range(n_d))
-                terms[exp] = second
-            row.append(EtaPolynomial(n_d, terms))
+                if not second.is_zero():
+                    entry[l] = second
+            row.append(entry)
         rows.append(tuple(row))
-    return HessianMatrix(w, beta_dprime, tuple(rows))
+    return tuple(rows)
 
 
 # -- exact rank --------------------------------------------------------------
@@ -574,41 +506,3 @@ def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
                               _report_ranks=report.evaluation_ranks)
         report.trial_min_ranks[sub.min_rank] += 1
     return report
-
-
-def symbolic_minor_certificate(h: HessianMatrix, r: int,
-                               max_minors: int | None = 100000):
-    """Search for an r x r minor that is a nonzero polynomial.
-
-    Returns (row_indices, col_indices) for the first such minor, or None.
-    A hit certifies that the Hessian has rank >= r on a Zariski-dense set
-    (it complements sampling, which only ever bounds the rank from above).
-    """
-    n = h.n_prime
-    if r < 1 or r > n:
-        raise ValueError("minor size out of range")
-    count = 0
-    for rsel in itertools.combinations(range(n), r):
-        for csel in itertools.combinations(range(n), r):
-            count += 1
-            if max_minors is not None and count > max_minors:
-                return None
-            det = _eta_det([[h.entries[i][j] for j in csel] for i in rsel])
-            if not det.is_zero():
-                return rsel, csel
-    return None
-
-
-def _eta_det(sub: list[list[EtaPolynomial]]) -> EtaPolynomial:
-    k = len(sub)
-    if k == 1:
-        return sub[0][0]
-    n_d = sub[0][0].n_dprime
-    total = EtaPolynomial(n_d)
-    for j in range(k):
-        if sub[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in sub[1:]]
-        term = sub[0][j] * _eta_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total

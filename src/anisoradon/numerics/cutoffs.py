@@ -36,20 +36,7 @@ def phi0(t):
     return out if out.shape else float(out)
 
 
-def phi_product(coords) -> np.ndarray:
-    """Tensor cutoff: product of phi0 over the last axis of ``coords``."""
-    coords = np.asarray(coords, dtype=float)
-    return np.prod(phi0(coords), axis=-1)
-
-
 def phi_radial(radii):
     """Radial cutoff: 1 on the ball of radius 1/2, supported in the unit
     ball.  ``radii`` holds Euclidean norms, already computed."""
     return phi0(2.0 * np.asarray(radii, dtype=float))
-
-
-def band_annulus(u):
-    """Nonnegative bump supported where 1 <= |u| <= 2 (and 1 on
-    1.25 <= |u| <= 1.75); used for the single-frequency-band projections."""
-    u = np.asarray(u, dtype=float)
-    return phi0(4.0 * (np.abs(u) - 1.5))

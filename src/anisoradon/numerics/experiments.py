@@ -1,5 +1,4 @@
-"""Decay-law measurements, box-pair (Knapp) integrals, duality checks and the
-grid-level operator identities.
+"""Decay-law measurements, box-pair (Knapp) integrals and duality checks.
 
 The decay tables measure norms of the dyadic pieces T_j Q_j and T_j P_jk and
 fit log2(norm) against the slab index; comparisons against the predicted
@@ -18,11 +17,10 @@ import numpy as np
 
 from ..errors import NumericalError, ResolutionError, SingularMapError
 from ..exponents import OperatorSpec, check_homogeneity
-from .cutoffs import phi0, phi_radial
+from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, normalize_pair, operator_norm
-from .operators import (ComposedOperator, _broadcast_ydd, _eval_poly_mesh,
-                        _scaled_ydd_radius, discretize_tj, discretize_uj,
+from .operators import (ComposedOperator, _eval_poly_mesh, discretize_tj,
                         pjk_multiplier, qj_multiplier)
 
 BOX_UNDERFLOW = 2.0 ** -40
@@ -147,54 +145,6 @@ def fit_decay_rows(rows: list[DecayRow], family: str, pair: str,
             continue
         samples.append((idx, row.value))
     return decay_slope(samples)
-
-
-# -- operator identities -----------------------------------------------------------
-
-def partition_check(grid: Grid, n_prime: int, beta_dprime, j: int,
-                    kmax: int) -> dict:
-    """Telescoping of Qj + sum_k Pjk against the widened low-pass, and
-    against the identity once the widened support covers the grid."""
-    qj = qj_multiplier(grid, n_prime, beta_dprime, j)
-    total = qj.symbol.copy()
-    for k in range(kmax + 1):
-        total = total + pjk_multiplier(grid, n_prime, beta_dprime, j, k).symbol
-    # the telescoped sum equals the low-pass widened by 2^(kmax+1)
-    rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
-    block = phi_radial(np.ldexp(rad, -(kmax + 1)))
-    widened_sym = _broadcast_ydd(grid, n_prime, block)
-    telescope_dev = float(np.abs(total - widened_sym).max())
-    covers = np.ldexp(1.0, kmax + j * min(beta_dprime)) \
-        >= 2.0 * grid.max_frequency
-    identity_dev = float(np.abs(total - 1.0).max()) if covers else None
-    return {"telescope_deviation": telescope_dev,
-            "covers_grid": bool(covers),
-            "identity_deviation": identity_dev}
-
-
-def summation_by_parts_residual(spec: OperatorSpec, grid: Grid, n_terms: int,
-                                n_vectors: int = 20, seed: int = 0) -> float:
-    """Max deviation, on random unit vectors, between
-    sum_{j<=N} T_j Q_j and U_0 Q_0 - U_{N+1} Q_N + sum_{1<=j<=N} U_j (Q_j - Q_{j-1})."""
-    tjs = [discretize_tj(spec, grid, j) for j in range(n_terms + 1)]
-    ujs = [discretize_uj(spec, grid, j) for j in range(n_terms + 2)]
-    qjs = [qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
-           for j in range(n_terms + 1)]
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(7)], dtype=np.uint64)))
-    worst = 0.0
-    for _ in range(n_vectors):
-        v = rng.standard_normal(grid.size)
-        v /= np.linalg.norm(v)
-        lhs = np.zeros(grid.size)
-        for j in range(n_terms + 1):
-            lhs += tjs[j].apply(qjs[j].apply(v))
-        q_last = qjs[n_terms].apply(v)
-        rhs = ujs[0].apply(qjs[0].apply(v)) - ujs[n_terms + 1].apply(q_last)
-        for j in range(1, n_terms + 1):
-            rhs += ujs[j].apply(qjs[j].apply(v) - qjs[j - 1].apply(v))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
 
 
 # -- box-pair (Knapp) integrals ------------------------------------------------------

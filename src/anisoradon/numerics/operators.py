@@ -25,7 +25,7 @@ from ..errors import DilationCapError
 from ..exponents import OperatorSpec
 from ..polynomials import Polynomial
 from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
-from .cutoffs import band_annulus, phi0, phi_radial
+from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
 # A verify run peaks at about 220 B per mesh entry of its largest slab
@@ -342,59 +342,5 @@ def pjk_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
     """Isotropic dyadic shell at radius 2^k on top of the Qj scaling."""
     rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
     block = phi_radial(np.ldexp(rad, -k - 1)) - phi_radial(np.ldexp(rad, -k))
-    return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block)
-
-
-def bessel_multiplier(grid: Grid, s: float, gamma: MultiIndex) -> FourierMultiplier:
-    """Nonisotropic fractional-differentiation symbol.
-
-    The dyadic sum is truncated at the first index whose difference term
-    vanishes identically on the grid's frequency range; by construction every
-    term is nonnegative for real s >= 0.
-    """
-    if len(gamma) != grid.dim:
-        raise ValueError("gamma must have one entry per grid axis")
-    if any(g < 1 for g in gamma):
-        raise ValueError("gamma entries must be strictly positive")
-    freq = grid.frequencies()
-
-    def phi_prod_at(scale_j: int) -> np.ndarray:
-        out = np.ones(grid.shape())
-        for ax, g in enumerate(gamma):
-            vals = phi0(np.ldexp(freq, -scale_j * g))
-            out = out * vals.reshape((1,) * ax + (-1,)
-                                     + (1,) * (grid.dim - ax - 1))
-        return out
-
-    prev = phi_prod_at(0)
-    symbol = prev.copy()
-    jj = 1
-    while True:
-        cur = phi_prod_at(jj)
-        diff = cur - prev
-        if not np.any(diff):
-            break
-        symbol = symbol + np.exp2(float(s) * jj) * diff
-        prev = cur
-        jj += 1
-        if jj > 100000:  # unreachable: the grid frequency range is finite
-            raise RuntimeError("dyadic sum failed to terminate")
-    return FourierMultiplier(grid, symbol)
-
-
-def plambda_multiplier(grid: Grid, n_prime: int, lam: float,
-                       axis: int) -> FourierMultiplier:
-    """Single-band projection onto lam <= |xi''_axis| <= 2 lam."""
-    n_dd = grid.dim - n_prime
-    if not 0 <= axis < n_dd:
-        raise ValueError("axis out of range for the x''-block")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    freq = grid.frequencies()
-    vals = band_annulus(freq / lam)
-    block = np.broadcast_to(
-        vals.reshape((1,) * axis + (-1,) + (1,) * (n_dd - 1 - axis)),
-        (grid.points_per_axis,) * n_dd).copy()
     return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
                              ydd_block=block)

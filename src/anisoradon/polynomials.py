@@ -1,10 +1,10 @@
-"""Exact multivariate polynomial arithmetic in the variables (x', x'', y').
+"""Exact multivariate polynomials in the variables (x', x'', y').
 
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``), so
-graded decompositions, principal parts and Hessian entries are computed with
-no rounding at all.  A polynomial is a mapping from exponent triples
-``(exp_x, exp_xx, exp_y)`` (one integer tuple per variable block) to nonzero
-coefficients; the zero polynomial is the empty mapping.
+graded decompositions, principal parts, derivatives and point values are
+computed with no rounding at all.  A polynomial is a mapping from exponent
+triples ``(exp_x, exp_xx, exp_y)`` (one integer tuple per variable block) to
+nonzero coefficients; the zero polynomial is the empty mapping.
 
 The grading used throughout is the quasihomogeneous weight
 ``alpha' . a + alpha'' . b + beta' . c`` of the exponent triple (a, b, c).
@@ -37,10 +37,6 @@ class Monomial:
     @property
     def exponents(self) -> ExponentTriple:
         return (self.exp_x, self.exp_xx, self.exp_y)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.exp_x) + sum(self.exp_xx) + sum(self.exp_y)
 
 
 def _order_key(exps: ExponentTriple):
@@ -76,24 +72,6 @@ class Polynomial:
         return cls(n_prime, n_dprime)
 
     @classmethod
-    def constant(cls, n_prime: int, n_dprime: int, value) -> "Polynomial":
-        z = ((0,) * n_prime, (0,) * n_dprime, (0,) * n_prime)
-        return cls(n_prime, n_dprime, {z: Fraction(value)})
-
-    @classmethod
-    def variable(cls, n_prime: int, n_dprime: int, block: str, index: int) -> "Polynomial":
-        """The coordinate polynomial x'_index, x''_index or y'_index."""
-        sizes = {"x": n_prime, "xx": n_dprime, "y": n_prime}
-        if block not in sizes:
-            raise ValueError(f"unknown block {block!r}; expected one of {BLOCKS}")
-        if not 0 <= index < sizes[block]:
-            raise ValueError(f"index {index} out of range for block {block!r}")
-        exps = [[0] * n_prime, [0] * n_dprime, [0] * n_prime]
-        exps[BLOCKS.index(block)][index] = 1
-        return cls(n_prime, n_dprime,
-                   {(tuple(exps[0]), tuple(exps[1]), tuple(exps[2])): Fraction(1)})
-
-    @classmethod
     def from_monomials(cls, n_prime: int, n_dprime: int,
                        monomials: Iterable[Monomial]) -> "Polynomial":
         terms: dict[ExponentTriple, Fraction] = {}
@@ -115,20 +93,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def monomials(self) -> list[Monomial]:
         """Terms in canonical graded-lex order."""
         return [Monomial(self._terms[e], *e)
                 for e in sorted(self._terms, key=_order_key)]
-
-    def _same_dims(self, other: "Polynomial") -> None:
-        if (self.n_prime, self.n_dprime) != (other.n_prime, other.n_dprime):
-            raise ValueError("dimension mismatch between polynomials")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -155,38 +123,6 @@ class Polynomial:
             body = "*".join(factors) if factors else "1"
             parts.append(f"({m.coeff})*{body}")
         return " + ".join(parts)
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._same_dims(other)
-        terms = dict(self._terms)
-        for exps, c in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return Polynomial(self.n_prime, self.n_dprime, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n_prime, self.n_dprime,
-                          {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(self.n_prime, self.n_dprime,
-                              {e: c * other for e, c in self._terms.items()})
-        self._same_dims(other)
-        terms: dict[ExponentTriple, Fraction] = {}
-        for (a1, b1, c1), q1 in self._terms.items():
-            for (a2, b2, c2), q2 in other._terms.items():
-                key = (tuple(u + v for u, v in zip(a1, a2)),
-                       tuple(u + v for u, v in zip(b1, b2)),
-                       tuple(u + v for u, v in zip(c1, c2)))
-                terms[key] = terms.get(key, Fraction(0)) + q1 * q2
-        return Polynomial(self.n_prime, self.n_dprime, terms)
-
-    __rmul__ = __mul__
 
     # -- calculus ------------------------------------------------------------
 
@@ -254,27 +190,17 @@ class Polynomial:
                 + sum(wi * e for wi, e in zip(w.beta_prime, c)))
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Quasidegree -> quasihomogeneous part; summing the parts reproduces the
-    input exactly."""
-
-    parts: dict[int, Polynomial]
-
-    def degrees(self) -> list[int]:
-        return sorted(self.parts)
-
-
-def quasidegree_decompose(p: Polynomial, w: Weights) -> GradedDecomposition:
-    """Group the monomials of p by quasihomogeneous weight."""
+def quasidegree_decompose(p: Polynomial, w: Weights) -> dict[int, Polynomial]:
+    """Group the monomials of p by quasihomogeneous weight: quasidegree ->
+    quasihomogeneous part.  The parts sum to p exactly."""
     if (w.n_prime, w.n_dprime) != (p.n_prime, p.n_dprime):
         raise ValueError("weights do not match polynomial dimensions")
     buckets: dict[int, dict[ExponentTriple, Fraction]] = {}
     for exps, coeff in p._terms.items():
         d = p.quasidegree_of(exps, w)
         buckets.setdefault(d, {})[exps] = coeff
-    return GradedDecomposition(
-        {d: Polynomial(p.n_prime, p.n_dprime, t) for d, t in buckets.items()})
+    return {d: Polynomial(p.n_prime, p.n_dprime, t)
+            for d, t in buckets.items()}
 
 
 def is_quasihomogeneous(p: Polynomial, w: Weights, degree: int) -> bool:

@@ -160,8 +160,3 @@ def load_spec(path: str | Path) -> OperatorSpec:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"spec file {path} is not valid JSON: {exc}") from exc
     return spec_from_dict(doc)
-
-
-def save_spec(spec: OperatorSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2,
-                                     sort_keys=True) + "\n")

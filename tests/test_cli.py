@@ -11,21 +11,12 @@ import pytest
 
 from anisoradon.cli import main
 from anisoradon.numerics import operators
-from anisoradon.presets import (dual_contraction_spec, rank_one_spec,
-                                reference_spec)
-from anisoradon.specfile import save_spec, spec_to_dict
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+REFERENCE_SPEC = str(SPECS / "reference.json")
 # n' = 2, n'' = 1, beta'' = (3): rank 2 satisfies the rank hypothesis
 RANK_TWO_SPEC = str(Path(__file__).resolve().parent
                     / "golden" / "inputs" / "iso_2_1_b3.json")
-
-
-@pytest.fixture()
-def ref_spec_path(tmp_path):
-    path = tmp_path / "reference.json"
-    save_spec(reference_spec(), path)
-    return str(path)
 
 
 def run_cli(*argv):
@@ -35,8 +26,8 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_analyze_reference_spec(ref_spec_path):
-    code, out, err = run_cli("analyze", "--spec", ref_spec_path,
+def test_analyze_reference_spec():
+    code, out, err = run_cli("analyze", "--spec", REFERENCE_SPEC,
                              "--samples", "30", "--seed", "1")
     assert code == 0, err
     report = json.loads(out)
@@ -50,7 +41,7 @@ def test_analyze_reference_spec(ref_spec_path):
 
 
 def test_analyze_weight_order_violation(tmp_path):
-    doc = spec_to_dict(reference_spec())
+    doc = json.loads(Path(REFERENCE_SPEC).read_text())
     doc["beta_dprime"] = [1]
     doc["S"][0][0]["y_prime"] = [1]  # quasidegree 1 matches beta'' = 1
     path = tmp_path / "bad.json"
@@ -68,21 +59,19 @@ def test_analyze_schema_error(tmp_path):
     assert json.loads(err)["error"] == "SchemaError"
 
 
-def test_analyze_determinism(ref_spec_path):
-    run1 = run_cli("analyze", "--spec", ref_spec_path, "--samples", "40",
+def test_analyze_determinism():
+    run1 = run_cli("analyze", "--spec", REFERENCE_SPEC, "--samples", "40",
                    "--seed", "3")
-    run2 = run_cli("analyze", "--spec", ref_spec_path, "--samples", "40",
+    run2 = run_cli("analyze", "--spec", REFERENCE_SPEC, "--samples", "40",
                    "--seed", "3")
     assert run1 == run2
     assert run1[0] == 0
 
 
 def test_region_hypothesis_fails_exit_3(tmp_path):
-    path = tmp_path / "rank_one.json"
-    save_spec(rank_one_spec(), path)
     svg = tmp_path / "diagram.svg"
-    code, out, err = run_cli("region", "--spec", str(path), "--rank", "1",
-                             "--svg", str(svg))
+    code, out, err = run_cli("region", "--spec", str(SPECS / "rank_one.json"),
+                             "--rank", "1", "--svg", str(svg))
     assert code == 3
     assert json.loads(err)["error"] == "HypothesisNotSatisfied"
     block = json.loads(out)
@@ -114,10 +103,9 @@ def test_sobolev_table():
 @pytest.mark.parametrize("command", [["region"], ["sobolev"],
                                      ["verify", "--grid", "16"]])
 @pytest.mark.parametrize("rank", ["0", "2", "7"])
-def test_rank_outside_one_to_n_prime_is_refused(ref_spec_path, command,
-                                                rank):
+def test_rank_outside_one_to_n_prime_is_refused(command, rank):
     # the mixed Hessian of an n' = 1 spec is 1 x 1
-    code, out, err = run_cli(command[0], "--spec", ref_spec_path, "--rank",
+    code, out, err = run_cli(command[0], "--spec", REFERENCE_SPEC, "--rank",
                              rank, *command[1:])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "SchemaError"
@@ -142,10 +130,9 @@ def test_generic_refuses_an_empty_or_nonpositive_n_range(n_range):
     assert json.loads(err)["error"] == "SchemaError"
 
 
-def test_sample_generic(tmp_path):
-    path = tmp_path / "vdc.json"
-    save_spec(rank_one_spec(), path)
-    code, out, err = run_cli("sample-generic", "--spec", str(path),
+def test_sample_generic():
+    code, out, err = run_cli("sample-generic", "--spec",
+                             str(SPECS / "rank_one.json"),
                              "--tuples", "3", "--points", "10", "--seed", "2")
     assert code == 0, err
     rep = json.loads(out)
@@ -153,9 +140,9 @@ def test_sample_generic(tmp_path):
     assert sum(rep["trial_min_rank_histogram"].values()) == 3
 
 
-def test_verify_writes_csv(ref_spec_path, tmp_path):
+def test_verify_writes_csv(tmp_path):
     out_csv = tmp_path / "decay.csv"
-    code, out, err = run_cli("verify", "--spec", ref_spec_path, "--grid",
+    code, out, err = run_cli("verify", "--spec", REFERENCE_SPEC, "--grid",
                              "64", "--jmax", "3", "--norms", "11,oooo",
                              "--out", str(out_csv))
     assert code == 0, err
@@ -224,8 +211,8 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     assert "more than the limit of 100" in error["message"]
 
 
-def test_knapp_subcommand(ref_spec_path):
-    code, out, err = run_cli("knapp", "--spec", ref_spec_path, "--tmin",
+def test_knapp_subcommand():
+    code, out, err = run_cli("knapp", "--spec", REFERENCE_SPEC, "--tmin",
                              "-5", "--tmax", "-4")
     assert code == 0, err
     rep = json.loads(out)
@@ -233,10 +220,9 @@ def test_knapp_subcommand(ref_spec_path):
     assert len(rep["rows"]) == 2
 
 
-def test_dual_check_subcommand(tmp_path):
-    path = tmp_path / "dual.json"
-    save_spec(dual_contraction_spec(), path)
-    code, out, err = run_cli("dual-check", "--spec", str(path), "--jmax",
+def test_dual_check_subcommand():
+    code, out, err = run_cli("dual-check", "--spec",
+                             str(SPECS / "dual_quadratic.json"), "--jmax",
                              "5", "--points", "10")
     assert code == 0, err
     rep = json.loads(out)

@@ -1,7 +1,6 @@
 import numpy as np
 
-from anisoradon.numerics.cutoffs import (band_annulus, bump_profile, phi0,
-                                         phi_product, phi_radial)
+from anisoradon.numerics.cutoffs import bump_profile, phi0, phi_radial
 
 
 def test_phi0_plateau_and_support():
@@ -30,25 +29,7 @@ def test_bump_profile_zero_branch():
     assert float(bump_profile(1.0)) == np.exp(-1.0)
 
 
-def test_phi_product():
-    pts = np.array([[0.5, 0.5], [0.5, 3.0], [1.5, 0.0]])
-    v = phi_product(pts)
-    assert v[0] == 1.0
-    assert v[1] == 0.0
-    assert 0.0 < v[2] < 1.0
-
-
 def test_phi_radial():
     assert float(phi_radial(0.49)) == 1.0
     assert float(phi_radial(1.01)) == 0.0
     assert 0.0 < float(phi_radial(0.7)) < 1.0
-
-
-def test_band_annulus_support():
-    u = np.linspace(-3, 3, 1201)
-    v = band_annulus(u)
-    inside = (np.abs(u) >= 1.25) & (np.abs(u) <= 1.75)
-    outside = (np.abs(u) <= 1.0) | (np.abs(u) >= 2.0)
-    assert np.all(v[inside] == 1.0)
-    assert np.all(v[outside] == 0.0)
-    assert np.all(v >= 0.0)

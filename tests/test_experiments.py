@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from anisoradon.exponents import OperatorSpec
 from anisoradon.numerics import (FourierMultiplier, Grid, decay_slope,
                                  decay_table, dual_principal_check,
                                  fit_decay_rows, knapp_exponent_table,
-                                 knapp_integral,
-                                 p_shell_resolved, q_resolved,
-                                 summation_by_parts_residual)
+                                 knapp_integral, p_shell_resolved,
+                                 q_resolved)
 from anisoradon.polynomials import Monomial, Polynomial
-from anisoradon.presets import (dual_contraction_spec, rank_one_spec,
-                                reference_spec)
 from anisoradon.scaling import MultiIndex, isotropic_weights
+from anisoradon.specfile import load_spec
 from fractions import Fraction
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+REFERENCE = load_spec(SPECS / "reference.json")
 
 
 def test_decay_slope_exact_line():
@@ -54,28 +56,28 @@ def test_resolution_flags():
 
 
 def test_knapp_successive_ratio():
-    spec = reference_spec()
+    spec = REFERENCE
     rows = knapp_exponent_table(spec, t_min=-6, t_max=-4)
     for row in rows:
         assert row["implied_exponent"] == pytest.approx(4.0, abs=0.15 * 4)
 
 
 def test_knapp_epsilon_monotone():
-    spec = reference_spec()
+    spec = REFERENCE
     values = [knapp_integral(spec, -4, epsilon_box=e)
               for e in (0.3, 0.5, 0.8)]
     assert values[0] <= values[1] <= values[2]
 
 
 def test_knapp_quadrature_vs_finer():
-    spec = reference_spec()
+    spec = REFERENCE
     coarse = knapp_integral(spec, -5, nodes_per_axis=16)
     fine = knapp_integral(spec, -5, nodes_per_axis=160)
     assert coarse == pytest.approx(fine, rel=0.1)
 
 
 def test_knapp_underflow_guard():
-    spec = reference_spec()
+    spec = REFERENCE
     with pytest.raises(ResolutionError):
         knapp_integral(spec, -30)
     with pytest.raises(ValueError):
@@ -86,20 +88,20 @@ def test_knapp_flat_shear_scales_exactly():
     # S with alpha~ = beta scaling: a single quadratic monomial keeps the
     # integrand's box inclusion exact, so successive ratios hit the predicted
     # exponent on the nose for plateau-deep t
-    spec = reference_spec()
+    spec = REFERENCE
     v5 = knapp_integral(spec, -5)
     v6 = knapp_integral(spec, -6)
     assert v6 / v5 == pytest.approx(2.0 ** -4, rel=1e-6)
 
 
 def test_dual_check_shift_invariant_case_exact():
-    spec = rank_one_spec()
+    spec = load_spec(SPECS / "rank_one.json")
     for j in (0, 2, 5):
         assert dual_principal_check(spec, j, 30) <= 1e-12
 
 
 def test_dual_check_contraction():
-    spec = dual_contraction_spec()
+    spec = load_spec(SPECS / "dual_quadratic.json")
     devs = {j: dual_principal_check(spec, j, 40) for j in range(4, 9)}
     for j in range(4, 8):
         assert devs[j + 1] / devs[j] <= 0.75
@@ -123,7 +125,7 @@ def test_summation_by_parts_small_grid_matrices():
     # sum_{j<=N} T_j Q_j = U_0 Q_0 - U_{N+1} Q_N + sum U_j (Q_j - Q_{j-1})
     from anisoradon.numerics import (discretize_tj, discretize_uj,
                                      qj_multiplier)
-    spec = reference_spec()
+    spec = REFERENCE
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     n_terms = 2
     qs = [qj_multiplier(grid, 1, spec.beta_dprime, j).to_dense()
@@ -138,14 +140,8 @@ def test_summation_by_parts_small_grid_matrices():
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
-def test_summation_by_parts_residual_vectorized():
-    spec = reference_spec()
-    grid = Grid(dim=2, points_per_axis=64, half_width=2.0)
-    assert summation_by_parts_residual(spec, grid, 3, n_vectors=5) < 1e-10
-
-
 def test_decay_table_rows_and_fits():
-    spec = reference_spec()
+    spec = REFERENCE
     grid = Grid(dim=2, points_per_axis=64, half_width=2.0)
     rows = decay_table(spec, grid, jmax=3, kmax=1, pairs=("11", "oooo"),
                        families=("TjQj", "TjPjk"))
@@ -168,7 +164,7 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
     monkeypatch.setattr(FourierMultiplier, "ydd_kernel_matrix", counted)
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
-    rows = decay_table(reference_spec(), grid, jmax=3, kmax=1,
+    rows = decay_table(REFERENCE, grid, jmax=3, kmax=1,
                        pairs=("11", "oooo", "1oo"),
                        families=("TjQj", "TjPjk"))
     assert len(rows) == 27
@@ -182,6 +178,6 @@ def test_decay_table_flags_unconverged_rows(monkeypatch):
                         lambda op, pair, **kw: original(op, pair, maxiter=3,
                                                         **kw))
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
-    rows = decay_table(reference_spec(), grid, jmax=2, pairs=("11", "22"))
+    rows = decay_table(REFERENCE, grid, jmax=2, pairs=("11", "22"))
     assert [r.converged for r in rows] == [True, False] * 2
     assert all(r.value > 0 and "unconverged" not in r.context for r in rows)

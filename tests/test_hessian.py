@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
 from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
-                                EtaPolynomial, _CompiledHessian,
-                                _nonsingular_mod_p, _probe_points,
-                                _screened_ranks, _shell_points,
+                                _CompiledHessian, _nonsingular_mod_p,
+                                _probe_points, _screened_ranks, _shell_points,
                                 _trial_coefficients, generic_rank_trial,
                                 generic_trial_tuple, integer_matrix_rank,
                                 min_rank_sample, mixed_hessian,
-                                principal_hessian, symbolic_minor_certificate)
+                                principal_hessian)
 from anisoradon.polynomials import Monomial, Polynomial, lambda_basis
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
 from oracles import minor_rank_oracle, sympy_hessian
@@ -69,27 +68,30 @@ def rank_at(h, point, eta):
 def test_mixed_hessian_single_mixed_partial():
     w = isotropic_weights(1, 1)
     h = mixed_hessian((poly(1, 1, (1, [1], [0], [1])),), w, MultiIndex([2]))
-    entry = h.entries[0][0]
-    assert entry.terms == {(1,): Polynomial.constant(1, 1, 1)}
+    assert h == (({0: poly(1, 1, (1, [0], [0], [0]))},),)
 
 
 def test_mixed_hessian_no_x_dependence():
     w = isotropic_weights(1, 1)
     h = mixed_hessian((poly(1, 1, (1, [0], [0], [2])),), w, MultiIndex([2]))
-    assert h.entries[0][0].is_zero()
+    assert h == (({},),)
 
 
 def test_mixed_hessian_identity_block():
     w = isotropic_weights(2, 1)
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (1, [0, 1], [0], [0, 1]))
     h = mixed_hessian((s,), w, MultiIndex([2]))
-    for i in range(2):
-        for j in range(2):
-            if i == j:
-                assert h.entries[i][j].terms == {
-                    (1,): Polynomial.constant(2, 1, 1)}
-            else:
-                assert h.entries[i][j].is_zero()
+    one = poly(2, 1, (1, [0, 0], [0], [0, 0]))
+    assert h == (({0: one}, {}), ({}, {0: one}))
+
+
+def test_mixed_hessian_keys_each_component():
+    # S = (x' y', x'^2 y') at beta'' = (2, 3): the entry is eta1 + 2 x' eta2
+    w = isotropic_weights(1, 2)
+    s = (poly(1, 2, (1, [1], [0, 0], [1])), poly(1, 2, (1, [2], [0, 0], [1])))
+    h = mixed_hessian(s, w, MultiIndex([2, 3]))
+    assert h == (({0: poly(1, 2, (1, [0], [0, 0], [0])),
+                   1: poly(1, 2, (2, [1], [0, 0], [0]))},),)
 
 
 def test_mixed_hessian_rejects_inhomogeneous():
@@ -383,21 +385,3 @@ def test_generic_rank_trial_deterministic():
     assert a.trial_min_ranks == b.trial_min_ranks
     assert a.evaluation_ranks == b.evaluation_ranks
 
-
-def test_symbolic_minor_certificate():
-    w = isotropic_weights(1, 1)
-    h = mixed_hessian((poly(1, 1, (1, [1], [0], [1])),), w, MultiIndex([2]))
-    assert symbolic_minor_certificate(h, 1) == ((0,), (0,))
-    h0 = mixed_hessian((poly(1, 1, (1, [0], [0], [2])),), w, MultiIndex([2]))
-    assert symbolic_minor_certificate(h0, 1) is None
-
-
-def test_eta_polynomial_arithmetic():
-    p = Polynomial.constant(1, 1, 2)
-    q = Polynomial.variable(1, 1, "y", 0)
-    a = EtaPolynomial(1, {(1,): p})
-    b = EtaPolynomial(1, {(1,): q})
-    prod = a * b
-    assert list(prod.terms) == [(2,)]
-    assert prod.terms[(2,)] == p * q
-    assert (a - a).is_zero()

@@ -1,15 +1,36 @@
+from pathlib import Path
+
 import numpy as np
-import pytest
 
-from anisoradon.numerics import (Grid, bessel_multiplier, partition_check,
-                                 pjk_multiplier, plambda_multiplier,
-                                 qj_multiplier)
-from anisoradon.numerics.cutoffs import phi0
-from anisoradon.scaling import MultiIndex
-from anisoradon.presets import reference_spec
+from anisoradon.numerics import Grid, pjk_multiplier, qj_multiplier
+from anisoradon.numerics.cutoffs import phi_radial
+from anisoradon.numerics.operators import _broadcast_ydd, _scaled_ydd_radius
+from anisoradon.specfile import load_spec
 
-SPEC = reference_spec()
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+SPEC = load_spec(SPECS / "reference.json")
 GRID = Grid(dim=2, points_per_axis=64, half_width=2.0)
+
+
+def partition_check(grid: Grid, n_prime: int, beta_dprime, j: int,
+                    kmax: int) -> dict:
+    """Telescoping of Qj + sum_k Pjk against the widened low-pass, and
+    against the identity once the widened support covers the grid."""
+    qj = qj_multiplier(grid, n_prime, beta_dprime, j)
+    total = qj.symbol.copy()
+    for k in range(kmax + 1):
+        total = total + pjk_multiplier(grid, n_prime, beta_dprime, j, k).symbol
+    # the telescoped sum equals the low-pass widened by 2^(kmax+1)
+    rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
+    block = phi_radial(np.ldexp(rad, -(kmax + 1)))
+    widened_sym = _broadcast_ydd(grid, n_prime, block)
+    telescope_dev = float(np.abs(total - widened_sym).max())
+    covers = np.ldexp(1.0, kmax + j * min(beta_dprime)) \
+        >= 2.0 * grid.max_frequency
+    identity_dev = float(np.abs(total - 1.0).max()) if covers else None
+    return {"telescope_deviation": telescope_dev,
+            "covers_grid": bool(covers),
+            "identity_deviation": identity_dev}
 
 
 def test_qj_symbol_at_zero_frequency():
@@ -44,65 +65,3 @@ def test_partition_telescopes_and_covers():
     # with enough shells the sum covers the whole grid frequency range
     res = partition_check(GRID, 1, SPEC.beta_dprime, 0, kmax=8)
     assert res["covers_grid"]
-
-
-def test_bessel_unit_box_exact_one():
-    for s in (0.0, 0.5, 1.0, 2.0):
-        b = bessel_multiplier(GRID, s, MultiIndex([1, 1]))
-        sym = b.symbol
-        fx, fy = np.meshgrid(GRID.frequencies(), GRID.frequencies(),
-                             indexing="ij")
-        box = (np.abs(fx) <= 1.0) & (np.abs(fy) <= 1.0)
-        assert np.all(sym[box] == 1.0)
-
-
-def test_bessel_nonnegative_everywhere():
-    for s in (0.0, 0.5, 1.0, 2.0):
-        for gamma in (MultiIndex([1, 1]), MultiIndex([1, 2]),
-                      MultiIndex([3, 2])):
-            b = bessel_multiplier(GRID, s, gamma)
-            assert b.symbol.min() >= 0.0
-
-
-def test_bessel_growth_envelope():
-    # symbol <= 1 + sum_i 2^s |xi_i|^(s/gamma_i): the provable form of the
-    # dyadic growth bound (the last active scale satisfies
-    # 2^(j-1) < max_i |xi_i|^(1/gamma_i))
-    fx, fy = np.meshgrid(GRID.frequencies(), GRID.frequencies(),
-                         indexing="ij")
-    for s in (0.5, 1.0, 2.0):
-        for gamma in (MultiIndex([1, 1]), MultiIndex([1, 2])):
-            b = bessel_multiplier(GRID, s, gamma)
-            bound = 1.0 + 2.0 ** s * np.abs(fx) ** (s / gamma[0]) \
-                + 2.0 ** s * np.abs(fy) ** (s / gamma[1])
-            assert np.all(b.symbol <= bound * (1 + 1e-12))
-
-
-def test_bessel_two_scale_telescoping_value():
-    # at xi = (1.5 * 2^m, 0) with unit weights exactly two dyadic terms are
-    # active: the symbol equals 2^(s m) phi0(1.5) + 2^(s(m+1)) (1 - phi0(1.5)),
-    # and phi0(1.5) = 1/2 exactly
-    half_width = np.pi / 1.5  # makes the frequencies 1.5 * integer
-    grid = Grid(dim=2, points_per_axis=64, half_width=half_width)
-    freq = grid.frequencies()
-    for s in (0.5, 1.0, 2.0):
-        b = bessel_multiplier(grid, s, MultiIndex([1, 1]))
-        sym = b.symbol.reshape(grid.shape())
-        for m in (1, 2, 3, 4):
-            idx = 2 ** m  # frequency 1.5 * 2^m
-            expected = 0.5 * 2.0 ** (s * m) + 0.5 * 2.0 ** (s * (m + 1))
-            assert sym[idx, 0] == pytest.approx(expected, rel=1e-12)
-            assert 2.0 ** (s * m) <= sym[idx, 0] <= 2.0 ** (s * (m + 1))
-
-
-def test_plambda_band():
-    lam = 8.0
-    p = plambda_multiplier(GRID, 1, lam, 0)
-    sym = p.symbol.reshape(GRID.shape())[0]
-    freq = GRID.frequencies()
-    live = sym > 0
-    assert np.all(np.abs(freq[live]) >= lam)
-    assert np.all(np.abs(freq[live]) <= 2 * lam)
-    assert np.all(sym >= 0)
-    with pytest.raises(ValueError):
-        plambda_multiplier(GRID, 1, lam, 1)
