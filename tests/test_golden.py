@@ -67,6 +67,10 @@ CASES["iso_2_1_b3/region"] = [
 # is emitted
 CASES["iso_2_1_b3/sobolev"] = [
     "sobolev", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
+# n'' = 2 with an x''-Jacobian that is not diagonal: the Newton inversion
+# of the shear solves a 2 x 2 system at every sample
+CASES["shear_1_2/dual-check"] = [
+    "dual-check", "--spec", "tests/golden/inputs/shear_1_2.json"]
 # weights only, no spec: the genericity block and its threshold table
 CASES["generic/n-range"] = [
     "generic", "--alpha-prime", "1", "--alpha-dprime", "1,1",
