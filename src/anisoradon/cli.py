@@ -80,6 +80,13 @@ def _load_ranked_spec(args):
     return spec
 
 
+def _refuse_below_one(**counts: int) -> None:
+    """Refuse a count below 1: an empty sample prints a vacuous result."""
+    for flag, value in counts.items():
+        if value < 1:
+            raise SchemaError(f"--{flag} {value} must be at least 1")
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
@@ -140,6 +147,7 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_sample_generic(args) -> int:
+    _refuse_below_one(tuples=args.tuples)
     spec = load_spec(args.spec)
     rep = generic_rank_trial(spec.weights, spec.beta_dprime,
                              tuples=args.tuples,
@@ -212,6 +220,7 @@ def _cmd_knapp(args) -> int:
 
 
 def _cmd_dual_check(args) -> int:
+    _refuse_below_one(jmax=args.jmax, points=args.points)
     spec = load_spec(args.spec)
     devs = {}
     for j in range(1, args.jmax + 1):

@@ -246,38 +246,31 @@ class GenericityReport:
     k2: int
     density_lower_bound: Fraction
 
-    def _radicand(self, n_prime: int, n_dprime: int) -> Fraction:
+    def _radicand(self, n_prime: int) -> Fraction:
         return (Fraction(self.k2 - 1, self.k2) * n_prime ** 2
-                + 2 * (n_prime + n_dprime))
+                + 2 * (n_prime + self.n_dprime))
 
-    def threshold(self, n_prime: int | None = None,
-                  n_dprime: int | None = None) -> float:
+    def threshold(self, n_prime: int | None = None) -> float:
         n_p = self.n_prime if n_prime is None else n_prime
-        n_d = self.n_dprime if n_dprime is None else n_dprime
-        x = self._radicand(n_p, n_d)
+        x = self._radicand(n_p)
         return n_p - math.sqrt(x.numerator / x.denominator)
 
-    def threshold_interval(self, n_prime: int | None = None,
-                           n_dprime: int | None = None) -> tuple[float, float]:
+    def threshold_interval(self) -> tuple[float, float]:
         """Honest enclosure of the threshold (sqrt bracketed by isqrt)."""
-        n_p = self.n_prime if n_prime is None else n_prime
-        n_d = self.n_dprime if n_dprime is None else n_dprime
-        x = self._radicand(n_p, n_d)
+        x = self._radicand(self.n_prime)
         scale = 10 ** 17
         lo_i = math.isqrt(x.numerator * scale * scale // x.denominator)
         sqrt_lo = lo_i / scale
         sqrt_hi = (lo_i + 1) / scale
-        return (math.nextafter(n_p - sqrt_hi, -math.inf),
-                math.nextafter(n_p - sqrt_lo, math.inf))
+        return (math.nextafter(self.n_prime - sqrt_hi, -math.inf),
+                math.nextafter(self.n_prime - sqrt_lo, math.inf))
 
-    def threshold_exceeds(self, r: int, n_prime: int | None = None,
-                          n_dprime: int | None = None) -> bool:
+    def threshold_exceeds(self, r: int, n_prime: int | None = None) -> bool:
         """Exact test of r < threshold (no floating point)."""
         n_p = self.n_prime if n_prime is None else n_prime
-        n_d = self.n_dprime if n_dprime is None else n_dprime
         if r >= n_p:
             return False
-        return Fraction((n_p - r) ** 2) > self._radicand(n_p, n_d)
+        return Fraction((n_p - r) ** 2) > self._radicand(n_p)
 
     def admissible(self, beta_dprime: MultiIndex) -> bool:
         return all(b % self.k1 in self.lambda_set for b in beta_dprime)

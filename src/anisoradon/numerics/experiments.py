@@ -5,7 +5,9 @@ fit log2(norm) against the slab index; comparisons against the predicted
 exponents happen in the caller (tests, CLI).  Each row carries a resolution
 flag: a frequency projection is only meaningful while its symbol support fits
 inside the grid's frequency range, and fits of frequency-side growth laws
-must be restricted to the resolved rows.
+must be restricted to the resolved rows.  The duality check draws all its
+samples in one block and inverts the shear by Newton iteration over all of
+them at once.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from ..exponents import OperatorSpec, check_homogeneity
 from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, normalize_pair, operator_norm
-from .operators import (ComposedOperator, _eval_poly_mesh, discretize_tj,
-                        pjk_multiplier, qj_multiplier)
+from .operators import (ComposedOperator, discretize_tj, pjk_multiplier,
+                        qj_multiplier)
 
 BOX_UNDERFLOW = 2.0 ** -40
 
@@ -185,8 +187,8 @@ def knapp_integral(spec: OperatorSpec, t: float, epsilon_box: float = 0.5,
     for d in range(ndims):
         integrand = integrand * phi0(axes[d] / rho)
     for l in range(n_d):
-        s_vals = _eval_poly_mesh(spec.s[l], axes, shape)
-        target = axes[n_p + l] + s_vals
+        target = axes[n_p + l] + spec.s[l].evaluate(
+            axes[:n_p], axes[n_p:n_p + n_d], axes[n_p + n_d:])
         half = epsilon_box * 2.0 ** (spec.beta_dprime[l] * t) / 2.0
         integrand = integrand * (np.abs(target) <= half)
     volume = 1.0
@@ -222,25 +224,25 @@ def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
                          yp: np.ndarray, target: np.ndarray,
                          tol: float = 1e-12,
                          max_steps: int = 50) -> np.ndarray:
-    """Solve x'' + S(x', x'', y') = target for x'' by Newton iteration;
-    partials[l][m] is dS_l/dx''_m."""
-    n_d = spec.n_dprime
+    """Solve x'' + S(x', x'', y') = target for x'' by Newton iteration at
+    every sample at once; coordinate arrays have shape (n, points) and
+    partials[l][m] is dS_l/dx''_m.  A sample whose residual is within tol
+    takes no further step."""
     xdd = target.copy()
     for _ in range(max_steps):
-        s_val = np.array([float(spec.s[l].evaluate(xp, xdd, yp))
-                          for l in range(n_d)])
-        residual = xdd + s_val - target
-        if np.max(np.abs(residual)) <= tol:
+        residual = xdd + np.array([s.evaluate(xp, xdd, yp)
+                                   for s in spec.s]) - target
+        live = np.max(np.abs(residual), axis=0) > tol
+        if not live.any():
             return xdd
-        jac = np.eye(n_d)
-        for l in range(n_d):
-            for m in range(n_d):
-                jac[l, m] += float(partials[l][m].evaluate(xp, xdd, yp))
+        at = (xp[:, live], xdd[:, live], yp[:, live])
+        jac = np.array([[d.evaluate(*at) for d in row] for row in partials])
+        jac = np.moveaxis(jac, -1, 0) + np.eye(len(spec.s))
         try:
-            step = np.linalg.solve(jac, residual)
+            step = np.linalg.solve(jac, residual[:, live].T[..., None])
         except np.linalg.LinAlgError as exc:
             raise SingularMapError(f"singular shear Jacobian: {exc}") from exc
-        xdd = xdd - step
+        xdd[:, live] -= step[..., 0].T
         if not np.all(np.isfinite(xdd)):
             raise SingularMapError("Newton iterate diverged")
     raise SingularMapError(
@@ -261,22 +263,21 @@ def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
     principal = check_homogeneity(spec)
     w = spec.weights
     n_p, n_d = spec.n_prime, spec.n_dprime
-    partials = [[spec.s[l].partial_derivative("xx", m) for m in range(n_d)]
-                for l in range(n_d)]
+    partials = [[s.partial_derivative("xx", m) for m in range(n_d)]
+                for s in spec.s]
     rng = np.random.Generator(np.random.Philox(
         key=np.array([np.uint64(seed), np.uint64(11)], dtype=np.uint64)))
+    # one row per sample: x', y'', y', in the order of per-sample draws
+    xp, ydd, yp = np.split(
+        rng.uniform(-box, box, size=(sample_points, 2 * n_p + n_d)).T,
+        [n_p, n_p + n_d])
+    xp_s = np.ldexp(xp, [[-j * a] for a in w.alpha_prime])
+    ydd_s = np.ldexp(ydd, [[-j * a] for a in w.alpha_dprime])
+    yp_s = np.ldexp(yp, [[-j * b] for b in w.beta_prime])
+    xdd_sol = _newton_invert_shear(spec, partials, xp_s, yp_s, ydd_s)
     worst = 0.0
-    for _ in range(sample_points):
-        xp = rng.uniform(-box, box, size=n_p)
-        ydd = rng.uniform(-box, box, size=n_d)
-        yp = rng.uniform(-box, box, size=n_p)
-        xp_s = np.ldexp(xp, [-j * a for a in w.alpha_prime])
-        ydd_s = np.ldexp(ydd, [-j * a for a in w.alpha_dprime])
-        yp_s = np.ldexp(yp, [-j * b for b in w.beta_prime])
-        xdd_sol = _newton_invert_shear(spec, partials, xp_s, yp_s, ydd_s)
-        for l in range(n_d):
-            dual = -float(spec.s[l].evaluate(xp_s, xdd_sol, yp_s))
-            scaled = np.ldexp(dual, j * spec.beta_dprime[l])
-            ref = float(principal[l].evaluate(xp, ydd, yp))
-            worst = max(worst, abs(scaled + ref))
+    for s, s_p, b in zip(spec.s, principal, spec.beta_dprime):
+        scaled = np.ldexp(-s.evaluate(xp_s, xdd_sol, yp_s), j * b)
+        deviation = np.abs(scaled + s_p.evaluate(xp, ydd, yp))
+        worst = max(worst, float(deviation.max()))
     return worst

@@ -7,8 +7,9 @@ periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.
 
-Frequency multipliers are matrix-free: real FFT over the axes the symbol
-depends on, multiplication by its even part, inverse real FFT.
+Frequency multipliers depend on the y''-frequencies only and are stored as
+that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
+multiplication by the even part of the block, inverse real FFT.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import DilationCapError
 from ..exponents import OperatorSpec
-from ..polynomials import Polynomial
 from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
@@ -59,26 +58,23 @@ class FourierMultiplier:
     frequency: a multiplication by the even part (s(xi) + s(-xi))/2, so the
     operator is symmetric.
 
-    ``ydd_block`` is set when the symbol depends on the y''-frequencies only;
-    it stores that dependence as an array over the trailing n'' axes, for
-    the streaming norm computations and as the only axes the FFT runs over.
+    The symbol depends on the y''-frequencies only; ``ydd_block`` holds it
+    as an array over the trailing n'' axes, the only axes the FFT runs over
+    and the dense y''-kernel of the streaming norm computations.
     """
 
-    def __init__(self, grid: Grid, symbol: np.ndarray,
-                 ydd_block: np.ndarray | None = None):
-        if symbol.shape != grid.shape():
-            raise ValueError("symbol shape does not match the grid")
+    def __init__(self, grid: Grid, ydd_block: np.ndarray):
+        if ydd_block.shape != grid.shape()[grid.dim - ydd_block.ndim:]:
+            raise ValueError("y''-block shape does not match the grid")
         self.grid = grid
-        self.symbol = symbol
         self.ydd_block = ydd_block
 
     @functools.cached_property
     def _half_symbol(self) -> np.ndarray:
-        factor = self.symbol if self.ydd_block is None else self.ydd_block
-        flipped = factor  # s(-xi): index i goes to -i mod N on every axis
-        for ax in range(factor.ndim):
+        flipped = block = self.ydd_block  # s(-xi): i goes to -i mod N
+        for ax in range(block.ndim):
             flipped = np.roll(np.flip(flipped, ax), 1, ax)
-        return ((factor + flipped) / 2)[..., :factor.shape[-1] // 2 + 1]
+        return ((block + flipped) / 2)[..., :block.shape[-1] // 2 + 1]
 
     def _filter(self, v: np.ndarray) -> np.ndarray:
         axes = tuple(range(-self._half_symbol.ndim, 0))
@@ -94,14 +90,13 @@ class FourierMultiplier:
         return self._filter(v)
 
     def ydd_kernel_matrix(self) -> np.ndarray:
-        """Dense convolution matrix of the y''-only factor (the y'-factor is
-        the identity)."""
-        if self.ydd_block is None:
-            raise ValueError("symbol is not a pure y''-multiplier")
+        """Dense convolution matrix of the y''-block on the y''-axes."""
         return _circulant(np.fft.ifftn(self.ydd_block).real)
 
     def to_dense(self) -> np.ndarray:
-        return _circulant(np.fft.ifftn(self.symbol).real)
+        """Dense matrix on the whole grid, the tests' reference."""
+        n_rest = self.grid.size // self.ydd_block.size
+        return np.kron(np.eye(n_rest), self.ydd_kernel_matrix())
 
 
 def _circulant(kernel: np.ndarray) -> np.ndarray:
@@ -141,8 +136,7 @@ class ComposedOperator:
         y''-kernel of the multiplier."""
         left, right = self.left, self.right
         if not (isinstance(left, SparseKernelOperator)
-                and isinstance(right, FourierMultiplier)
-                and right.ydd_block is not None):
+                and isinstance(right, FourierMultiplier)):
             raise TypeError("no absolute-kernel norms for this composite")
         kernel = right.ydd_kernel_matrix()
         n_block = kernel.shape[0]
@@ -164,44 +158,14 @@ class ComposedOperator:
 
 # -- averaging-piece discretization --------------------------------------------
 
-def _axis_weights(spec: OperatorSpec) -> list[int]:
-    """Dilation weight of each mesh coordinate, order (x', x'', y')."""
-    w = spec.weights
-    return (list(w.alpha_prime) + list(w.alpha_dprime) + list(w.beta_prime))
-
-
-def _eval_poly_mesh(poly: Polynomial, axes: Sequence[np.ndarray],
-                    shape: tuple[int, ...]) -> np.ndarray:
-    """Evaluate a polynomial on broadcast coordinate arrays."""
-    total = np.zeros(shape)
-    powcache: list[dict[int, np.ndarray]] = [dict() for _ in axes]
-
-    def power(i: int, e: int) -> np.ndarray:
-        cache = powcache[i]
-        if e not in cache:
-            cache[e] = axes[i] ** e
-        return cache[e]
-
-    for m in poly.monomials():
-        term = None
-        for i, e in enumerate(m.exp_x + m.exp_xx + m.exp_y):
-            if e:
-                term = power(i, e) if term is None else term * power(i, e)
-        coeff = float(m.coeff)
-        if term is None:
-            total += coeff
-        else:
-            total += coeff * term
-    return total
-
-
 def _discretize(spec: OperatorSpec, grid: Grid, j: int,
                 shell: bool) -> SparseKernelOperator:
     n_p, n_d = spec.n_prime, spec.n_dprime
     n = n_p + n_d
     if grid.dim != n:
         raise ValueError(f"grid dimension {grid.dim} != n' + n'' = {n}")
-    weights = _axis_weights(spec)
+    w = spec.weights  # dilation weight of each mesh axis: x', x'', y'
+    weights = list(w.alpha_prime) + list(w.alpha_dprime) + list(w.beta_prime)
     if (j + 1) * max(weights) > DILATION_EXPONENT_CAP:
         raise DilationCapError(f"slab index {j} exceeds the dilation cap")
     if j < 0:
@@ -224,9 +188,6 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     if entries > MAX_MESH_ENTRIES:
         raise MemoryError(f"slab j={j} needs {entries} mesh entries, more "
                           f"than the limit of {MAX_MESH_ENTRIES}")
-    if entries == 0:
-        return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
-                                                         grid.size)))
 
     def shaped(arr: np.ndarray, dim: int) -> np.ndarray:
         return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
@@ -252,7 +213,7 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         cutoff = psi * product_cutoff(j)
 
     mask = cutoff != 0.0
-    if not mask.any():
+    if not mask.any():  # also when a window holds no node
         return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
                                                          grid.size)))
 
@@ -271,9 +232,9 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     corner_idx: list[tuple[np.ndarray, np.ndarray]] = []
     corner_wgt: list[tuple[np.ndarray, np.ndarray]] = []
     for l in range(n_d):
-        s_vals = _eval_poly_mesh(spec.s[l], axes, mesh_shape)
-        target = axes[n_p + l] + s_vals
-        pos = (target + L) / h - 0.5
+        pos = (axes[n_p + l]
+               + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
+               + L) / h - 0.5
         i0 = np.floor(pos)
         frac = pos - i0
         i0 = i0.astype(np.int64) % N
@@ -312,35 +273,28 @@ def discretize_uj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperato
 
 # -- frequency multipliers ------------------------------------------------------
 
-def _scaled_ydd_radius(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
-                       j: int, extra_log2: int = 0) -> np.ndarray:
-    """|2^(-j beta'') xi''| (times 2**extra_log2) on the y''-frequency axes."""
+def _scaled_ydd_radius(grid: Grid, beta_dprime: MultiIndex,
+                       j: int) -> np.ndarray:
+    """|2^(-j beta'') xi''| on the y''-frequency axes."""
     freq = grid.frequencies()
     n_dd = len(beta_dprime)
     r2 = np.zeros((grid.points_per_axis,) * n_dd)
     for l, b in enumerate(beta_dprime):
-        scaled = np.ldexp(freq, -j * b + extra_log2)
+        scaled = np.ldexp(freq, -j * b)
         r2 = r2 + scaled.reshape((1,) * l + (-1,) + (1,) * (n_dd - 1 - l)) ** 2
     return np.sqrt(r2)
-
-
-def _broadcast_ydd(grid: Grid, n_prime: int, block: np.ndarray) -> np.ndarray:
-    shape = (1,) * n_prime + block.shape
-    return np.broadcast_to(block.reshape(shape), grid.shape()).copy()
 
 
 def qj_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
                   j: int) -> FourierMultiplier:
     """Low-pass in xi'' at the anisotropic scale 2^(j beta'')."""
-    block = phi_radial(_scaled_ydd_radius(grid, n_prime, beta_dprime, j))
-    return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block)
+    block = phi_radial(_scaled_ydd_radius(grid, beta_dprime, j))
+    return FourierMultiplier(grid, block)
 
 
 def pjk_multiplier(grid: Grid, n_prime: int, beta_dprime: MultiIndex,
                    j: int, k: int) -> FourierMultiplier:
     """Isotropic dyadic shell at radius 2^k on top of the Qj scaling."""
-    rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
+    rad = _scaled_ydd_radius(grid, beta_dprime, j)
     block = phi_radial(np.ldexp(rad, -k - 1)) - phi_radial(np.ldexp(rad, -k))
-    return FourierMultiplier(grid, _broadcast_ydd(grid, n_prime, block),
-                             ydd_block=block)
+    return FourierMultiplier(grid, block)

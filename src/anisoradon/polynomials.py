@@ -2,7 +2,10 @@
 
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``), so
 graded decompositions, principal parts, derivatives and point values are
-computed with no rounding at all.  A polynomial is a mapping from exponent
+computed with no rounding at all.  ``Polynomial.evaluate`` is the one
+evaluator of polynomial values: exact at int or Fraction points, and in
+floats over broadcast numpy coordinate arrays (the grid meshes and the
+Newton samples of the numerics).  A polynomial is a mapping from exponent
 triples ``(exp_x, exp_xx, exp_y)`` (one integer tuple per variable block) to
 nonzero coefficients; the zero polynomial is the empty mapping.
 
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .scaling import Weights
 
@@ -148,14 +153,18 @@ class Polynomial:
         return Polynomial(self.n_prime, self.n_dprime, terms)
 
     def evaluate(self, x: Sequence, xx: Sequence, y: Sequence):
-        """Evaluate at a point; exact when the inputs are ints/Fractions.
-
-        Powers of each coordinate are cached so the evaluation does each
-        multiplication once per needed power (Horner-like cost per variable).
-        """
+        """Value at a point: exact when every coordinate is an int or a
+        Fraction, otherwise a float array of the coordinates' broadcast
+        shape (each monomial in canonical order multiplies its powers first
+        and its coefficient last; the sum starts from zeros)."""
         if len(x) != self.n_prime or len(xx) != self.n_dprime or len(y) != self.n_prime:
             raise ValueError("evaluation point dimension mismatch")
         coords = tuple(x) + tuple(xx) + tuple(y)
+        exact = all(isinstance(c, (int, Fraction)) for c in coords)
+        if not exact:
+            coords = tuple(np.asarray(c, dtype=float) for c in coords)
+        total = Fraction(0) if exact else np.zeros(
+            np.broadcast_shapes(*(c.shape for c in coords)))
         powcache: list[dict[int, object]] = [dict() for _ in coords]
 
         def power(i: int, e: int):
@@ -164,21 +173,13 @@ class Polynomial:
                 cache[e] = coords[i] ** e
             return cache[e]
 
-        total = Fraction(0)
-        started = False
-        for (a, b, c), coeff in self._terms.items():
-            term = coeff
-            flat = a + b + c
-            for i, e in enumerate(flat):
+        for m in self.monomials():
+            term = None
+            for i, e in enumerate(m.exp_x + m.exp_xx + m.exp_y):
                 if e:
-                    term = term * power(i, e)
-            if not started:
-                total = term
-                started = True
-            else:
-                total = total + term
-        if not started:
-            return Fraction(0)
+                    term = power(i, e) if term is None else term * power(i, e)
+            coeff = m.coeff if exact else float(m.coeff)
+            total = total + (coeff if term is None else coeff * term)
         return total
 
     # -- grading -------------------------------------------------------------

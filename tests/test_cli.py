@@ -227,3 +227,14 @@ def test_dual_check_subcommand():
     assert code == 0, err
     rep = json.loads(out)
     assert set(rep["max_deviation_by_j"]) == {"1", "2", "3", "4", "5"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-check", "--points", "0"], ["dual-check", "--points", "-5"],
+    ["dual-check", "--jmax", "0"], ["sample-generic", "--tuples", "0"]])
+def test_vacuous_counts_are_refused(argv):
+    # an empty sample would print all-zero deviations or empty histograms
+    code, out, err = run_cli(argv[0], "--spec", REFERENCE_SPEC, *argv[1:])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "SchemaError"

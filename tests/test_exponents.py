@@ -213,8 +213,8 @@ def test_genericity_worked_example():
 
 
 def test_threshold_monotone_in_codimension():
-    rep = genericity_report(isotropic_weights(8, 1))
-    values = [rep.threshold(n_dprime=n) for n in range(1, 8)]
+    values = [genericity_report(isotropic_weights(8, n)).threshold()
+              for n in range(1, 8)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 

@@ -125,23 +125,22 @@ def _embedded_matrix_op():
 def test_norm_conventions_on_small_matrix():
     # an all-ones y''-multiplier (n' = 0, n'' = 1) has the identity kernel
     op = _embedded_matrix_op()
-    ones = np.ones(op.grid.shape())
-    comp = ComposedOperator(op, FourierMultiplier(op.grid, ones,
-                                                  ydd_block=ones))
+    comp = ComposedOperator(op, FourierMultiplier(op.grid,
+                                                  np.ones(op.grid.shape())))
     assert operator_norm(comp, "11") == 6.0
     assert operator_norm(comp, "oooo") == 7.0
     assert operator_norm(comp, "1oo") == 4.0
 
 
 def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
+    # only a slab followed by a multiplier has absolute-kernel norms: not a
+    # bare slab or multiplier, and not the two in the other order
     op = _embedded_matrix_op()
-    with pytest.raises(TypeError):
-        operator_norm(op, "11")
     rng = np.random.default_rng(7)
-    full = FourierMultiplier(op.grid, rng.standard_normal(op.grid.shape()))
-    for bare_or_mixed in (full, ComposedOperator(op, full)):
+    mult = FourierMultiplier(op.grid, rng.standard_normal(op.grid.shape()))
+    for other in (op, mult, ComposedOperator(mult, op)):
         with pytest.raises(TypeError):
-            operator_norm(bare_or_mixed, "11")
+            operator_norm(other, "11")
 
 
 def test_two_norm_of_small_matrix():
@@ -160,7 +159,7 @@ def test_two_norm_zero_operator():
     empty_slab = discretize_tj(SPEC, SMALL, 9)
     q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 9)
     off_grid = pjk_multiplier(SMALL, 1, SPEC.beta_dprime, 1, 20)
-    assert empty_slab.matrix.nnz == 0 and not off_grid.symbol.any()
+    assert empty_slab.matrix.nnz == 0 and not off_grid.ydd_block.any()
     for comp in (ComposedOperator(empty_slab, q),
                  ComposedOperator(discretize_tj(SPEC, SMALL, 1), off_grid)):
         assert operator_norm(comp, "22") == 0.0
@@ -170,7 +169,7 @@ def test_multiplier_two_norm_is_symbol_sup():
     # Lanczos rounds in the last place: Q_1 on this grid gives 1 - 2^-53
     for j in (1, 2):
         q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, j)
-        assert np.abs(q.symbol).max() == 1.0
+        assert np.abs(q.ydd_block).max() == 1.0
         assert operator_norm(q, "22") == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
@@ -218,21 +217,28 @@ def test_transpose_of_multiplier():
 
 def test_multiplier_is_the_real_part_of_the_complex_filter():
     # apply keeps the real part of ifftn(fftn(v) * symbol), which is the
-    # dense operator; that operator is symmetric even for a symbol that is
-    # not even in the frequencies (the random full symbol and y''-block)
-    grid = Grid(dim=2, points_per_axis=16)
+    # dense operator; that operator is symmetric even for a y''-block that
+    # is not even in the frequencies (random blocks at n'' = 1 and n'' = 2)
     rng = np.random.default_rng(9)
-    block = rng.standard_normal(grid.points_per_axis)
-    for mult in (FourierMultiplier(grid, rng.standard_normal(grid.shape())),
-                 FourierMultiplier(grid, np.broadcast_to(
-                     block, grid.shape()).copy(), ydd_block=block)):
+    for grid, n_dd in ((Grid(dim=2, points_per_axis=16), 1),
+                       (Grid(dim=3, points_per_axis=8), 2)):
+        block = rng.standard_normal((grid.points_per_axis,) * n_dd)
+        mult = FourierMultiplier(grid, block)
+        symbol = np.broadcast_to(block, grid.shape())
         dense = mult.to_dense()
         assert np.abs(dense - dense.T).max() < 1e-12
         for _ in range(3):
             v = rng.standard_normal(grid.size)
             complex_filter = np.fft.ifftn(
-                np.fft.fftn(v.reshape(grid.shape())) * mult.symbol).real
+                np.fft.fftn(v.reshape(grid.shape())) * symbol).real
             assert np.abs(mult.apply(v) - dense @ v).max() < 1e-10
             assert np.abs(mult.apply(v) - complex_filter.ravel()).max() \
                 < 1e-12
             assert np.array_equal(mult.apply_transpose(v), mult.apply(v))
+
+
+def test_multiplier_block_must_match_the_trailing_grid_axes():
+    grid = Grid(dim=2, points_per_axis=16)
+    for shape in ((8,), (16, 8), (16, 16, 16)):
+        with pytest.raises(ValueError):
+            FourierMultiplier(grid, np.ones(shape))

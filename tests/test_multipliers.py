@@ -4,7 +4,7 @@ import numpy as np
 
 from anisoradon.numerics import Grid, pjk_multiplier, qj_multiplier
 from anisoradon.numerics.cutoffs import phi_radial
-from anisoradon.numerics.operators import _broadcast_ydd, _scaled_ydd_radius
+from anisoradon.numerics.operators import _scaled_ydd_radius
 from anisoradon.specfile import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -16,15 +16,13 @@ def partition_check(grid: Grid, n_prime: int, beta_dprime, j: int,
                     kmax: int) -> dict:
     """Telescoping of Qj + sum_k Pjk against the widened low-pass, and
     against the identity once the widened support covers the grid."""
-    qj = qj_multiplier(grid, n_prime, beta_dprime, j)
-    total = qj.symbol.copy()
+    total = qj_multiplier(grid, n_prime, beta_dprime, j).ydd_block.copy()
     for k in range(kmax + 1):
-        total = total + pjk_multiplier(grid, n_prime, beta_dprime, j, k).symbol
+        total += pjk_multiplier(grid, n_prime, beta_dprime, j, k).ydd_block
     # the telescoped sum equals the low-pass widened by 2^(kmax+1)
-    rad = _scaled_ydd_radius(grid, n_prime, beta_dprime, j)
-    block = phi_radial(np.ldexp(rad, -(kmax + 1)))
-    widened_sym = _broadcast_ydd(grid, n_prime, block)
-    telescope_dev = float(np.abs(total - widened_sym).max())
+    rad = _scaled_ydd_radius(grid, beta_dprime, j)
+    widened = phi_radial(np.ldexp(rad, -(kmax + 1)))
+    telescope_dev = float(np.abs(total - widened).max())
     covers = np.ldexp(1.0, kmax + j * min(beta_dprime)) \
         >= 2.0 * grid.max_frequency
     identity_dev = float(np.abs(total - 1.0).max()) if covers else None
@@ -35,19 +33,24 @@ def partition_check(grid: Grid, n_prime: int, beta_dprime, j: int,
 
 def test_qj_symbol_at_zero_frequency():
     q = qj_multiplier(GRID, 1, SPEC.beta_dprime, 0)
-    assert q.symbol.reshape(GRID.shape())[0, 0] == 1.0
+    assert q.ydd_block.shape == (GRID.points_per_axis,)
+    assert q.ydd_block[0] == 1.0
 
 
 def test_qj_symbol_depends_on_ydd_only():
+    # on a product a(x') b(x'') the multiplier filters b and leaves a alone
     q = qj_multiplier(GRID, 1, SPEC.beta_dprime, 1)
-    sym = q.symbol.reshape(GRID.shape())
-    assert np.all(sym == sym[:1, :])
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((2, GRID.points_per_axis))
+    filtered_b = np.fft.ifft(np.fft.fft(b) * q.ydd_block).real
+    got = q.apply(np.outer(a, b).ravel()).reshape(GRID.shape())
+    assert np.abs(got - np.outer(a, filtered_b)).max() < 1e-12
 
 
 def test_pjk_shell_support():
     j, k = 1, 2
     p = pjk_multiplier(GRID, 1, SPEC.beta_dprime, j, k)
-    sym = p.symbol.reshape(GRID.shape())[0]
+    sym = p.ydd_block
     freq = GRID.frequencies()
     scaled = np.abs(np.ldexp(freq, -j * SPEC.beta_dprime[0]))
     live = sym > 0

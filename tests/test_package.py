@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -6,8 +7,8 @@ import anisoradon
 import anisoradon.cli
 import anisoradon.numerics
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" \
-    / "layertrace.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def test_every_exported_name_resolves():
@@ -34,3 +35,20 @@ def test_benchmark_trace_targets_resolve():
             tracer.uninstall()
     finally:
         del sys.modules[name]
+
+
+def test_no_private_cross_module_imports():
+    # a module that needs another module's private name should get it made
+    # public, or the code should move
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith(
+                    "anisoradon"):
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {a.name}"
+                      for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    assert found == []

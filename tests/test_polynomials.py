@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisoradon.polynomials import (Monomial, Polynomial, is_quasihomogeneous,
                                     lambda_basis, quasidegree_decompose)
@@ -178,3 +181,99 @@ def test_ring_ops_and_order():
     c = poly(1, 1, (1, [0], [0], [2]), (1, [1], [0], [0]), (2, [0], [1], [1]))
     assert [m.exponents for m in c.monomials()] == [
         ((1,), (0,), (0,)), ((0,), (0,), (2,)), ((0,), (1,), (1,))]
+
+
+# -- properties against sympy --------------------------------------------------
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def polys_and_points(draw, batch: int = 1):
+    """A random polynomial with n', n'' <= 2 and `batch` rational points,
+    each a flat coordinate list in the order (x', x'', y')."""
+    n_p, n_d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    nvars = 2 * n_p + n_d
+    terms = draw(st.lists(
+        st.tuples(FRACTIONS, st.lists(st.integers(0, 3), min_size=nvars,
+                                      max_size=nvars)), max_size=5))
+    p = Polynomial.from_monomials(n_p, n_d, [
+        Monomial(c, tuple(e[:n_p]), tuple(e[n_p:n_p + n_d]),
+                 tuple(e[n_p + n_d:])) for c, e in terms])
+    points = draw(st.lists(st.lists(FRACTIONS, min_size=nvars,
+                                    max_size=nvars),
+                           min_size=batch, max_size=batch))
+    return p, points
+
+
+def _sympy_expr(p: Polynomial, gens):
+    return sum((sympy.Rational(m.coeff.numerator, m.coeff.denominator)
+                * sympy.Mul(*(g ** e for g, e in
+                              zip(gens, m.exp_x + m.exp_xx + m.exp_y)))
+                for m in p.monomials()), sympy.Integer(0))
+
+
+def _gens(p: Polynomial):
+    return sympy.symbols(f"x:{p.n_prime} X:{p.n_dprime} y:{p.n_prime}")
+
+
+def _split(p: Polynomial, flat):
+    n_p, n_d = p.n_prime, p.n_dprime
+    return flat[:n_p], flat[n_p:n_p + n_d], flat[n_p + n_d:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_and_points())
+def test_exact_evaluate_matches_sympy(case):
+    p, (point,) = case
+    gens = _gens(p)
+    want = _sympy_expr(p, gens).subs(
+        {g: sympy.Rational(v.numerator, v.denominator)
+         for g, v in zip(gens, point)})
+    got = p.evaluate(*_split(p, point))
+    assert isinstance(got, Fraction)
+    assert got == Fraction(int(want.p), int(want.q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_and_points())
+def test_partial_derivative_matches_sympy_diff(case):
+    p, _ = case
+    gens = _gens(p)
+    expr = _sympy_expr(p, gens)
+    blocks = ([("x", i) for i in range(p.n_prime)]
+              + [("xx", i) for i in range(p.n_dprime)]
+              + [("y", i) for i in range(p.n_prime)])
+    for (block, i), g in zip(blocks, gens):
+        got = _sympy_expr(p.partial_derivative(block, i), gens)
+        assert sympy.expand(got - sympy.diff(expr, g)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_and_points(batch=5))
+def test_float_evaluate_over_a_batch_matches_exact(case):
+    # the float path over arrays of points agrees with the exact value at
+    # each point, to 1e-12 of the sum of the absolute terms there (the
+    # scale of its rounding error, also when the terms cancel)
+    p, points = case
+    columns = [np.array([float(pt[c]) for pt in points])
+               for c in range(len(points[0]))]
+    got = p.evaluate(*_split(p, columns))
+    assert got.shape == (len(points),)
+    size = Polynomial(p.n_prime, p.n_dprime,
+                      {m.exponents: abs(m.coeff) for m in p.monomials()})
+    for value, point in zip(got, points):
+        exact = p.evaluate(*_split(p, point))
+        scale = size.evaluate(*_split(p, [abs(v) for v in point]))
+        assert abs(value - float(exact)) <= 1e-12 * float(scale)
+
+
+def test_float_evaluate_broadcasts_to_the_full_shape():
+    # a monomial that skips a coordinate, and a constant, still fill the
+    # broadcast shape of all coordinates
+    p = poly(1, 1, (3, [0], [0], [0]), (Fraction(1, 2), [1], [0], [0]))
+    x, xx, y = np.arange(3.0).reshape(3, 1, 1), np.ones((1, 4, 1)), 2.0
+    got = p.evaluate([x], [xx], [np.full((1, 1, 5), y)])
+    assert got.shape == (3, 4, 5)
+    assert np.array_equal(got, np.broadcast_to(3.0 + 0.5 * x, (3, 4, 5)))
+    assert p.evaluate([0.5], [1.0], [2.0]).shape == ()
