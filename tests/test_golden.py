@@ -71,6 +71,14 @@ CASES["iso_2_1_b3/sobolev"] = [
 # of the shear solves a 2 x 2 system at every sample
 CASES["shear_1_2/dual-check"] = [
     "dual-check", "--spec", "tests/golden/inputs/shear_1_2.json"]
+# the slab build at n' = 2 (two y'-axes) and at n'' = 2 (two x''-slots
+# and four interpolation corners), with the TjPjk rows
+CASES["iso_2_1_b3/verify"] = [
+    "verify", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--grid", "16",
+    "--jmax", "3", "--kmax", "1", "--rank", "2", "--norms", "11,oooo,1oo,22"]
+CASES["shear_1_2/verify"] = [
+    "verify", "--spec", "tests/golden/inputs/shear_1_2.json", "--grid", "16",
+    "--jmax", "3", "--kmax", "1", "--rank", "1", "--norms", "11,oooo,1oo,22"]
 # weights only, no spec: the genericity block and its threshold table
 CASES["generic/n-range"] = [
     "generic", "--alpha-prime", "1", "--alpha-dprime", "1,1",
