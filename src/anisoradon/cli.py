@@ -16,12 +16,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (AnisoradonError, DilationCapError, HomogeneityViolation,
-                     NumericalError, ResolutionError, SchemaError,
-                     SingularMapError, VanishingPrincipalPart,
-                     WeightOrderViolation)
-from .exponents import check_homogeneity, genericity_report, riesz_region
-from .hessian import generic_rank_trial
+from .errors import (AnisoradonError, DilationCapError, NumericalError,
+                     ResolutionError, SchemaError, SingularMapError)
+from .exponents import OperatorSpec, genericity_report, riesz_region
+from .hessian import COEFFICIENT_BOUND, generic_rank_trial
 from .numerics import (Grid, decay_table, dual_principal_check,
                        fit_decay_rows, knapp_exponent_table)
 from .numerics.norms import normalize_pair
@@ -30,8 +28,6 @@ from .report import (analyze_report, genericity_block, region_block,
 from .scaling import MultiIndex, Weights
 from .specfile import load_spec, parse_rational, rational_str
 
-_SCHEMA_ERRORS = (SchemaError, HomogeneityViolation, VanishingPrincipalPart,
-                  WeightOrderViolation)
 _NUMERIC_ERRORS = (NumericalError, ResolutionError, SingularMapError,
                    DilationCapError, MemoryError)
 
@@ -91,7 +87,6 @@ def _refuse_below_one(**counts: int) -> None:
 
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
-    check_homogeneity(spec)  # invalid specs exit 1 before any sampling
     report = analyze_report(spec, samples=args.samples, seed=args.seed)
     _emit(report_json(report), args.out)
     return 0
@@ -156,7 +151,7 @@ def _cmd_sample_generic(args) -> int:
         "tuples": rep.tuples,
         "points_per_tuple": rep.points_per_tuple,
         "seed": rep.seed,
-        "coefficient_bound": rep.coefficient_bound,
+        "coefficient_bound": COEFFICIENT_BOUND,
         "trial_min_rank_histogram": {str(k): v for k, v
                                      in sorted(rep.trial_min_ranks.items())},
         "evaluation_rank_histogram": {str(k): v for k, v in
@@ -168,20 +163,41 @@ def _cmd_sample_generic(args) -> int:
     return 0
 
 
+def _predicted_context(spec: OperatorSpec, family: str, pair: str,
+                       rank: int | None) -> str:
+    """The paper's decay laws for one (family, pair), as CSV text."""
+    a_p, b_p, b_dd = spec.weight_sums()
+    if pair == "11":
+        return f"j-slope<=-|alpha'|={-a_p}"
+    if pair == "oooo":
+        return f"j-slope<=-|beta'|={-b_p}"
+    if pair == "1oo":
+        if family == "TjQj":
+            return f"j-slope=+|beta''|={b_dd}"
+        return f"j-slope=+|beta''|={b_dd};k-slope=+n''={spec.n_dprime}"
+    base = f"j-slope<=-(|alpha'|+|beta'|)/2={-(a_p + b_p) / 2}"
+    if family == "TjPjk" and rank is not None:
+        base += f";k-slope<=-r/2={-rank / 2}"
+    return base
+
+
 def _cmd_verify(args) -> int:
+    _refuse_below_one(jmax=args.jmax)
+    pairs = tuple(normalize_pair(tok) for tok in args.norms.split(",") if tok)
+    if not pairs:
+        raise SchemaError(f"--norms {args.norms!r} names no norm pair")
     spec = _load_ranked_spec(args)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=args.grid,
                 half_width=args.half_width)
-    pairs = tuple(normalize_pair(tok) for tok in args.norms.split(",") if tok)
-    families = ("TjQj", "TjPjk") if args.kmax >= 0 else ("TjQj",)
-    rows = decay_table(spec, grid, jmax=args.jmax, kmax=max(args.kmax, 0),
-                       pairs=pairs, families=families, rank=args.rank)
+    rows = decay_table(spec, grid, jmax=args.jmax, kmax=args.kmax,
+                       pairs=pairs)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["j", "k", "normPair", "value", "predictedSlopeContext"])
     for r in rows:
+        law = _predicted_context(spec, r.family, r.pair, args.rank)
         flag = "" if r.converged else ";unconverged"
-        ctx = f"family={r.family};{r.context}{flag};resolved={int(r.resolved)}"
+        ctx = f"family={r.family};{law}{flag};resolved={int(r.resolved)}"
         writer.writerow([r.j, "" if r.k is None else r.k, r.pair,
                          repr(r.value), ctx])
     _emit(buf.getvalue(), args.out)
@@ -326,13 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisNotSatisfied as exc:
         sys.stderr.write(_error_json(exc))
         return 3
-    except _SCHEMA_ERRORS as exc:
-        sys.stderr.write(_error_json(exc))
-        return 1
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(_error_json(exc))
         return 2
-    except ValueError as exc:
+    except (ValueError, AnisoradonError) as exc:
         sys.stderr.write(_error_json(exc))
         return 1
 

@@ -84,8 +84,7 @@ def check_homogeneity(spec: OperatorSpec) -> tuple[Polynomial, ...]:
             raise HomogeneityViolation(
                 f"component {l} has monomials at quasidegree {min(low)} "
                 f"below the target {target}; the rescaling limit diverges")
-        part = decomp.get(target, Polynomial.zero(spec.n_prime,
-                                                  spec.n_dprime))
+        part = decomp.get(target, Polynomial(spec.n_prime, spec.n_dprime))
         principal.append(part)
         any_nonzero = any_nonzero or not part.is_zero()
     if not any_nonzero:
@@ -277,10 +276,7 @@ class GenericityReport:
 
 
 def genericity_report(w: Weights) -> GenericityReport:
-    k1 = 1
-    for e in (tuple(w.alpha_prime) + tuple(w.alpha_dprime)
-              + tuple(w.beta_prime)):
-        k1 = k1 * e // math.gcd(k1, e)
+    k1 = math.lcm(*w.alpha_prime, *w.alpha_dprime, *w.beta_prime)
     residues = frozenset((a + b) % k1 for a in w.alpha_prime
                          for b in w.beta_prime)
     return GenericityReport(

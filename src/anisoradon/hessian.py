@@ -66,6 +66,8 @@ CHUNK_ENTRIES = 2 ** 16
 # modulus of the rank screen: residues below 2^31 multiply without
 # overflowing int64
 SCREEN_PRIME = 2 ** 31 - 1
+# the bound M of the trial coefficients, uniform on {-M..M} \ {0}
+COEFFICIENT_BOUND = 10
 
 
 def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
@@ -332,6 +334,7 @@ class RankSampleReport:
     witness: tuple[Point, tuple[Fraction, ...]]
     samples_tried: int
     seed: int
+    rank_counts: Counter  # rank -> number of points evaluated at that rank
 
 
 @dataclass
@@ -339,7 +342,6 @@ class GenericRankReport:
     tuples: int
     points_per_tuple: int
     seed: int
-    coefficient_bound: int
     trial_min_ranks: Counter = field(default_factory=Counter)
     evaluation_ranks: Counter = field(default_factory=Counter)
 
@@ -399,8 +401,7 @@ def _shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
 
 
 def min_rank_sample(h: BoundHessian, samples: int, seed: int,
-                    include_probes: bool = True,
-                    _report_ranks: Counter | None = None) -> RankSampleReport:
+                    include_probes: bool = True) -> RankSampleReport:
     """Minimal observed rank over sampled shell points.
 
     The result is an upper bound certificate for the true minimal rank off
@@ -418,11 +419,11 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
     best_rank = n_p + 1
     best_witness = None
     tried = 0
+    counts: Counter = Counter()
     while chunk := list(itertools.islice(points, per_chunk)):
         ranks = _screened_ranks(h.evaluate(*zip(*chunk)))
         tried += len(chunk)
-        if _report_ranks is not None:
-            _report_ranks.update(ranks.tolist())
+        counts.update(ranks.tolist())
         first = int(np.argmin(ranks))  # the first minimal rank in draw order
         if ranks[first] < best_rank:
             best_rank = int(ranks[first])
@@ -435,7 +436,8 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
 
     assert best_witness is not None
     return RankSampleReport(min_rank=best_rank, witness=best_witness,
-                            samples_tried=tried, seed=seed)
+                            samples_tried=tried, seed=seed,
+                            rank_counts=counts)
 
 
 def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
@@ -467,7 +469,8 @@ def _trial_coefficients(sizes: Sequence[int], seed: int, trial_index: int,
 
 def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
                         trial_index: int,
-                        coefficient_bound: int = 10) -> tuple[Polynomial, ...]:
+                        coefficient_bound: int = COEFFICIENT_BOUND
+                        ) -> tuple[Polynomial, ...]:
     """The random weighted-homogeneous tuple of trial ``trial_index``.
 
     Its coefficients on each monomial basis are those that
@@ -484,8 +487,8 @@ def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
 
 
 def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
-                       tuples: int, points_per_tuple: int, seed: int,
-                       coefficient_bound: int = 10) -> GenericRankReport:
+                       tuples: int, points_per_tuple: int,
+                       seed: int) -> GenericRankReport:
     """Monte-Carlo exploration of the minimal Hessian rank over random
     coefficient tuples on the weighted-homogeneous monomial basis.
 
@@ -496,13 +499,12 @@ def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
     bases = _weighted_bases(w, beta_dprime)
     compiled = _CompiledHessian(w, [[_flat(m) for m in b] for b in bases])
     report = GenericRankReport(tuples=tuples,
-                               points_per_tuple=points_per_tuple, seed=seed,
-                               coefficient_bound=coefficient_bound)
+                               points_per_tuple=points_per_tuple, seed=seed)
     for t in range(tuples):
         h = compiled.bind(_trial_coefficients(
-            compiled.sizes, seed, t, coefficient_bound))
+            compiled.sizes, seed, t, COEFFICIENT_BOUND))
         sub = min_rank_sample(h, points_per_tuple, seed=(seed * 1000003 + t),
-                              include_probes=False,
-                              _report_ranks=report.evaluation_ranks)
+                              include_probes=False)
+        report.evaluation_ranks.update(sub.rank_counts)
         report.trial_min_ranks[sub.min_rank] += 1
     return report

@@ -1,13 +1,13 @@
 """Decay-law measurements, box-pair (Knapp) integrals and duality checks.
 
-The decay tables measure norms of the dyadic pieces T_j Q_j and T_j P_jk and
-fit log2(norm) against the slab index; comparisons against the predicted
-exponents happen in the caller (tests, CLI).  Each row carries a resolution
-flag: a frequency projection is only meaningful while its symbol support fits
-inside the grid's frequency range, and fits of frequency-side growth laws
-must be restricted to the resolved rows.  The duality check draws all its
-samples in one block and inverts the shear by Newton iteration over all of
-them at once.
+The decay tables measure norms of the dyadic pieces T_j Q_j (j = 1..jmax)
+and T_j P_jk (k = 0..kmax) and fit log2(norm) against the slab index; the
+predicted exponents are written next to the rows by the CLI.  Each row
+carries a resolution flag: a frequency projection is only meaningful while
+its symbol support fits inside the grid's frequency range, and fits of
+frequency-side growth laws must be restricted to the resolved rows.  The
+duality check draws all its samples in one block and inverts the shear by
+Newton iteration over all of them at once.
 """
 
 from __future__ import annotations
@@ -21,11 +21,16 @@ from ..errors import NumericalError, ResolutionError, SingularMapError
 from ..exponents import OperatorSpec, check_homogeneity
 from .cutoffs import phi0
 from .grid import Grid
-from .norms import decay_slope, normalize_pair, operator_norm
+from .norms import decay_slope, operator_norm
 from .operators import (ComposedOperator, discretize_tj, pjk_multiplier,
                         qj_multiplier)
 
 BOX_UNDERFLOW = 2.0 ** -40
+# the duality check samples (x', y'', y') uniformly from [-DUAL_BOX, DUAL_BOX]
+# and stops Newton at a residual of NEWTON_TOL within NEWTON_MAX_STEPS steps
+DUAL_BOX = 0.5
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 50
 
 
 # -- resolution flags -----------------------------------------------------------
@@ -52,28 +57,7 @@ class DecayRow:
     pair: str
     value: float
     resolved: bool
-    context: str
     converged: bool      # False: Lanczos stopped at its cap of products
-
-
-def _predicted_context(spec: OperatorSpec, family: str, pair: str,
-                       rank: int | None) -> str:
-    a_p, b_p, b_dd = spec.weight_sums()
-    n_dd = spec.n_dprime
-    if pair == "11":
-        return f"j-slope<=-|alpha'|={-a_p}"
-    if pair == "oooo":
-        return f"j-slope<=-|beta'|={-b_p}"
-    if pair == "1oo":
-        if family == "TjQj":
-            return f"j-slope=+|beta''|={b_dd}"
-        return f"j-slope=+|beta''|={b_dd};k-slope=+n''={n_dd}"
-    if pair == "22":
-        base = f"j-slope<=-(|alpha'|+|beta'|)/2={-(a_p + b_p) / 2}"
-        if family == "TjPjk" and rank is not None:
-            base += f";k-slope<=-r/2={-rank / 2}"
-        return base
-    return ""
 
 
 def _norm_with_flag(comp, pair: str) -> tuple[float, bool]:
@@ -87,46 +71,39 @@ def _norm_with_flag(comp, pair: str) -> tuple[float, bool]:
         return float(exc.last_value), False
 
 
-def _pieces(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
-            families: tuple[str, ...]):
+def _pieces(spec: OperatorSpec, grid: Grid, j: int, kmax: int):
     """The frequency pieces (family, k, multiplier, resolved) of slab j, in
     row order.  Each multiplier is built only when its turn comes."""
     n_p, b_dd = spec.n_prime, spec.beta_dprime
-    if "TjQj" in families:
-        yield ("TjQj", None, qj_multiplier(grid, n_p, b_dd, j),
-               q_resolved(grid, b_dd, j))
-    if "TjPjk" in families:
-        for k in range(kmax + 1):
-            yield ("TjPjk", k, pjk_multiplier(grid, n_p, b_dd, j, k),
-                   p_shell_resolved(grid, b_dd, j, k))
+    yield ("TjQj", None, qj_multiplier(grid, n_p, b_dd, j),
+           q_resolved(grid, b_dd, j))
+    for k in range(kmax + 1):
+        yield ("TjPjk", k, pjk_multiplier(grid, n_p, b_dd, j, k),
+               p_shell_resolved(grid, b_dd, j, k))
 
 
-def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = 0,
-                pairs: tuple[str, ...] = ("11", "oooo", "1oo"),
-                families: tuple[str, ...] = ("TjQj",),
-                rank: int | None = None, jmin: int = 1) -> list[DecayRow]:
-    """Measure norms of the dyadic pieces over a (j, k) range."""
-    pairs = tuple(normalize_pair(p) for p in pairs)
+def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
+                pairs: tuple[str, ...] = ("11", "oooo", "1oo")
+                ) -> list[DecayRow]:
+    """Measure norms of T_j Q_j for j = 1..jmax and of T_j P_jk for
+    k = 0..kmax (none when kmax < 0)."""
     rows: list[DecayRow] = []
-    for j in range(jmin, jmax + 1):
+    for j in range(1, jmax + 1):
         tj = discretize_tj(spec, grid, j)
-        for family, k, multiplier, res in _pieces(spec, grid, j, kmax,
-                                                  families):
+        for family, k, multiplier, res in _pieces(spec, grid, j, kmax):
             comp = ComposedOperator(tj, multiplier)
             for pair in pairs:
                 value, converged = _norm_with_flag(comp, pair)
-                ctx = _predicted_context(spec, family, pair, rank)
-                rows.append(DecayRow(family, j, k, pair, value, res, ctx,
+                rows.append(DecayRow(family, j, k, pair, value, res,
                                      converged))
     return rows
 
 
 def fit_decay_rows(rows: list[DecayRow], family: str, pair: str,
                    over: str = "j", fixed_j: int | None = None,
-                   resolved_only: bool = False,
-                   drop_zero: bool = True):
-    """Least-squares slope of log2(norm) in j (or in k at fixed j)."""
-    pair = normalize_pair(pair)
+                   resolved_only: bool = False):
+    """Least-squares slope of log2(norm) in j (or in k at fixed j), over
+    the rows with a nonzero norm."""
     samples = []
     for row in rows:
         if row.family != family or row.pair != pair:
@@ -143,7 +120,7 @@ def fit_decay_rows(rows: list[DecayRow], family: str, pair: str,
             idx = row.k
         else:
             raise ValueError("over must be 'j' or 'k'")
-        if drop_zero and row.value == 0.0:
+        if row.value == 0.0:
             continue
         samples.append((idx, row.value))
     return decay_slope(samples)
@@ -180,21 +157,15 @@ def knapp_integral(spec: OperatorSpec, t: float, epsilon_box: float = 0.5,
         pts = (np.arange(nodes_per_axis) + 0.5) / nodes_per_axis - 0.5
         arr = (pts * side).reshape((1,) * d + (-1,) + (1,) * (ndims - d - 1))
         axes.append(arr)
-    shape = (nodes_per_axis,) * ndims
 
-    integrand = np.ones(shape)
-    rho = spec.psi_radius
-    for d in range(ndims):
-        integrand = integrand * phi0(axes[d] / rho)
+    # the cutoff on every axis, then the target-box indicator of each x''-slot
+    factors = [phi0(a / spec.psi_radius) for a in axes]
     for l in range(n_d):
         target = axes[n_p + l] + spec.s[l].evaluate(
             axes[:n_p], axes[n_p:n_p + n_d], axes[n_p + n_d:])
         half = epsilon_box * 2.0 ** (spec.beta_dprime[l] * t) / 2.0
-        integrand = integrand * (np.abs(target) <= half)
-    volume = 1.0
-    for side in sides:
-        volume *= side
-    return float(integrand.mean() * volume)
+        factors.append(np.abs(target) <= half)
+    return float(math.prod(factors).mean() * math.prod(sides))
 
 
 def knapp_exponent_table(spec: OperatorSpec, t_min: int, t_max: int,
@@ -221,18 +192,16 @@ def knapp_exponent_table(spec: OperatorSpec, t_min: int, t_max: int,
 # -- duality ----------------------------------------------------------------------
 
 def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
-                         yp: np.ndarray, target: np.ndarray,
-                         tol: float = 1e-12,
-                         max_steps: int = 50) -> np.ndarray:
+                         yp: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Solve x'' + S(x', x'', y') = target for x'' by Newton iteration at
     every sample at once; coordinate arrays have shape (n, points) and
-    partials[l][m] is dS_l/dx''_m.  A sample whose residual is within tol
-    takes no further step."""
+    partials[l][m] is dS_l/dx''_m.  A sample whose residual is within
+    NEWTON_TOL takes no further step."""
     xdd = target.copy()
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         residual = xdd + np.array([s.evaluate(xp, xdd, yp)
                                    for s in spec.s]) - target
-        live = np.max(np.abs(residual), axis=0) > tol
+        live = np.max(np.abs(residual), axis=0) > NEWTON_TOL
         if not live.any():
             return xdd
         at = (xp[:, live], xdd[:, live], yp[:, live])
@@ -246,11 +215,12 @@ def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
         if not np.all(np.isfinite(xdd)):
             raise SingularMapError("Newton iterate diverged")
     raise SingularMapError(
-        f"Newton inversion did not reach tolerance {tol} in {max_steps} steps")
+        f"Newton inversion did not reach tolerance {NEWTON_TOL} in "
+        f"{NEWTON_MAX_STEPS} steps")
 
 
 def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
-                         seed: int = 0, box: float = 0.5) -> float:
+                         seed: int = 0) -> float:
     """Max deviation between the rescaled dual shear and minus the principal
     part.
 
@@ -269,7 +239,8 @@ def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
         key=np.array([np.uint64(seed), np.uint64(11)], dtype=np.uint64)))
     # one row per sample: x', y'', y', in the order of per-sample draws
     xp, ydd, yp = np.split(
-        rng.uniform(-box, box, size=(sample_points, 2 * n_p + n_d)).T,
+        rng.uniform(-DUAL_BOX, DUAL_BOX,
+                    size=(sample_points, 2 * n_p + n_d)).T,
         [n_p, n_p + n_d])
     xp_s = np.ldexp(xp, [[-j * a] for a in w.alpha_prime])
     ydd_s = np.ldexp(ydd, [[-j * a] for a in w.alpha_dprime])

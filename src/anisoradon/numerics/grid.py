@@ -7,6 +7,7 @@ are the standard DFT set scaled by pi/L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,13 @@ class Grid:
             raise ValueError("dimension must be positive")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two >= 8")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        try:
+            volume = self.cell_volume
+        except OverflowError:
+            volume = math.inf
+        if not (0 < self.half_width < math.inf and 0 < volume < math.inf):
+            raise ValueError(f"half_width {self.half_width} must be positive "
+                             "and finite, with a positive finite cell volume")
 
     @property
     def spacing(self) -> float:

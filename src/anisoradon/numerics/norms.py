@@ -34,7 +34,7 @@ def normalize_pair(pair: str) -> str:
     return pair
 
 
-def largest_singular_value(op, maxiter: int = 500, seed: int = 0) -> float:
+def largest_singular_value(op, maxiter: int = 500) -> float:
     """Largest singular value via restarted Lanczos on op^T op with full
     reorthogonalization (Golub-Van Loan, Matrix Computations, 10.1).
 
@@ -43,7 +43,7 @@ def largest_singular_value(op, maxiter: int = 500, seed: int = 0) -> float:
     that takes more than maxiter products with op^T op.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array(
-        [np.uint64(seed), np.uint64(0x9E3779B97F4A7C15)], dtype=np.uint64)))
+        [np.uint64(0), np.uint64(0x9E3779B97F4A7C15)], dtype=np.uint64)))
     v = rng.standard_normal(op.grid.size)
     basis = np.empty((_KRYLOV_DIM, v.size))
     basis[0] = v / np.linalg.norm(v)
@@ -71,11 +71,11 @@ def largest_singular_value(op, maxiter: int = 500, seed: int = 0) -> float:
         f"(last estimate {last})", last_value=last)
 
 
-def operator_norm(op, pair: str, maxiter: int = 500, seed: int = 0) -> float:
+def operator_norm(op, pair: str, maxiter: int = 500) -> float:
     """Quadrature-weighted operator norm of a grid operator."""
     pair = normalize_pair(pair)
     if pair == "22":
-        return largest_singular_value(op, maxiter=maxiter, seed=seed)
+        return largest_singular_value(op, maxiter=maxiter)
     if not isinstance(op, ComposedOperator):
         raise TypeError(
             f"absolute-kernel norms unavailable for {type(op).__name__}")

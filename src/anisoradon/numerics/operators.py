@@ -5,7 +5,9 @@ The averaging pieces act on grid functions by midpoint quadrature of the
 defining y'-integral, with the shifted argument x'' + S(x, y') evaluated by
 periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
-wherever the cutoff is, which the box-counting experiments rely on.
+wherever the cutoff is, which the box-counting experiments rely on.  The
+mesh is the product of per-axis node windows; cutoffs and index offsets are
+built from per-axis factors that broadcast, not from mesh-sized scratch.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -27,9 +29,9 @@ from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
-# A verify run peaks at about 220 B per mesh entry of its largest slab
-# (760 MB at 3.2 M entries, 516 MB at 2.1 M), so 2**23 entries keep a run
-# under about 2 GB.
+# A verify run peaks at about 180 B per mesh entry of its largest slab over a
+# 50 MB base (616 MB at 3.2 M entries, 418 MB at 2.1 M), so 2**23 entries
+# keep a run under about 1.6 GB.
 MAX_MESH_ENTRIES = 2 ** 23
 
 
@@ -195,18 +197,12 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     axes = [shaped(nodes[windows[c]], c) for c in range(ndims)]
     mesh_shape = tuple(len(w) for w in windows)
 
-    def product_cutoff(scale_j: int | None) -> np.ndarray:
-        out = np.ones(mesh_shape)
-        for c in range(ndims):
-            t = axes[c]
-            if scale_j is None:
-                out = out * phi0(t / rho)
-            else:
-                out = out * phi0(np.ldexp(t, scale_j * weights[c])
-                                 / (2.0 * rho))
-        return out
+    # tensor cutoffs: products of per-axis factors that broadcast
+    def product_cutoff(scale_j: int) -> np.ndarray:
+        return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
+                         for t, wt in zip(axes, weights))
 
-    psi = product_cutoff(None)
+    psi = math.prod(phi0(t / rho) for t in axes)
     if shell:
         cutoff = psi * (product_cutoff(j) - product_cutoff(j + 1))
     else:
@@ -217,16 +213,12 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
                                                          grid.size)))
 
-    # flat row index over the x-axes, flat y'-part of the column index
-    row_flat = np.zeros(mesh_shape, dtype=np.int64)
-    for c in range(n):
-        row_flat = row_flat + shaped(windows[c].astype(np.int64), c) \
-            * N ** (n - 1 - c)
-    col_yprime = np.zeros(mesh_shape, dtype=np.int64)
-    for i in range(n_p):
-        c = n + i
-        col_yprime = col_yprime + shaped(windows[c].astype(np.int64), c) \
-            * N ** (n - 1 - i)
+    # flat row index over the x-axes, flat y'-part of the column index; each
+    # broadcasts over the axes it does not depend on
+    row_flat = sum(shaped(windows[c].astype(np.int64), c) * N ** (n - 1 - c)
+                   for c in range(n))
+    col_yprime = sum(shaped(windows[n + i].astype(np.int64), n + i)
+                     * N ** (n - 1 - i) for i in range(n_p))
 
     # interpolation data per x''-slot
     corner_idx: list[tuple[np.ndarray, np.ndarray]] = []
@@ -241,6 +233,7 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         i1 = (i0 + 1) % N
         corner_idx.append((i0, i1))
         corner_wgt.append((1.0 - frac, frac))
+    del pos  # only the corner indices and weights are needed below
 
     base_val = cutoff * h ** n_p
     rows_out, cols_out, vals_out = [], [], []
@@ -251,7 +244,7 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
             val = val * corner_wgt[l][side]
             col = col + corner_idx[l][side] * N ** (n_d - 1 - l)
         rows_out.append(np.broadcast_to(row_flat, mesh_shape)[mask])
-        cols_out.append(col[mask])
+        cols_out.append(np.broadcast_to(col, mesh_shape)[mask])
         vals_out.append(val[mask])
 
     coo = sp.coo_matrix(

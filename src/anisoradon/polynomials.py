@@ -73,10 +73,6 @@ class Polynomial:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, n_prime: int, n_dprime: int) -> "Polynomial":
-        return cls(n_prime, n_dprime)
-
-    @classmethod
     def from_monomials(cls, n_prime: int, n_dprime: int,
                        monomials: Iterable[Monomial]) -> "Polynomial":
         terms: dict[ExponentTriple, Fraction] = {}

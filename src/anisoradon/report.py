@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Sequence
 
 from . import __version__
-from .errors import (HomogeneityViolation, VanishingPrincipalPart,
-                     WeightOrderViolation)
 from .exponents import (GenericityReport, OperatorSpec, check_homogeneity,
                         genericity_report, riesz_region, sobolev_smoothing)
 from .hessian import min_rank_sample, principal_hessian
 from .scaling import MultiIndex
 from .specfile import poly_to_terms, rational_str, spec_to_dict
+
+# the p at which ``analyze`` tabulates the Sobolev smoothing order
+ANALYZE_P_GRID = tuple(map(Fraction, ("6/5", "3/2", "2", "3", "6")))
 
 
 def _point_strs(point) -> dict:
@@ -66,7 +68,7 @@ def region_block(alpha_prime_sum: int, beta_prime_sum: int,
 
 
 def sobolev_block(spec: OperatorSpec, rank: int,
-                  p_grid: list[Fraction]) -> list[dict]:
+                  p_grid: Sequence[Fraction]) -> list[dict]:
     a_p, b_p, _ = spec.weight_sums()
     out = []
     for p in p_grid:
@@ -96,19 +98,15 @@ def genericity_block(rep: GenericityReport,
     return block
 
 
-def analyze_report(spec: OperatorSpec, samples: int, seed: int,
-                   p_grid: list[Fraction] | None = None) -> dict:
+def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
     """Full analysis: homogeneity, Hessian rank sampling, exponent region,
-    smoothing table and genericity quantities."""
+    smoothing table and genericity quantities.
+
+    A spec that fails the homogeneity conditions raises before anything is
+    sampled."""
+    principal = check_homogeneity(spec)
     report: dict = {"tool_version": __version__, "seed": seed,
                     "spec": spec_to_dict(spec)}
-    try:
-        principal = check_homogeneity(spec)
-    except (HomogeneityViolation, VanishingPrincipalPart,
-            WeightOrderViolation) as exc:
-        report["homogeneity"] = {"status": type(exc).__name__,
-                                 "message": str(exc)}
-        return report
     report["homogeneity"] = {
         "status": "ok",
         "principal_parts": [poly_to_terms(p) for p in principal],
@@ -125,16 +123,13 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int,
     a_p, b_p, b_dd = spec.weight_sums()
     report["region"] = region_block(a_p, b_p, b_dd, spec.n_dprime,
                                     sample.min_rank)
-    if p_grid is None:
-        p_grid = [Fraction(6, 5), Fraction(3, 2), Fraction(2),
-                  Fraction(3), Fraction(6)]
     report["sobolev"] = {"rank": sample.min_rank}
     if sample.min_rank < 1:
         report["sobolev"]["note"] = ("no sampled positive Hessian rank; "
                                      "smoothing table withheld")
     else:
         report["sobolev"]["table"] = sobolev_block(spec, sample.min_rank,
-                                                   p_grid)
+                                                   ANALYZE_P_GRID)
     report["genericity"] = genericity_block(genericity_report(spec.weights),
                                             spec.beta_dprime)
     return report
@@ -145,7 +140,7 @@ def report_json(report: dict) -> str:
 
 
 def riesz_svg(alpha_prime_sum: int, beta_prime_sum: int, beta_dprime_sum: int,
-              n_dprime: int, rank: int, size: int = 420) -> str:
+              n_dprime: int, rank: int) -> str:
     """Exponent-diagram figure: the boundedness polygon in the (1/p, 1/q)
     unit square with the restricted-weak-type vertices circled.
 
@@ -153,7 +148,7 @@ def riesz_svg(alpha_prime_sum: int, beta_prime_sum: int, beta_dprime_sum: int,
     """
     region = riesz_region(alpha_prime_sum, beta_prime_sum, beta_dprime_sum,
                           n_dprime, rank)
-    pad = 40
+    size, pad = 420, 40
     side = size - 2 * pad
 
     def xy(col: Fraction, row: Fraction) -> str:

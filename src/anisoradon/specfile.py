@@ -40,13 +40,13 @@ _OPTIONAL = ("psi_radius",)
 _TERM_KEYS = ("coeff", "x_prime", "x_dprime", "y_prime")
 
 
-def _int_list(doc, key: str, length: int, positive: bool = True) -> list[int]:
+def _int_list(doc, key: str, length: int) -> list[int]:
     val = doc[key]
     if not isinstance(val, list) or len(val) != length \
             or not all(isinstance(v, int) and not isinstance(v, bool)
                        for v in val):
         raise SchemaError(f"{key} must be a list of {length} integers")
-    if positive and any(v < 1 for v in val):
+    if any(v < 1 for v in val):
         raise SchemaError(f"{key} entries must be >= 1")
     return val
 

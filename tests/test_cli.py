@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from anisoradon.cli import main
+from anisoradon import cli, errors
+from anisoradon.cli import HypothesisNotSatisfied, main
 from anisoradon.numerics import operators
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -229,12 +231,56 @@ def test_dual_check_subcommand():
     assert set(rep["max_deviation_by_j"]) == {"1", "2", "3", "4", "5"}
 
 
+@pytest.mark.parametrize("half_width", ["inf", "1e-300", "1e200"])
+def test_verify_refuses_a_half_width_without_a_finite_cell_volume(half_width):
+    # inf printed all-zero norms; the cell volume 1e-300 underflows to 0 and
+    # 1e200 overflows
+    code, out, err = run_cli("verify", "--spec", REFERENCE_SPEC, "--grid",
+                             "16", f"--half-width={half_width}")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and "half_width" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["dual-check", "--points", "0"], ["dual-check", "--points", "-5"],
-    ["dual-check", "--jmax", "0"], ["sample-generic", "--tuples", "0"]])
+    ["dual-check", "--jmax", "0"], ["sample-generic", "--tuples", "0"],
+    ["verify", "--jmax", "0"], ["verify", "--norms", ","]])
 def test_vacuous_counts_are_refused(argv):
-    # an empty sample would print all-zero deviations or empty histograms
+    # an empty sample would print all-zero deviations, empty histograms or
+    # a header-only CSV
     code, out, err = run_cli(argv[0], "--spec", REFERENCE_SPEC, *argv[1:])
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "SchemaError"
+
+
+EXIT_CODES = {
+    errors.AnisoradonError: 1, errors.SchemaError: 1,
+    errors.HomogeneityViolation: 1, errors.VanishingPrincipalPart: 1,
+    errors.WeightOrderViolation: 1, errors.DegenerateSpace: 1,
+    errors.DegenerateDenominator: 1, errors.DilationCapError: 2,
+    errors.ResolutionError: 2, errors.NumericalError: 2,
+    errors.SingularMapError: 2, MemoryError: 2, ValueError: 1,
+    HypothesisNotSatisfied: 3,
+}
+
+
+def test_exit_code_map_covers_every_error_class():
+    classes = {c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, errors.AnisoradonError)}
+    assert classes <= set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc_type", list(EXIT_CODES),
+                         ids=lambda c: c.__name__)
+def test_exit_code_map(exc_type, monkeypatch):
+    def failing(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_generic", failing)
+    code, out, err = run_cli("generic", "--alpha-prime", "1",
+                             "--alpha-dprime", "1", "--beta-prime", "1")
+    assert code == EXIT_CODES[exc_type] and out == ""
+    assert json.loads(err) == {"error": exc_type.__name__, "message": "boom"}

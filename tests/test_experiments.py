@@ -143,10 +143,13 @@ def test_summation_by_parts_small_grid_matrices():
 def test_decay_table_rows_and_fits():
     spec = REFERENCE
     grid = Grid(dim=2, points_per_axis=64, half_width=2.0)
-    rows = decay_table(spec, grid, jmax=3, kmax=1, pairs=("11", "oooo"),
-                       families=("TjQj", "TjPjk"))
+    rows = decay_table(spec, grid, jmax=3, kmax=1, pairs=("11", "oooo"))
     families = {r.family for r in rows}
     assert families == {"TjQj", "TjPjk"}
+    # kmax = -1 (the default) gives no TjPjk rows
+    q_rows = decay_table(spec, grid, jmax=3, kmax=-1, pairs=("11", "oooo"))
+    assert q_rows == [r for r in rows if r.family == "TjQj"]
+    assert decay_table(spec, grid, jmax=3, pairs=("11", "oooo")) == q_rows
     fit = fit_decay_rows(rows, "TjQj", "11")
     assert fit.slope < 0  # decay, even on a coarse grid
     with pytest.raises(ValueError):
@@ -165,8 +168,7 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
     monkeypatch.setattr(FourierMultiplier, "ydd_kernel_matrix", counted)
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     rows = decay_table(REFERENCE, grid, jmax=3, kmax=1,
-                       pairs=("11", "oooo", "1oo"),
-                       families=("TjQj", "TjPjk"))
+                       pairs=("11", "oooo", "1oo"))
     assert len(rows) == 27
     assert len(kernels) == 9 == len(set(map(id, kernels)))
 
@@ -180,4 +182,4 @@ def test_decay_table_flags_unconverged_rows(monkeypatch):
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     rows = decay_table(REFERENCE, grid, jmax=2, pairs=("11", "22"))
     assert [r.converged for r in rows] == [True, False] * 2
-    assert all(r.value > 0 and "unconverged" not in r.context for r in rows)
+    assert all(r.value > 0 for r in rows)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,10 @@ def test_grid_validation():
         Grid(dim=2, points_per_axis=12)
     with pytest.raises(ValueError):
         Grid(dim=2, points_per_axis=4)
+    # the cell volume spacing**dim must be a positive finite float
+    for half_width in (0.0, -1.0, math.inf, math.nan, 1e-300, 1e200):
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(dim=2, points_per_axis=16, half_width=half_width)
     g = Grid(dim=2, points_per_axis=16, half_width=1.0)
     assert g.spacing == pytest.approx(0.125)
     assert g.size == 256

@@ -220,6 +220,9 @@ def test_min_rank_sample_witness_consistency():
     s = poly(2, 1, (1, [1, 0], [0], [1, 0]), (2, [0, 1], [0], [0, 1]))
     h = principal_hessian((s,), w, MultiIndex([2]))
     rep = min_rank_sample(h, 25, seed=4)
+    # every evaluated point, probes included, is counted at its rank
+    assert sum(rep.rank_counts.values()) == rep.samples_tried > 25
+    assert min(rep.rank_counts) == rep.min_rank
     point, eta = rep.witness
     assert rank_at(h, point, eta) == rep.min_rank
     coords = point[0] + point[1] + point[2]
@@ -366,6 +369,7 @@ def test_generic_rank_trial_rank_two():
     w = isotropic_weights(2, 1)
     rep = generic_rank_trial(w, MultiIndex([2]), tuples=5,
                              points_per_tuple=20, seed=5)
+    assert sum(rep.evaluation_ranks.values()) == 5 * 20
     assert rep.evaluation_fraction_at_least(2) > F(1, 2)
 
 
