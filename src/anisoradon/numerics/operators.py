@@ -197,7 +197,6 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     axes = [shaped(nodes[windows[c]], c) for c in range(ndims)]
     mesh_shape = tuple(len(w) for w in windows)
 
-    # tensor cutoffs: products of per-axis factors that broadcast
     def product_cutoff(scale_j: int) -> np.ndarray:
         return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
                          for t, wt in zip(axes, weights))
