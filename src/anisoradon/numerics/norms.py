@@ -10,7 +10,8 @@ except one:
   (2,2):     largest singular value (restarted Lanczos on A^T A).
 
 The first three are read off ``ComposedOperator.abs_stats``, which a
-composite computes once however many of them are asked for.
+composite computes once however many of them are asked for; only the (2,2)
+norm assembles the slab's sparse matrix.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.  The
 mesh is the product of per-axis node windows; cutoffs and index offsets are
-built from per-axis factors that broadcast, not from mesh-sized scratch.
+built from per-axis factors that broadcast, not from mesh-sized scratch.  A
+slab is kept as its nonzero mesh entries, y'-block after y'-block, which the
+absolute-kernel statistics read directly; its sparse matrix is assembled
+only when the slab is applied, as in the (2,2) norm.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -17,7 +20,6 @@ multiplication by the even part of the block, inverse real FFT.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -29,24 +31,31 @@ from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
-# A verify run peaks at about 180 B per mesh entry of its largest slab over a
-# 50 MB base (616 MB at 3.2 M entries, 418 MB at 2.1 M), so 2**23 entries
-# keep a run under about 1.6 GB.
+# A verify run peaks at about 100-115 B per mesh entry of its largest slab
+# over a 50 MB base (372 MB at 3.2 M entries, 285 MB at 2.1 M), so 2**23
+# entries keep a run under about 1 GB.
 MAX_MESH_ENTRIES = 2 ** 23
 
 
 # -- operator containers -------------------------------------------------------
 
 class SparseKernelOperator:
-    """Explicit (sparse) matrix acting on flattened grid functions."""
+    """A slab as its nonzero mesh entries, y'-block after y'-block.
 
-    def __init__(self, grid: Grid, matrix: sp.spmatrix):
+    Entry e is row ``rows[e]``; its 2^n'' interpolation corners lie in one
+    y'-block, at columns ``cols[e]`` with values ``vals[e]``.  The sparse
+    matrix is assembled from the entries only when first asked for."""
+
+    def __init__(self, grid: Grid, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray):
         self.grid = grid
-        self.matrix = matrix.tocsr()
+        self.rows, self.cols, self.vals = rows, cols, vals
 
     @functools.cached_property
-    def matrix_csc(self) -> sp.csc_matrix:
-        return self.matrix.tocsc()
+    def matrix(self) -> sp.csr_matrix:
+        rows = np.repeat(self.rows, self.cols.shape[1])
+        return sp.coo_matrix((self.vals.ravel(), (rows, self.cols.ravel())),
+                             shape=(self.grid.size,) * 2).tocsr()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -133,27 +142,29 @@ class ComposedOperator:
         """(max column sum, max row sum, max entry) of the absolute kernel of
         a slab composed with a y''-only multiplier, computed once.
 
-        The product is never materialized: its absolute column sums, row sums
-        and entries are streamed one y'-block at a time through the dense
-        y''-kernel of the multiplier."""
+        The product is never materialized.  Each y'-block is a contiguous
+        run of the slab's entries: one row per entry, its corners as the
+        columns, multiplied by the dense y''-kernel of the multiplier."""
         left, right = self.left, self.right
         if not (isinstance(left, SparseKernelOperator)
                 and isinstance(right, FourierMultiplier)):
             raise TypeError("no absolute-kernel norms for this composite")
         kernel = right.ydd_kernel_matrix()
         n_block = kernel.shape[0]
-        a = left.matrix_csc
+        n_corners = left.cols.shape[1]
+        # y'-block bounds: 0, each entry that starts a new block, the end
+        ends = np.flatnonzero(np.diff(left.cols[:, 0] // n_block,
+                                      prepend=-1, append=-1))
         rowsums = np.zeros(self.grid.size)
         max_col = max_abs = 0.0
-        for b in range(self.grid.size // n_block):
-            sub = a[:, b * n_block:(b + 1) * n_block]
-            if sub.nnz == 0:
-                continue
-            sub_csr = sub.tocsr()
-            rows_nz = np.unique(sub.indices)
-            g = np.abs(sub_csr[rows_nz, :] @ kernel)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            sub = sp.csr_matrix(
+                (left.vals[lo:hi].ravel(), left.cols[lo:hi].ravel() % n_block,
+                 np.arange(0, (hi - lo) * n_corners + 1, n_corners)),
+                shape=(hi - lo, n_block))
+            g = np.abs(sub @ kernel)
             max_col = max(max_col, float(g.sum(axis=0).max()))
-            rowsums[rows_nz] += g.sum(axis=1)
+            rowsums[left.rows[lo:hi]] += g.sum(axis=1)
             max_abs = max(max_abs, float(g.max()))
         return max_col, float(rowsums.max()), max_abs
 
@@ -178,7 +189,7 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     L = grid.half_width
     rho = spec.psi_radius
     nodes = grid.nodes()
-    ndims = n + n_p  # mesh dims: x' x'' then y'
+    ndims = n + n_p  # mesh axes: x' x'' then y'
 
     # per-axis windows limited by supp(psi) (2 rho) and the outer phi shell
     windows: list[np.ndarray] = []
@@ -191,66 +202,53 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         raise MemoryError(f"slab j={j} needs {entries} mesh entries, more "
                           f"than the limit of {MAX_MESH_ENTRIES}")
 
-    def shaped(arr: np.ndarray, dim: int) -> np.ndarray:
+    def shaped(arr: np.ndarray, c: int) -> np.ndarray:
+        # axis c of x', x'', y' lies on mesh dim c + n' (mod ndims): y' comes
+        # first, so each y'-block is one run of the entries in mesh order
+        dim = (c + n_p) % ndims
         return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
 
     axes = [shaped(nodes[windows[c]], c) for c in range(ndims)]
-    mesh_shape = tuple(len(w) for w in windows)
 
     def product_cutoff(scale_j: int) -> np.ndarray:
         return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
                          for t, wt in zip(axes, weights))
 
-    psi = math.prod(phi0(t / rho) for t in axes)
-    if shell:
-        cutoff = psi * (product_cutoff(j) - product_cutoff(j + 1))
-    else:
-        cutoff = psi * product_cutoff(j)
+    cutoff = (product_cutoff(j) - product_cutoff(j + 1) if shell
+              else product_cutoff(j))
+    cutoff *= math.prod(phi0(t / rho) for t in axes)  # psi
 
+    # one entry per nonzero of the cutoff; the 2^n'' corners of its x''-
+    # interpolation run along trailing axes of length 2, one per x''-slot
     mask = cutoff != 0.0
-    if not mask.any():  # also when a window holds no node
-        return SparseKernelOperator(grid, sp.csr_matrix((grid.size,
-                                                         grid.size)))
-
-    # flat row index over the x-axes, flat y'-part of the column index; each
-    # broadcasts over the axes it does not depend on
-    row_flat = sum(shaped(windows[c].astype(np.int64), c) * N ** (n - 1 - c)
-                   for c in range(n))
-    col_yprime = sum(shaped(windows[n + i].astype(np.int64), n + i)
-                     * N ** (n - 1 - i) for i in range(n_p))
-
-    # interpolation data per x''-slot
-    corner_idx: list[tuple[np.ndarray, np.ndarray]] = []
-    corner_wgt: list[tuple[np.ndarray, np.ndarray]] = []
+    corner = (-1,) + (1,) * n_d
+    vals = np.empty((np.count_nonzero(mask),) + (2,) * n_d)
+    vals[...] = (cutoff[mask] * h ** n_p).reshape(corner)
+    del cutoff
+    cols = np.empty(vals.shape, dtype=np.int64)  # y'-part, then x''-corners
+    cols[...] = np.broadcast_to(sum(
+        shaped(windows[n + i].astype(np.int64), n + i) * N ** (n - 1 - i)
+        for i in range(n_p)), mask.shape)[mask].reshape(corner)
     for l in range(n_d):
-        pos = (axes[n_p + l]
-               + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
-               + L) / h - 0.5
+        pos = ((axes[n_p + l]
+                + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
+                + L) / h - 0.5)[mask]
         i0 = np.floor(pos)
         frac = pos - i0
         i0 = i0.astype(np.int64) % N
-        i1 = (i0 + 1) % N
-        corner_idx.append((i0, i1))
-        corner_wgt.append((1.0 - frac, frac))
-    del pos  # only the corner indices and weights are needed below
-
-    base_val = cutoff * h ** n_p
-    rows_out, cols_out, vals_out = [], [], []
-    for combo in itertools.product((0, 1), repeat=n_d):
-        val = base_val
-        col = col_yprime
-        for l, side in enumerate(combo):
-            val = val * corner_wgt[l][side]
-            col = col + corner_idx[l][side] * N ** (n_d - 1 - l)
-        rows_out.append(np.broadcast_to(row_flat, mesh_shape)[mask])
-        cols_out.append(np.broadcast_to(col, mesh_shape)[mask])
-        vals_out.append(val[mask])
-
-    coo = sp.coo_matrix(
-        (np.concatenate(vals_out),
-         (np.concatenate(rows_out), np.concatenate(cols_out))),
-        shape=(grid.size, grid.size))
-    return SparseKernelOperator(grid, coo.tocsr())
+        idx = np.stack((i0, (i0 + 1) % N), axis=1)
+        wgt = np.stack((1.0 - frac, frac), axis=1)
+        wrap = i0 == N - 1  # corners in increasing column order: (0, N-1)
+        idx[wrap], wgt[wrap] = idx[wrap, ::-1], wgt[wrap, ::-1]
+        sides = (-1,) + (1,) * l + (2,) + (1,) * (n_d - 1 - l)
+        vals *= wgt.reshape(sides)
+        idx *= N ** (n_d - 1 - l)
+        cols += idx.reshape(sides)
+    rows = np.broadcast_to(sum(
+        shaped(windows[c].astype(np.int64), c) * N ** (n - 1 - c)
+        for c in range(n)), mask.shape)[mask]
+    return SparseKernelOperator(grid, rows, cols.reshape(rows.size, 2 ** n_d),
+                                vals.reshape(rows.size, 2 ** n_d))
 
 
 def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:

@@ -172,6 +172,25 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
     assert len(kernels) == 9 == len(set(map(id, kernels)))
 
 
+def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
+    # the absolute-kernel norms read the slab's mesh entries; only Lanczos
+    # applies the sparse matrix
+    from anisoradon.numerics import experiments
+    slabs = []
+    original = experiments.discretize_tj
+    monkeypatch.setattr(experiments, "discretize_tj",
+                        lambda *args: slabs.append(original(*args))
+                        or slabs[-1])
+    grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
+    decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo"))
+    assert len(slabs) == 3
+    assert all("matrix" not in vars(slab) for slab in slabs)
+    slabs.clear()
+    decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo", "22"))
+    assert len(slabs) == 3
+    assert all("matrix" in vars(slab) for slab in slabs)
+
+
 def test_decay_table_flags_unconverged_rows(monkeypatch):
     from anisoradon.numerics import experiments
     original = experiments.operator_norm

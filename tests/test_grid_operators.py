@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from anisoradon.errors import DilationCapError
 from anisoradon.exponents import OperatorSpec
@@ -122,9 +121,10 @@ def _embedded_matrix_op():
     # matrix conventions and the quadrature-weighted ones coincide
     grid = Grid(dim=1, points_per_axis=8, half_width=4.0)
     assert grid.cell_volume == 1.0
-    m = sp.lil_matrix((8, 8))
-    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = 1.0, 2.0, 3.0, 4.0
-    return SparseKernelOperator(grid, m.tocsr())
+    # rows 0 and 1 of the one y'-block, each with the corners y'' = 0, 1
+    return SparseKernelOperator(grid, np.array([0, 1]),
+                                np.array([[0, 1], [0, 1]]),
+                                np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_norm_conventions_on_small_matrix():
@@ -157,7 +157,9 @@ def test_two_norm_of_small_matrix():
 
 def test_two_norm_zero_operator():
     grid = Grid(dim=1, points_per_axis=8, half_width=4.0)
-    op = SparseKernelOperator(grid, sp.csr_matrix((8, 8)))
+    op = SparseKernelOperator(grid, np.zeros(0, dtype=np.int64),
+                              np.zeros((0, 2), dtype=np.int64),
+                              np.zeros((0, 2)))
     assert operator_norm(op, "22") == 0.0
     # zero composites: an empty slab, and a shell at 2^20 times the Qj
     # scale, beyond the grid's frequencies
@@ -188,10 +190,20 @@ def test_dense_and_matrix_free_agree():
 
 
 def test_composed_norms_match_dense():
-    # n'' = 1, then n'' = 2, where the real FFT runs over two axes
-    for spec, grid in ((SPEC, SMALL),
-                       (_two_dprime_spec(), Grid(dim=3, points_per_axis=8))):
+    # n'' = 1, then n'' = 2, where the real FFT runs over two axes; on the
+    # last grid 302 entries interpolate between the x''-nodes 31 and 0
+    dual = load_spec(Path(__file__).resolve().parent.parent / "specs"
+                     / "dual_quadratic.json")
+    dual_grid = Grid(dim=2, points_per_axis=32, half_width=0.7)
+    for spec, grid, wrapped in (
+            (SPEC, SMALL, 0),
+            (_two_dprime_spec(), Grid(dim=3, points_per_axis=8), 0),
+            (dual, dual_grid, 302)):
         tj = discretize_tj(spec, grid, 1)
+        n = grid.points_per_axis
+        corners = tj.cols % n
+        assert np.count_nonzero((corners[:, 0] == 0)
+                                & (corners[:, -1] == n - 1)) == wrapped
         q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
         comp = ComposedOperator(tj, q)
         dense = tj.matrix @ q.to_dense()
