@@ -238,9 +238,8 @@ def _cmd_knapp(args) -> int:
 def _cmd_dual_check(args) -> int:
     _refuse_below_one(jmax=args.jmax, points=args.points)
     spec = load_spec(args.spec)
-    devs = {}
-    for j in range(1, args.jmax + 1):
-        devs[j] = dual_principal_check(spec, j, args.points, seed=args.seed)
+    devs = dual_principal_check(spec, range(1, args.jmax + 1), args.points,
+                                seed=args.seed)
     ratios = {j: (devs[j + 1] / devs[j] if devs[j] > 0 else None)
               for j in range(1, args.jmax)}
     out = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -219,16 +220,18 @@ def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
         f"{NEWTON_MAX_STEPS} steps")
 
 
-def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
-                         seed: int = 0) -> float:
+def dual_principal_check(spec: OperatorSpec, levels: Iterable[int],
+                         sample_points: int, seed: int = 0
+                         ) -> dict[int, float]:
     """Max deviation between the rescaled dual shear and minus the principal
-    part.
+    part, for each level j in ``levels``.
 
     For each sample (x', y'', y') the forward shear is inverted by Newton
     iteration at the dilated scale, the dual shear
     S*(x', y'', y') = -S(x', Phi^{-1}(y''), y') is formed, and the deviation
     | 2^(j beta'') S*(2^(-j alpha') x', 2^(-j alpha'') y'', 2^(-j beta') y')
-      + S^P(x', y'', y') | is maximized over the samples.
+      + S^P(x', y'', y') | is maximized over the samples.  Every level uses
+    the same samples.
     """
     principal = check_homogeneity(spec)
     w = spec.weights
@@ -242,13 +245,16 @@ def dual_principal_check(spec: OperatorSpec, j: int, sample_points: int,
         rng.uniform(-DUAL_BOX, DUAL_BOX,
                     size=(sample_points, 2 * n_p + n_d)).T,
         [n_p, n_p + n_d])
-    xp_s = np.ldexp(xp, [[-j * a] for a in w.alpha_prime])
-    ydd_s = np.ldexp(ydd, [[-j * a] for a in w.alpha_dprime])
-    yp_s = np.ldexp(yp, [[-j * b] for b in w.beta_prime])
-    xdd_sol = _newton_invert_shear(spec, partials, xp_s, yp_s, ydd_s)
-    worst = 0.0
-    for s, s_p, b in zip(spec.s, principal, spec.beta_dprime):
-        scaled = np.ldexp(-s.evaluate(xp_s, xdd_sol, yp_s), j * b)
-        deviation = np.abs(scaled + s_p.evaluate(xp, ydd, yp))
-        worst = max(worst, float(deviation.max()))
-    return worst
+    s_principal = [s_p.evaluate(xp, ydd, yp) for s_p in principal]
+    deviations = {}
+    for j in levels:
+        xp_s = np.ldexp(xp, [[-j * a] for a in w.alpha_prime])
+        ydd_s = np.ldexp(ydd, [[-j * a] for a in w.alpha_dprime])
+        yp_s = np.ldexp(yp, [[-j * b] for b in w.beta_prime])
+        xdd_sol = _newton_invert_shear(spec, partials, xp_s, yp_s, ydd_s)
+        worst = 0.0
+        for s, s_p, b in zip(spec.s, s_principal, spec.beta_dprime):
+            scaled = np.ldexp(-s.evaluate(xp_s, xdd_sol, yp_s), j * b)
+            worst = max(worst, float(np.abs(scaled + s_p).max()))
+        deviations[j] = worst
+    return deviations

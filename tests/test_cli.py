@@ -231,6 +231,22 @@ def test_dual_check_subcommand():
     assert set(rep["max_deviation_by_j"]) == {"1", "2", "3", "4", "5"}
 
 
+def test_dual_check_does_its_spec_work_once(monkeypatch):
+    # every level draws the same samples, so the homogeneity check, the
+    # x''-partials and the principal part are needed only once
+    from anisoradon.numerics import experiments
+    calls = []
+    original = experiments.check_homogeneity
+    monkeypatch.setattr(experiments, "check_homogeneity",
+                        lambda spec: calls.append(spec) or original(spec))
+    code, out, err = run_cli("dual-check", "--spec",
+                             str(SPECS / "dual_quadratic.json"), "--jmax",
+                             "8", "--points", "10")
+    assert code == 0, err
+    assert len(json.loads(out)["max_deviation_by_j"]) == 8
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("half_width", ["inf", "1e-300", "1e200"])
 def test_verify_refuses_a_half_width_without_a_finite_cell_volume(half_width):
     # inf printed all-zero norms; the cell volume 1e-300 underflows to 0 and

@@ -96,13 +96,14 @@ def test_knapp_flat_shear_scales_exactly():
 
 def test_dual_check_shift_invariant_case_exact():
     spec = load_spec(SPECS / "rank_one.json")
-    for j in (0, 2, 5):
-        assert dual_principal_check(spec, j, 30) <= 1e-12
+    devs = dual_principal_check(spec, (0, 2, 5), 30)
+    assert list(devs) == [0, 2, 5]
+    assert max(devs.values()) <= 1e-12
 
 
 def test_dual_check_contraction():
     spec = load_spec(SPECS / "dual_quadratic.json")
-    devs = {j: dual_principal_check(spec, j, 40) for j in range(4, 9)}
+    devs = dual_principal_check(spec, range(4, 9), 40)
     for j in range(4, 8):
         assert devs[j + 1] / devs[j] <= 0.75
     assert devs[8] < devs[4]
@@ -117,7 +118,7 @@ def test_dual_check_singular_map():
         Monomial(Fraction(1000), (0,), (2,), (1,))])
     spec = OperatorSpec(weights=w, beta_dprime=MultiIndex([2]), s=(s,))
     with pytest.raises(SingularMapError):
-        dual_principal_check(spec, 0, 30)
+        dual_principal_check(spec, [0], 30)
 
 
 def test_summation_by_parts_small_grid_matrices():
