@@ -87,16 +87,22 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
                 pairs: tuple[str, ...] = ("11", "oooo", "1oo")
                 ) -> list[DecayRow]:
     """Measure norms of T_j Q_j for j = 1..jmax and of T_j P_jk for
-    k = 0..kmax (none when kmax < 0)."""
+    k = 0..kmax (none when kmax < 0).  Raises ResolutionError when no slab
+    has a mesh entry on the grid, as every norm would then be zero."""
     rows: list[DecayRow] = []
+    entries = 0
     for j in range(1, jmax + 1):
         tj = discretize_tj(spec, grid, j)
+        entries += tj.rows.size
         for family, k, multiplier, res in _pieces(spec, grid, j, kmax):
             comp = ComposedOperator(tj, multiplier)
             for pair in pairs:
                 value, converged = _norm_with_flag(comp, pair)
                 rows.append(DecayRow(family, j, k, pair, value, res,
                                      converged))
+    if not entries:
+        raise ResolutionError(f"no grid node lies in the support of any "
+                              f"slab j=1..{jmax}")
     return rows
 
 

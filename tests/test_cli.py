@@ -259,6 +259,18 @@ def test_verify_refuses_a_half_width_without_a_finite_cell_volume(half_width):
     assert error["error"] == "ValueError" and "half_width" in error["message"]
 
 
+@pytest.mark.parametrize("half_width", ["1e150", "1e-150"])
+def test_verify_refuses_a_grid_on_which_no_slab_has_an_entry(half_width):
+    # 1e150 leaves no node inside the slab windows; at 1e-150 every node
+    # sits where the shell cutoff is zero.  Both printed all-zero norms.
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "16", "--jmax", "3",
+                             f"--half-width={half_width}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ResolutionError"
+
+
 @pytest.mark.parametrize("argv", [
     ["dual-check", "--points", "0"], ["dual-check", "--points", "-5"],
     ["dual-check", "--jmax", "0"], ["sample-generic", "--tuples", "0"],
