@@ -31,10 +31,12 @@ from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
-# A verify run peaks at about 100-115 B per mesh entry of its largest slab
-# over a 50 MB base (372 MB at 3.2 M entries, 285 MB at 2.1 M), so 2**23
-# entries keep a run under about 1 GB.
+# A verify run peaks at about 100 B per mesh entry of its largest slab over
+# a 50 MB base (375 MB at 3.2 M entries, 261 MB at 2.1 M), so 2**23 entries
+# keep a run under about 1 GB.
 MAX_MESH_ENTRIES = 2 ** 23
+# kernel values (4 MB) per piece of a y'-block in ComposedOperator.abs_stats
+_PIECE_VALUES = 2 ** 19
 
 
 # -- operator containers -------------------------------------------------------
@@ -144,7 +146,10 @@ class ComposedOperator:
 
         The product is never materialized.  Each y'-block is a contiguous
         run of the slab's entries: one row per entry, its corners as the
-        columns, multiplied by the dense y''-kernel of the multiplier."""
+        columns, multiplied by the dense y''-kernel of the multiplier.  A
+        run is multiplied in pieces of at most ``_PIECE_VALUES`` kernel
+        values, written into one buffer reused for the whole slab, so the
+        memory this takes does not grow with the slab."""
         left, right = self.left, self.right
         if not (isinstance(left, SparseKernelOperator)
                 and isinstance(right, FourierMultiplier)):
@@ -152,20 +157,29 @@ class ComposedOperator:
         kernel = right.ydd_kernel_matrix()
         n_block = kernel.shape[0]
         n_corners = left.cols.shape[1]
+        step = max(1, _PIECE_VALUES // n_block)  # entries per piece
+        indptr = np.arange(0, step * n_corners + 1, n_corners)
+        # row 0 carries the block's column sums so far: summing it with the
+        # piece's rows adds in the same order as one sum over the whole run
+        buf = np.empty((step + 1, n_block))
         # y'-block bounds: 0, each entry that starts a new block, the end
         ends = np.flatnonzero(np.diff(left.cols[:, 0] // n_block,
                                       prepend=-1, append=-1))
         rowsums = np.zeros(self.grid.size)
         max_col = max_abs = 0.0
         for lo, hi in zip(ends[:-1], ends[1:]):
-            sub = sp.csr_matrix(
-                (left.vals[lo:hi].ravel(), left.cols[lo:hi].ravel() % n_block,
-                 np.arange(0, (hi - lo) * n_corners + 1, n_corners)),
-                shape=(hi - lo, n_block))
-            g = np.abs(sub @ kernel)
-            max_col = max(max_col, float(g.sum(axis=0).max()))
-            rowsums[left.rows[lo:hi]] += g.sum(axis=1)
-            max_abs = max(max_abs, float(g.max()))
+            buf[0] = 0.0
+            for a in range(lo, hi, step):
+                m = min(step, hi - a)
+                sub = sp.csr_matrix(
+                    (left.vals[a:a + m].ravel(),
+                     left.cols[a:a + m].ravel() % n_block, indptr[:m + 1]),
+                    shape=(m, n_block))
+                g = np.abs(sub @ kernel, out=buf[1:m + 1])
+                rowsums[left.rows[a:a + m]] += g.sum(axis=1)
+                max_abs = max(max_abs, float(g.max()))
+                buf[0] = buf[:m + 1].sum(axis=0)
+            max_col = max(max_col, float(buf[0].max()))
         return max_col, float(rowsums.max()), max_abs
 
 

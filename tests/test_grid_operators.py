@@ -11,6 +11,7 @@ from anisoradon.numerics import (ComposedOperator, FourierMultiplier, Grid,
                                  SparseKernelOperator, discretize_tj,
                                  discretize_uj, operator_norm, pjk_multiplier,
                                  qj_multiplier)
+from anisoradon.numerics import operators
 from anisoradon.numerics.cutoffs import phi0
 from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, isotropic_weights
@@ -222,6 +223,21 @@ def test_composed_norms_match_dense():
             assert exact > 0
             assert operator_norm(ComposedOperator(tj, mult), "22") \
                 == pytest.approx(exact, rel=1e-10)
+
+
+def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
+    # a y'-block multiplied 3 entries at a time gives the same bits as the
+    # whole block at once: the column sums add the rows in the same order
+    for spec, grid in ((SPEC, SMALL),
+                       (_two_dprime_spec(), Grid(dim=3, points_per_axis=8))):
+        tj = discretize_tj(spec, grid, 1)
+        q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
+        whole = ComposedOperator(tj, q).abs_stats
+        n_block = q.ydd_block.size
+        assert np.bincount(tj.cols[:, 0] // n_block).max() > 3
+        monkeypatch.setattr(operators, "_PIECE_VALUES", 3 * n_block)
+        assert ComposedOperator(tj, q).abs_stats == whole
+        monkeypatch.undo()
 
 
 def test_transpose_of_multiplier():
