@@ -56,6 +56,13 @@ CASES["iso_6_2_b55/sample-generic"] = [
 CASES["iso_2_1_b14/sample-generic"] = [
     "sample-generic", "--spec", "tests/golden/inputs/iso_2_1_b14.json",
     "--tuples", "2", "--points", "30"]
+# rank sampling at n' = 2, where some samples give nonzero rank-deficient
+# matrices that reach the exact elimination; at degree 14 the a-priori
+# bound exceeds int64, so the evaluation uses exact big integers
+CASES["iso_2_1_b3/analyze"] = [
+    "analyze", "--spec", "tests/golden/inputs/iso_2_1_b3.json"]
+CASES["iso_2_1_b14/analyze"] = [
+    "analyze", "--spec", "tests/golden/inputs/iso_2_1_b14.json"]
 # the TjPjk rows, with the rank-dependent k-slope context of the (2,2) norm
 CASES["rank_one/verify-kmax"] = [
     "verify", "--spec", "specs/rank_one.json", "--grid", "32", "--jmax", "4",
