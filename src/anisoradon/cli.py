@@ -148,9 +148,9 @@ def _cmd_sample_generic(args) -> int:
                              tuples=args.tuples,
                              points_per_tuple=args.points, seed=args.seed)
     out = {
-        "tuples": rep.tuples,
-        "points_per_tuple": rep.points_per_tuple,
-        "seed": rep.seed,
+        "tuples": args.tuples,
+        "points_per_tuple": args.points,
+        "seed": args.seed,
         "coefficient_bound": COEFFICIENT_BOUND,
         "trial_min_rank_histogram": {str(k): v for k, v
                                      in sorted(rep.trial_min_ranks.items())},
@@ -186,6 +186,8 @@ def _cmd_verify(args) -> int:
     pairs = tuple(normalize_pair(tok) for tok in args.norms.split(",") if tok)
     if not pairs:
         raise SchemaError(f"--norms {args.norms!r} names no norm pair")
+    if len(set(pairs)) < len(pairs):
+        raise SchemaError(f"--norms {args.norms!r} repeats a norm pair")
     spec = _load_ranked_spec(args)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=args.grid,
                 half_width=args.half_width)

@@ -6,26 +6,21 @@ polynomials.  Entries are linear in the auxiliary frequency variable eta''.
 ``mixed_hessian`` lists, for each entry, the exact second derivatives
 d^2 s_l / dx'_i dy'_j of the components.
 
-Rank sampling differentiates nothing symbolically.  The second derivative
+Rank sampling differentiates nothing symbolically: the second derivative
 ``d^2/dx'_i dy'_j`` of a monomial with exponents (a, b, c) is a_i c_j times a
-monomial of lower degree, in slot (i, j): integer bookkeeping.
-``_CompiledHessian`` does that bookkeeping once for the weights and the
-monomial exponents of each component, and is then a linear map from integer
-monomial coefficients to Hessian terms; ``bind`` applies it to one tuple of
-coefficients.  ``sample-generic`` compiles the monomial basis of each
-component once and binds every trial's coefficients; ``analyze`` compiles
-the monomials of the principal part and binds its coefficients with the
+monomial of lower degree.  ``_CompiledHessian`` does that bookkeeping once and
+is then a linear map from integer monomial coefficients to Hessian terms;
+``bind`` applies it to one coefficient tuple.  ``sample-generic`` binds every
+trial to the compiled monomial basis, ``analyze`` the principal part with its
 denominators cleared.
 
-A ``BoundHessian`` evaluates chunks of points in draw order, about
-``CHUNK_ENTRIES`` point x term entries at a time: one gather per factor over
-(points x terms), then the terms, sorted by slot and component, are summed
-with ``np.add.reduceat`` and weighted by eta''.  Each point carries its own
-denominator (1 for the axis probes, ``SAMPLE_DENOMINATOR`` for shell points),
-so both kinds share a chunk.  Each result is an integer matrix that is a
-nonzero multiple of the true one, so ranks agree.  An a-priori bound on the
-chunk picks int64 arithmetic when no sum can overflow, Python integers
-otherwise.
+A chunk of points is an int64 array of numerators, an int64 array of eta''
+and one denominator: 1 for the axis probes, ``SAMPLE_DENOMINATOR`` for the
+shell points, which are parsed from one draw per chunk.  A ``BoundHessian``
+evaluates a chunk of about ``CHUNK_ENTRIES`` point x term entries at once to
+integer matrices that are nonzero multiples of the true ones, so ranks agree;
+an a-priori bound on the chunk picks int64 arithmetic when no sum can
+overflow, Python integers otherwise.
 
 Ranks are screened by a stacked elimination modulo the prime
 ``SCREEN_PRIME`` in int64.  The rank mod p is at most the rank over Q, so a
@@ -198,7 +193,7 @@ class _CompiledHessian:
 
     Each lower monomial is stored as ``max_degree`` variable indices.  Index
     ``nvars`` is a sentinel for the homogenizing variable, which reads the
-    point's denominator, so ``max_degree`` gather-and-multiply steps evaluate
+    chunk's denominator, so ``max_degree`` gather-and-multiply steps evaluate
     every monomial of any degree already scaled by den**max_degree.
     """
 
@@ -206,8 +201,7 @@ class _CompiledHessian:
                  components: Sequence[Sequence[tuple[int, ...]]]):
         n = self.n_prime = w.n_prime
         self.n_dprime = w.n_dprime
-        self.weights_flat = (tuple(w.alpha_prime) + tuple(w.alpha_dprime)
-                             + tuple(w.beta_prime))
+        self.weights_flat = w.flat
         self.nvars = len(self.weights_flat)
         self.sizes = [len(c) for c in components]
         exps = np.array([e for c in components for e in c],
@@ -270,37 +264,26 @@ class BoundHessian:
         if self.max_coeff < 2 ** 62:
             self._coeffs[np.int64] = terms.astype(np.int64)
 
-    def _fits_int64(self, den: int, max_eta: int) -> bool:
-        # |num_v| <= den after shell normalization, so each term is bounded by
-        # max_coeff * den**max_degree, and every partial sum, weighted by
-        # eta'', by max_eta times n_terms of them
-        bound = self.max_coeff * den ** self.map.max_degree \
-            * max(max_eta, 1) * self.map.n_terms
-        return bound < 2 ** 62
-
-    def evaluate(self, nums: Sequence[Sequence[int]], dens: Sequence[int],
-                 etas: Sequence[Sequence[int]]) -> np.ndarray:
-        """The matrices at points ``nums[k] / dens[k]`` with eta'' =
-        ``etas[k]``, each scaled by dens[k]**max_degree, stacked into shape
-        (points, n', n').
-
-        Requires |nums[k][v]| <= dens[k] (guaranteed by shell
-        normalization).  The a-priori bound on the whole batch picks the
-        array type: int64 when no sum can overflow, exact Python integers
-        otherwise.
-        """
+    def evaluate(self, nums: np.ndarray, den: int,
+                 etas: np.ndarray) -> np.ndarray:
+        """The matrices at the points ``nums[k] / den`` with eta'' =
+        ``etas[k]``, each scaled by den**max_degree, in shape (points, n',
+        n').  Requires |nums| <= den, as shell normalization guarantees; the
+        a-priori bound picks int64 or exact Python integers."""
         m = self.map
         n = m.n_prime
-        max_eta = max((abs(int(e)) for eta in etas for e in eta), default=1)
-        dtype = np.int64 if self._fits_int64(max(map(int, dens)), max_eta) \
-            else object
-        values = np.empty((len(dens), m.nvars + 1), dtype=dtype)
-        values[:, :m.nvars] = nums
-        values[:, m.nvars] = dens
-        terms = np.tile(self._coeffs[dtype], (len(dens), 1))
+        # each term is bounded by max_coeff * den**max_degree, and every
+        # partial sum, weighted by eta'', by max |eta''| times n_terms of them
+        bound = self.max_coeff * den ** m.max_degree * m.n_terms \
+            * int(np.abs(etas).max(initial=1))
+        dtype = np.int64 if bound < 2 ** 62 else object
+        # the sentinel column holds the homogenizing variable
+        values = np.pad(nums, ((0, 0), (0, 1)),
+                        constant_values=den).astype(dtype)
+        terms = np.tile(self._coeffs[dtype], (len(values), 1))
         for idx in m._var_idx:
             terms *= values[:, idx]
-        flat = np.zeros((len(dens), n * n), dtype=dtype)
+        flat = np.zeros((len(values), n * n), dtype=dtype)
         if m.n_terms:
             sums = np.add.reduceat(terms, m._starts, axis=1) \
                 * np.asarray(etas, dtype=dtype)[:, m._seg_eta]
@@ -333,15 +316,11 @@ class RankSampleReport:
     min_rank: int
     witness: tuple[Point, tuple[Fraction, ...]]
     samples_tried: int
-    seed: int
     rank_counts: Counter  # rank -> number of points evaluated at that rank
 
 
 @dataclass
 class GenericRankReport:
-    tuples: int
-    points_per_tuple: int
-    seed: int
     trial_min_ranks: Counter = field(default_factory=Counter)
     evaluation_ranks: Counter = field(default_factory=Counter)
 
@@ -362,42 +341,53 @@ def _stream(seed: int, *words: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _probe_points(n_prime: int, n_dprime: int):
+def _probe_chunk(n_prime: int, n_dprime: int):
     """Deterministic coordinate-axis probes (covering each hyperplane of the
-    shell) paired with eta'' unit vectors and the all-ones eta''.  They are
-    integer points: (numerators, denominator 1, eta'')."""
-    nvars = 2 * n_prime + n_dprime
-    axes = [[int(v == i) for v in range(nvars)] for i in range(nvars)]
-    etas = [[int(m == l) for m in range(n_dprime)] for l in range(n_dprime)]
-    if n_dprime > 1:
-        etas.append([1] * n_dprime)
-    return [(p, 1, e) for p in axes for e in etas]
+    shell) paired with eta'' unit vectors and the all-ones eta'': one chunk
+    of integer points, (numerators, denominator 1, eta'')."""
+    etas = np.eye(n_dprime + (n_dprime > 1), n_dprime, dtype=np.int64)
+    etas[n_dprime:] = 1
+    axes = np.eye(2 * n_prime + n_dprime, dtype=np.int64)
+    return (np.repeat(axes, len(etas), axis=0), 1,
+            np.tile(etas, (len(axes), 1)))
 
 
-def _shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
-                  seed: int):
-    """``samples`` random shell points (numerators, SAMPLE_DENOMINATOR,
-    integer eta''), drawn from the stream keyed by ``seed``."""
+def _shell_chunks(weights_flat: Sequence[int], n_dprime: int, samples: int,
+                  seed: int, per_chunk: int):
+    """``samples`` random shell points, (numerators, SAMPLE_DENOMINATOR,
+    integer eta''), in chunks of at most ``per_chunk``, each from one draw of
+    the stream keyed by ``seed``.  A point reads its numerators, then its
+    eta''; a draw that is all zero is dropped, and the next point starts
+    right after it (in the next chunk, after a numerator draw)."""
     rng = _stream(seed, 0)
     D = SAMPLE_DENOMINATOR
-    drawn = 0
-    while drawn < samples:
-        raw = rng.integers(-D, D + 1, size=len(weights_flat))
-        if not np.any(raw):
-            continue
-        eta_raw = rng.integers(-D, D + 1, size=n_dprime)
-        if not np.any(eta_raw):
-            continue
+    nv = len(weights_flat)
+    width = nv + n_dprime
+    # capping the weights at 4 changes no point: 2^4 = D, so a nonzero
+    # numerator of weight 4 or more stops the growth, and a point that grows
+    # has only zero numerators of such weight
+    scale = 2 ** np.minimum(weights_flat, 4)
+    rest = np.empty(0, dtype=np.int64)
+    while samples > 0:
+        # rest is shorter than the points left need, so the draw is nonempty
+        raw = np.concatenate([rest, rng.integers(
+            -D, D + 1, size=min(per_chunk, samples) * width - len(rest))])
+        recs = raw.reshape(-1, width)
+        zero = np.flatnonzero(~recs[:, :nv].any(axis=1))
+        stop = zero[0] if len(zero) else len(recs)
+        rest = raw[stop * width + (nv if len(zero) else 0):]
+        points = recs[:stop][recs[:stop, nv:].any(axis=1)]
+        nums = points[:, :nv]
         # integer shell normalization: grow by the weight dilation until some
         # |num_v| * 2^(w_v) >= D (i.e. some |z_v| >= 2^(-w_v)); |z_v| <= 1
         # holds throughout because it holds initially
-        nums = [int(v) for v in raw]
-        while all(abs(k) * 2 ** w < D for k, w in zip(nums, weights_flat)):
-            nums = [k * 2 ** w for k, w in zip(nums, weights_flat)]
+        while (grow := (np.abs(nums) * scale < D).all(axis=1)).any():
+            nums[grow] *= scale
+        samples -= len(points)
         # the rank is invariant under rescaling eta'', so evaluate with the
         # raw integer eta and normalize only the reported witness
-        yield nums, D, [int(v) for v in eta_raw]
-        drawn += 1
+        if len(points):
+            yield nums, D, points[:, nv:]
 
 
 def min_rank_sample(h: BoundHessian, samples: int, seed: int,
@@ -411,33 +401,28 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
         raise ValueError("need at least one sample")
     m = h.map
     n_p, n_d = m.n_prime, m.n_dprime
-    points = _shell_points(m.weights_flat, n_d, samples, seed)
-    if include_probes:
-        points = itertools.chain(_probe_points(n_p, n_d), points)
     per_chunk = max(1, CHUNK_ENTRIES // max(m.n_terms, 1))
-
-    best_rank = n_p + 1
-    best_witness = None
-    tried = 0
+    chunks = _shell_chunks(m.weights_flat, n_d, samples, seed, per_chunk)
+    if include_probes:
+        chunks = itertools.chain([_probe_chunk(n_p, n_d)], chunks)
+    best = None
     counts: Counter = Counter()
-    while chunk := list(itertools.islice(points, per_chunk)):
-        ranks = _screened_ranks(h.evaluate(*zip(*chunk)))
-        tried += len(chunk)
+    for nums, den, etas in chunks:
+        ranks = _screened_ranks(h.evaluate(nums, den, etas))
         counts.update(ranks.tolist())
         first = int(np.argmin(ranks))  # the first minimal rank in draw order
-        if ranks[first] < best_rank:
-            best_rank = int(ranks[first])
-            nums, den, eta = chunk[first]
-            coords = [Fraction(k, den) for k in nums]
-            top = max(map(abs, eta))
-            point = (tuple(coords[:n_p]), tuple(coords[n_p:n_p + n_d]),
-                     tuple(coords[n_p + n_d:]))
-            best_witness = (point, tuple(Fraction(e, top) for e in eta))
+        if best is None or ranks[first] < best[0]:
+            best = (int(ranks[first]), nums[first].tolist(), den,
+                    etas[first].tolist())
 
-    assert best_witness is not None
-    return RankSampleReport(min_rank=best_rank, witness=best_witness,
-                            samples_tried=tried, seed=seed,
-                            rank_counts=counts)
+    rank, nums, den, eta = best
+    coords = [Fraction(k, den) for k in nums]
+    point = (tuple(coords[:n_p]), tuple(coords[n_p:n_p + n_d]),
+             tuple(coords[n_p + n_d:]))
+    top = max(map(abs, eta))
+    return RankSampleReport(
+        min_rank=rank, witness=(point, tuple(Fraction(e, top) for e in eta)),
+        samples_tried=sum(counts.values()), rank_counts=counts)
 
 
 def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
@@ -498,8 +483,7 @@ def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
     """
     bases = _weighted_bases(w, beta_dprime)
     compiled = _CompiledHessian(w, [[_flat(m) for m in b] for b in bases])
-    report = GenericRankReport(tuples=tuples,
-                               points_per_tuple=points_per_tuple, seed=seed)
+    report = GenericRankReport()
     for t in range(tuples):
         h = compiled.bind(_trial_coefficients(
             compiled.sizes, seed, t, COEFFICIENT_BOUND))

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import NumericalError, ResolutionError, SingularMapError
 from ..exponents import OperatorSpec, check_homogeneity
+from ..scaling import check_dilation
 from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, operator_norm
@@ -39,13 +40,14 @@ NEWTON_MAX_STEPS = 50
 def q_resolved(grid: Grid, beta_dprime, j: int) -> bool:
     """True when the Qj symbol support (radius 2^(j max beta'')) sits inside
     the grid's frequency range."""
-    return np.ldexp(1.0, j * max(beta_dprime)) <= grid.max_frequency
+    return j * max(beta_dprime) <= math.frexp(grid.max_frequency)[1] - 1
 
 
 def p_shell_resolved(grid: Grid, beta_dprime, j: int, k: int) -> bool:
     """True when the Pjk shell (outer radius 2^(j max beta'' + k + 1)) sits
     inside the grid's frequency range."""
-    return np.ldexp(1.0, j * max(beta_dprime) + k + 1) <= grid.max_frequency
+    return (j * max(beta_dprime) + k + 1
+            <= math.frexp(grid.max_frequency)[1] - 1)
 
 
 # -- decay tables ----------------------------------------------------------------
@@ -87,8 +89,10 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
                 pairs: tuple[str, ...] = ("11", "oooo", "1oo")
                 ) -> list[DecayRow]:
     """Measure norms of T_j Q_j for j = 1..jmax and of T_j P_jk for
-    k = 0..kmax (none when kmax < 0).  Raises ResolutionError when no slab
-    has a mesh entry on the grid, as every norm would then be zero."""
+    k = 0..kmax (none when kmax < 0).  Raises DilationCapError before any
+    slab is built if slab jmax is past the cap, and ResolutionError when no
+    slab has a mesh entry on the grid, as every norm would then be zero."""
+    check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
     rows: list[DecayRow] = []
     entries = 0
     for j in range(1, jmax + 1):
@@ -226,7 +230,7 @@ def _newton_invert_shear(spec: OperatorSpec, partials, xp: np.ndarray,
         f"{NEWTON_MAX_STEPS} steps")
 
 
-def dual_principal_check(spec: OperatorSpec, levels: Iterable[int],
+def dual_principal_check(spec: OperatorSpec, levels: Sequence[int],
                          sample_points: int, seed: int = 0
                          ) -> dict[int, float]:
     """Max deviation between the rescaled dual shear and minus the principal
@@ -237,10 +241,12 @@ def dual_principal_check(spec: OperatorSpec, levels: Iterable[int],
     S*(x', y'', y') = -S(x', Phi^{-1}(y''), y') is formed, and the deviation
     | 2^(j beta'') S*(2^(-j alpha') x', 2^(-j alpha'') y'', 2^(-j beta') y')
       + S^P(x', y'', y') | is maximized over the samples.  Every level uses
-    the same samples.
+    the same samples.  A level past the dilation cap is refused first.
     """
     principal = check_homogeneity(spec)
     w = spec.weights
+    top = max(map(abs, levels), default=0)
+    check_dilation(top, w.flat + spec.beta_dprime.entries, f"level {top}")
     n_p, n_d = spec.n_prime, spec.n_dprime
     partials = [[s.partial_derivative("xx", m) for m in range(n_d)]
                 for s in spec.s]

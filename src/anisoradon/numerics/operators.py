@@ -25,9 +25,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import DilationCapError
 from ..exponents import OperatorSpec
-from ..scaling import DILATION_EXPONENT_CAP, MultiIndex
+from ..scaling import MultiIndex, check_dilation
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
@@ -105,11 +104,6 @@ class FourierMultiplier:
     def ydd_kernel_matrix(self) -> np.ndarray:
         """Dense convolution matrix of the y''-block on the y''-axes."""
         return _circulant(np.fft.ifftn(self.ydd_block).real)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix on the whole grid, the tests' reference."""
-        n_rest = self.grid.size // self.ydd_block.size
-        return np.kron(np.eye(n_rest), self.ydd_kernel_matrix())
 
 
 def _circulant(kernel: np.ndarray) -> np.ndarray:
@@ -191,10 +185,8 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
     n = n_p + n_d
     if grid.dim != n:
         raise ValueError(f"grid dimension {grid.dim} != n' + n'' = {n}")
-    w = spec.weights  # dilation weight of each mesh axis: x', x'', y'
-    weights = list(w.alpha_prime) + list(w.alpha_dprime) + list(w.beta_prime)
-    if (j + 1) * max(weights) > DILATION_EXPONENT_CAP:
-        raise DilationCapError(f"slab index {j} exceeds the dilation cap")
+    weights = spec.weights.flat  # dilation weight of each mesh axis
+    check_dilation(j + 1, weights, f"slab index {j}")
     if j < 0:
         raise ValueError("slab index must be nonnegative")
 

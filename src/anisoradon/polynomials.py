@@ -214,8 +214,7 @@ def lambda_basis(w: Weights, target_degree: int) -> list[Monomial]:
     """
     if target_degree < 0:
         raise ValueError("target degree must be nonnegative")
-    weights_flat = (tuple(w.alpha_prime) + tuple(w.alpha_dprime)
-                    + tuple(w.beta_prime))
+    weights_flat = w.flat
     nvars = len(weights_flat)
     results: list[tuple[int, ...]] = []
 

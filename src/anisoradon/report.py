@@ -117,7 +117,7 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
         "min_rank_upper_bound": sample.min_rank,
         "witness": _point_strs(sample.witness),
         "samples_tried": sample.samples_tried,
-        "seed": sample.seed,
+        "seed": seed,
         "note": "sampled minimum is an upper bound for the true minimal rank",
     }
     a_p, b_p, b_dd = spec.weight_sums()

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import DilationCapError
+
 # 2**900 stays comfortably inside the double range (overflow at 2**1024)
 DILATION_EXPONENT_CAP = 900
 
@@ -71,6 +73,19 @@ class Weights:
     @property
     def n_dprime(self) -> int:
         return len(self.alpha_dprime)
+
+    @property
+    def flat(self) -> tuple[int, ...]:
+        """The weights of the variables (x', x'', y'), in that order."""
+        return (self.alpha_prime.entries + self.alpha_dprime.entries
+                + self.beta_prime.entries)
+
+
+def check_dilation(j: int, weights: Iterable[int], what: str) -> None:
+    """Refuse the dilations 2**(j * g) of the weights g once some j * g
+    exceeds ``DILATION_EXPONENT_CAP``."""
+    if j * max(weights) > DILATION_EXPONENT_CAP:
+        raise DilationCapError(f"{what} exceeds the dilation cap")
 
 
 def isotropic_weights(n_prime: int, n_dprime: int) -> Weights:

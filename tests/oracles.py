@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from anisoradon.hessian import SAMPLE_DENOMINATOR, _stream
+
 
 def minor_rank_oracle(rows: Sequence[Sequence[Fraction]]) -> int:
     """Brute-force rank: the largest k with a nonvanishing k x k minor.
@@ -76,6 +78,42 @@ def sympy_hessian(polys, point: Sequence[Fraction],
         return Rational(int(val.numerator), int(val.denominator))
 
     return Matrix(n_p, n_p, entry)
+
+
+def dense_multiplier(mult) -> np.ndarray:
+    """Dense matrix of a ``FourierMultiplier`` on its whole grid."""
+    n_rest = mult.grid.size // mult.ydd_block.size
+    return np.kron(np.eye(n_rest), mult.ydd_kernel_matrix())
+
+
+def shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
+                 seed: int):
+    """``samples`` random shell points (numerators, SAMPLE_DENOMINATOR,
+    integer eta''), drawn from the stream keyed by ``seed``.
+
+    The per-point reference for ``hessian._shell_chunks``: two
+    ``rng.integers`` calls and a Python normalization loop per point.
+    """
+    rng = _stream(seed, 0)
+    D = SAMPLE_DENOMINATOR
+    drawn = 0
+    while drawn < samples:
+        raw = rng.integers(-D, D + 1, size=len(weights_flat))
+        if not np.any(raw):
+            continue
+        eta_raw = rng.integers(-D, D + 1, size=n_dprime)
+        if not np.any(eta_raw):
+            continue
+        # integer shell normalization: grow by the weight dilation until some
+        # |num_v| * 2^(w_v) >= D (i.e. some |z_v| >= 2^(-w_v)); |z_v| <= 1
+        # holds throughout because it holds initially
+        nums = [int(v) for v in raw]
+        while all(abs(k) * 2 ** w < D for k, w in zip(nums, weights_flat)):
+            nums = [k * 2 ** w for k, w in zip(nums, weights_flat)]
+        # the rank is invariant under rescaling eta'', so evaluate with the
+        # raw integer eta and normalize only the reported witness
+        yield nums, D, [int(v) for v in eta_raw]
+        drawn += 1
 
 
 def minsum_vertex_regression(alpha_prime_sum: int, beta_prime_sum: int,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -245,6 +246,51 @@ def test_dual_check_does_its_spec_work_once(monkeypatch):
     assert code == 0, err
     assert len(json.loads(out)["max_deviation_by_j"]) == 8
     assert len(calls) == 1
+
+
+def test_dual_check_refuses_levels_past_the_dilation_cap():
+    # the rescaled coordinates used to underflow from j = 1074 on, and the
+    # deviation read 0.0626 instead of 0
+    code, out, err = run_cli("dual-check", "--spec", REFERENCE_SPEC,
+                             "--jmax", "1100", "--points", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DilationCapError"
+
+
+def test_verify_refuses_jmax_past_the_cap_before_any_slab(monkeypatch):
+    from anisoradon.numerics import experiments
+    built = []
+    original = experiments.discretize_tj
+    monkeypatch.setattr(experiments, "discretize_tj",
+                        lambda *args: built.append(args) or original(*args))
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "16", "--jmax", "2000")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DilationCapError"
+    assert built == []
+
+
+def test_verify_at_a_large_jmax_keeps_stderr_for_the_summary():
+    # 2^(600 * 2) overflowed a double in the resolution flags, and numpy's
+    # RuntimeWarning went to stderr, where the summary JSON goes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("verify", "--spec",
+                                 str(SPECS / "rank_one.json"), "--grid", "16",
+                                 "--jmax", "600", "--norms", "11")
+    assert code == 0
+    assert json.loads(err)["rows"] == 600
+
+
+@pytest.mark.parametrize("norms", ["11,11", "22,11,22"])
+def test_verify_refuses_a_repeated_norm_pair(norms):
+    # a repeated pair printed every row twice and fitted its slope from
+    # repeated samples
+    code, out, err = run_cli("verify", "--spec", REFERENCE_SPEC, "--grid",
+                             "16", "--jmax", "2", "--norms", norms)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and "repeats" in error["message"]
 
 
 @pytest.mark.parametrize("half_width", ["inf", "1e-300", "1e200"])

@@ -1,10 +1,12 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisoradon.errors import ResolutionError, SingularMapError
+from anisoradon.errors import (DilationCapError, ResolutionError,
+                               SingularMapError)
 from anisoradon.exponents import OperatorSpec
 from anisoradon.numerics import (FourierMultiplier, Grid, decay_slope,
                                  decay_table, dual_principal_check,
@@ -15,6 +17,7 @@ from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, isotropic_weights
 from anisoradon.specfile import load_spec
 from fractions import Fraction
+from oracles import dense_multiplier
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 REFERENCE = load_spec(SPECS / "reference.json")
@@ -53,6 +56,19 @@ def test_resolution_flags():
     assert not q_resolved(grid, bdd, 4)
     assert p_shell_resolved(grid, bdd, 1, 4)
     assert not p_shell_resolved(grid, bdd, 1, 6)
+    # no power of two is formed, so a level far past the double range
+    # neither overflows nor warns; a support radius equal to the largest
+    # frequency still fits
+    grid = Grid(dim=2, points_per_axis=8, half_width=math.pi / 2)
+    assert grid.max_frequency == 8.0
+    one, two = MultiIndex([1]), MultiIndex([2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q_resolved(grid, one, 3) and not q_resolved(grid, one, 4)
+        assert p_shell_resolved(grid, one, 1, 1)
+        assert not p_shell_resolved(grid, one, 1, 2)
+        assert not q_resolved(grid, two, 600)
+        assert not p_shell_resolved(grid, two, 600, 0)
 
 
 def test_knapp_successive_ratio():
@@ -109,6 +125,15 @@ def test_dual_check_contraction():
     assert devs[8] < devs[4]
 
 
+def test_dual_check_refuses_levels_past_the_dilation_cap():
+    # beta'' = 2 is the largest weight of the reference spec: 2^(450 * 2)
+    # is the last rescaling inside the cap
+    assert dual_principal_check(REFERENCE, [450], 2) == {450: 0.0}
+    for levels in ([451], range(1, 1101), [-451]):
+        with pytest.raises(DilationCapError, match="exceeds the dilation cap"):
+            dual_principal_check(REFERENCE, levels, 2)
+
+
 def test_dual_check_singular_map():
     # a violent x''-fold: x'' + 1000 x''^2 y' folds over inside the sample
     # box at scale 0, so some targets have no preimage and Newton must fail
@@ -129,7 +154,7 @@ def test_summation_by_parts_small_grid_matrices():
     spec = REFERENCE
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     n_terms = 2
-    qs = [qj_multiplier(grid, 1, spec.beta_dprime, j).to_dense()
+    qs = [dense_multiplier(qj_multiplier(grid, 1, spec.beta_dprime, j))
           for j in range(n_terms + 1)]
     lhs = np.zeros((grid.size, grid.size))
     for j in range(n_terms + 1):

@@ -11,14 +11,15 @@ from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
 from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
                                 _CompiledHessian, _nonsingular_mod_p,
-                                _probe_points, _screened_ranks, _shell_points,
-                                _trial_coefficients, generic_rank_trial,
+                                _probe_chunk, _screened_ranks, _shell_chunks,
+                                _stream, _trial_coefficients,
+                                generic_rank_trial,
                                 generic_trial_tuple, integer_matrix_rank,
                                 min_rank_sample, mixed_hessian,
                                 principal_hessian)
 from anisoradon.polynomials import Monomial, Polynomial, lambda_basis
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
-from oracles import minor_rank_oracle, sympy_hessian
+from oracles import minor_rank_oracle, shell_points, sympy_hessian
 
 F = Fraction
 
@@ -37,7 +38,7 @@ def scaled_matrix(h, point, eta):
     assert all(abs(v) <= 1 for v in coords)
     den = math.lcm(*(v.denominator for v in coords))
     eta_den = math.lcm(*(F(e).denominator for e in eta))
-    return h.evaluate([[int(v * den) for v in coords]], [den],
+    return h.evaluate([[int(v * den) for v in coords]], den,
                       [[int(F(e) * eta_den) for e in eta]])[0].tolist()
 
 
@@ -151,7 +152,7 @@ def test_eta_linearity_exact():
         e1 = [int(v) for v in rng.integers(-4, 5, size=2)]
         e2 = [int(v) for v in rng.integers(-4, 5, size=2)]
         both = [a + b for a, b in zip(e1, e2)]
-        m1, m2, ms = h.evaluate([nums] * 3, [4] * 3, [e1, e2, both])
+        m1, m2, ms = h.evaluate([nums] * 3, 4, [e1, e2, both])
         assert (ms == m1 + m2).all()
 
 
@@ -239,7 +240,8 @@ def test_big_integer_evaluation_matches_sympy():
     polys = generic_trial_tuple(w, bdd, seed=0, trial_index=0)
     h = principal_hessian(polys, w, bdd)
     assert h.map.max_degree == 12
-    assert not h._fits_int64(SAMPLE_DENOMINATOR, 1)
+    shells = next(_shell_chunks(h.map.weights_flat, 1, 1, seed=0, per_chunk=1))
+    assert h.evaluate(*shells).dtype == object
     D = 2 ** 10
     rng = np.random.default_rng(14)
     nums, etas = [], []
@@ -248,7 +250,7 @@ def test_big_integer_evaluation_matches_sympy():
         point[int(rng.integers(5))] = D  # on the shell: some |z_v| = 1
         nums.append(point)
         etas.append([int(rng.choice([-1, 1]) * rng.integers(1, 17))])
-    got = h.evaluate(nums, [D] * 20, etas)
+    got = h.evaluate(nums, D, etas)
     assert got.dtype == object
     ranks = _screened_ranks(got)
     for point, eta, mat, rank in zip(nums, etas, got, ranks):
@@ -265,27 +267,74 @@ def test_big_integer_evaluation_matches_sympy():
     # entries of degree up to 12: the shell points push the bound past int64
     ((1,), (14,), object),
 ])
-def test_batched_evaluation_mixes_probes_and_shell_points(
-        alpha_dprime, bdd, dtype):
+def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
     # anisotropic weights: the lower monomials differ in degree, so the
-    # homogenizing factor reads each point's own denominator
+    # homogenizing factor reads the chunk's denominator
     w = Weights(MultiIndex([1, 2]), MultiIndex(alpha_dprime),
                 MultiIndex([2, 1]))
     bdd = MultiIndex(bdd)
     polys = generic_trial_tuple(w, bdd, seed=1, trial_index=0)
     h = principal_hessian(polys, w, bdd)
-    probes = _probe_points(2, w.n_dprime)
-    shells = list(_shell_points(h.map.weights_flat, w.n_dprime, len(probes),
-                                seed=2))
-    # one chunk: denominators 1 and SAMPLE_DENOMINATOR alternate
-    chunk = [pt for pair in zip(probes, shells) for pt in pair]
-    got = h.evaluate(*zip(*chunk))
-    assert got.dtype == dtype
-    for (nums, den, eta), mat in zip(chunk, got):
-        assert mat.tolist() == scaled_sympy(polys, nums, den, eta,
-                                            h.map.max_degree)
-    # probes alone fit int64 whatever the degree
-    assert h.evaluate(*zip(*probes)).dtype == np.int64
+    probes = _probe_chunk(2, w.n_dprime)
+    shells = next(_shell_chunks(h.map.weights_flat, w.n_dprime,
+                                len(probes[0]), seed=2, per_chunk=100))
+    assert shells[1] == SAMPLE_DENOMINATOR
+    # probes fit int64 whatever the degree
+    for chunk, want_dtype in ((probes, np.int64), (shells, dtype)):
+        got = h.evaluate(*chunk)
+        assert got.dtype == want_dtype
+        nums, den, etas = chunk
+        for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
+            assert mat.tolist() == scaled_sympy(polys, point, den, eta,
+                                                h.map.max_degree)
+
+
+def _skipped_draws(width, n_dprime, seed, samples):
+    """The all-zero numerator and eta'' draws that the first ``samples``
+    shell points of the stream keyed by ``seed`` skip."""
+    D = SAMPLE_DENOMINATOR
+    raw = _stream(seed, 0).integers(-D, D + 1, size=2 * samples * width)
+    nv, pos, kept, skipped = width - n_dprime, 0, 0, [0, 0]
+    while kept < samples:
+        if not raw[pos:pos + nv].any():
+            skipped[0] += 1
+            pos += nv
+            continue
+        if raw[pos + nv:pos + width].any():
+            kept += 1
+        else:
+            skipped[1] += 1
+        pos += width
+    return skipped
+
+
+@pytest.mark.parametrize("per_chunk", [1, 37, 4096])
+@pytest.mark.parametrize("weights_flat, n_dprime", [
+    # an eta'' draw is zero 1 time in 33, a numerator draw 1 in 33^3
+    ((1, 1, 2), 1),
+    # weights past 4, where the normalization caps the growth factor
+    ((3, 1, 70), 1),
+    # a numerator draw is zero 1 time in 33
+    ((2,), 1),
+    ((1, 2, 1, 1, 2, 1), 2),
+])
+def test_shell_chunks_match_the_per_point_stream(weights_flat, n_dprime,
+                                                 per_chunk):
+    # at seed 66 the first 4000 points of width 4 skip two all-zero
+    # numerator draws and 131 all-zero eta'' draws
+    samples, seed = 4000, 66
+    if len(weights_flat) == 3:
+        assert _skipped_draws(4, 1, seed, samples) == [2, 131]
+    want = list(shell_points(weights_flat, n_dprime, samples, seed))
+    chunks = list(_shell_chunks(weights_flat, n_dprime, samples, seed,
+                                per_chunk))
+    assert all(0 < len(nums) <= per_chunk for nums, _, _ in chunks)
+    assert {den for _, den, _ in chunks} == {SAMPLE_DENOMINATOR}
+    nums = np.concatenate([c[0] for c in chunks])
+    etas = np.concatenate([c[2] for c in chunks])
+    assert nums.dtype == etas.dtype == np.int64
+    assert nums.tolist() == [p[0] for p in want]
+    assert etas.tolist() == [p[2] for p in want]
 
 
 def test_compiled_basis_binds_the_trial_tuple():
@@ -295,12 +344,12 @@ def test_compiled_basis_binds_the_trial_tuple():
     bases = [lambda_basis(w, d) for d in bdd]
     compiled = _CompiledHessian(
         w, [[m.exp_x + m.exp_xx + m.exp_y for m in b] for b in bases])
-    points = list(_shell_points(compiled.weights_flat, 2, 30, seed=5))
+    chunk = next(_shell_chunks(compiled.weights_flat, 2, 30, seed=5,
+                               per_chunk=30))
     for t in range(3):
         bound = compiled.bind(_trial_coefficients(compiled.sizes, 8, t, 10))
         own = principal_hessian(generic_trial_tuple(w, bdd, 8, t), w, bdd)
-        assert (bound.evaluate(*zip(*points))
-                == own.evaluate(*zip(*points))).all()
+        assert (bound.evaluate(*chunk) == own.evaluate(*chunk)).all()
     with pytest.raises(ValueError):
         compiled.bind([[1]] * 2)
 
