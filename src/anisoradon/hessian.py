@@ -185,16 +185,16 @@ class _CompiledHessian:
     ``components[l]`` lists the exponent tuples, over (x', x'', y'), of the
     monomials of component l.  Each term of the map is one (monomial, slot)
     pair whose second derivative is nonzero: the index of its coefficient in
-    the concatenated coefficient list, its multiplier a_i c_j and the
-    variables of its lower monomial.  The terms are sorted by slot and, within
-    a slot, by component l, so evaluation sums each (slot, l) segment with
-    one ``np.add.reduceat``, multiplies it by eta''_l, and sums the segments
-    of each slot with a second one.
+    the concatenated coefficient list, its multiplier a_i c_j, its lower
+    monomial and its column, slot * n'' + l.  A bound Hessian sums the terms
+    into a matrix from the distinct lower monomials to the columns, so a
+    chunk evaluates as one product of its monomial values with that matrix,
+    after which the n'' columns of each slot are weighted by eta''.
 
-    Each lower monomial is stored as ``max_degree`` variable indices.  Index
-    ``nvars`` is a sentinel for the homogenizing variable, which reads the
-    chunk's denominator, so ``max_degree`` gather-and-multiply steps evaluate
-    every monomial of any degree already scaled by den**max_degree.
+    Each distinct lower monomial is stored as ``max_degree`` variable indices.
+    Index ``nvars`` is a sentinel for the homogenizing variable, which reads
+    the chunk's denominator, so the product of ``max_degree`` gathered
+    factors evaluates every monomial of any degree scaled by den**max_degree.
     """
 
     def __init__(self, w: Weights,
@@ -208,7 +208,7 @@ class _CompiledHessian:
                         dtype=np.int64).reshape(-1, self.nvars)
         component = np.repeat(np.arange(len(components)), self.sizes)
         y0 = self.nvars - n
-        source, mult, lower, slot = [], [], [], []
+        source, mult, lower, col = [], [], [], []
         for i in range(n):
             for j in range(n):
                 hit = np.flatnonzero(exps[:, i] * exps[:, y0 + j])
@@ -218,27 +218,26 @@ class _CompiledHessian:
                 low[:, y0 + j] -= 1
                 source.append(hit)
                 lower.append(low)
-                slot.append(np.full(len(hit), i * n + j))
-        self._source = np.concatenate(source)
-        self._mult = np.concatenate(mult).astype(object)
-        lower = np.concatenate(lower)
-        degree = lower.sum(axis=1)
+                col.append((i * n + j) * self.n_dprime + component[hit])
+        monos, mono = np.unique(np.concatenate(lower), axis=0,
+                                return_inverse=True)
+        self.n_monos = len(monos)
+        degree = monos.sum(axis=1)
         self.max_degree = int(degree.max(initial=0))
         # pad every monomial with the sentinel up to max_degree factors; row k
-        # of _var_idx holds the k-th factor of every term
-        padded = np.hstack([lower, (self.max_degree - degree)[:, None]])
+        # of _var_idx holds the k-th factor of every distinct monomial
+        padded = np.hstack([monos, (self.max_degree - degree)[:, None]])
         self._var_idx = np.repeat(
             np.tile(np.arange(self.nvars + 1), len(padded)),
             padded.ravel()).reshape(len(padded), self.max_degree).T.copy()
-        # within a slot the terms are already ordered by component, so each
-        # (slot, component) segment is contiguous and sums before its eta''
-        # factor is applied
-        segments, self._starts = np.unique(
-            np.concatenate(slot) * self.n_dprime + component[self._source],
-            return_index=True)
-        self._seg_eta = segments % self.n_dprime
-        self._slots, self._slot_starts = np.unique(
-            segments // self.n_dprime, return_index=True)
+        # the terms in the order of their flat index into the matrix, so that
+        # each entry sums one segment with ``np.add.reduceat``
+        entry = mono.ravel() * n * n * self.n_dprime + np.concatenate(col)
+        order = np.argsort(entry, kind="stable")
+        self._source = np.concatenate(source)[order]
+        self._mult = np.concatenate(mult)[order].astype(object)
+        self._entries, self._entry_starts = np.unique(entry[order],
+                                                      return_index=True)
 
     @property
     def n_terms(self) -> int:
@@ -255,14 +254,20 @@ class _CompiledHessian:
 
 class BoundHessian:
     """The mixed Hessian of one coefficient tuple, evaluated in batches of
-    points; see ``_CompiledHessian`` for the term layout."""
+    points; see ``_CompiledHessian`` for the layout."""
 
     def __init__(self, compiled: _CompiledHessian, terms: np.ndarray):
         self.map = compiled
         self.max_coeff = max(map(abs, terms), default=0)
-        self._coeffs = {object: terms}
-        if self.max_coeff < 2 ** 62:
-            self._coeffs[np.int64] = terms.astype(np.int64)
+        matrix = np.zeros((compiled.n_monos,
+                           compiled.n_prime ** 2 * compiled.n_dprime),
+                          dtype=object)
+        matrix.flat[compiled._entries] = np.add.reduceat(
+            terms, compiled._entry_starts)
+        self._matrix = {object: matrix}
+        # an entry sums at most n_terms terms, as the bound in evaluate does
+        if self.max_coeff * compiled.n_terms < 2 ** 62:
+            self._matrix[np.int64] = matrix.astype(np.int64)
 
     def evaluate(self, nums: np.ndarray, den: int,
                  etas: np.ndarray) -> np.ndarray:
@@ -280,14 +285,9 @@ class BoundHessian:
         # the sentinel column holds the homogenizing variable
         values = np.pad(nums, ((0, 0), (0, 1)),
                         constant_values=den).astype(dtype)
-        terms = np.tile(self._coeffs[dtype], (len(values), 1))
-        for idx in m._var_idx:
-            terms *= values[:, idx]
-        flat = np.zeros((len(values), n * n), dtype=dtype)
-        if m.n_terms:
-            sums = np.add.reduceat(terms, m._starts, axis=1) \
-                * np.asarray(etas, dtype=dtype)[:, m._seg_eta]
-            flat[:, m._slots] = np.add.reduceat(sums, m._slot_starts, axis=1)
+        monos = values[:, m._var_idx].prod(axis=1)
+        parts = (monos @ self._matrix[dtype]).reshape(-1, n * n, m.n_dprime)
+        flat = (parts * np.asarray(etas, dtype=dtype)[:, None, :]).sum(axis=2)
         return flat.reshape(-1, n, n)
 
 
