@@ -67,6 +67,11 @@ CASES["iso_2_1_b14/analyze"] = [
 CASES["rank_one/verify-kmax"] = [
     "verify", "--spec", "specs/rank_one.json", "--grid", "32", "--jmax", "4",
     "--kmax", "1", "--rank", "1", "--norms", "11,oooo,1oo,22"]
+# the (2,2) norm of TjPjk rows at grid 64, where the Lanczos iteration runs
+# past its first restart
+CASES["rank_one/verify-k22"] = [
+    "verify", "--spec", "specs/rank_one.json", "--grid", "64", "--jmax", "3",
+    "--kmax", "3", "--rank", "1", "--norms", "22"]
 # n' = 2, so rank 2 is admissible and the endpoint vertices are emitted
 CASES["iso_2_1_b3/region"] = [
     "region", "--spec", "tests/golden/inputs/iso_2_1_b3.json", "--rank", "2"]
