@@ -1,7 +1,7 @@
 """Structured analysis reports and the exponent-diagram SVG.
 
 Reports are plain dicts serialized with sorted keys; every exact rational is
-rendered as a string, every sampled quantity carries its seed, and identical
+rendered as a string, every sampled report carries its seed, and identical
 inputs produce byte-identical output.
 """
 
@@ -117,7 +117,6 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
         "min_rank_upper_bound": sample.min_rank,
         "witness": _point_strs(sample.witness),
         "samples_tried": sample.samples_tried,
-        "seed": seed,
         "note": "sampled minimum is an upper bound for the true minimal rank",
     }
     a_p, b_p, b_dd = spec.weight_sums()
