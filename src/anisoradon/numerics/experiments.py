@@ -69,8 +69,6 @@ def _norm_with_flag(comp, pair: str) -> tuple[float, bool]:
     try:
         return operator_norm(comp, pair), True
     except NumericalError as exc:
-        if exc.last_value is None:
-            raise
         return float(exc.last_value), False
 
 

@@ -7,7 +7,7 @@ except one:
   (1,1):     max column absolute sum,
   (inf,inf): max row absolute sum,
   (1,inf):   max absolute entry divided by the cell volume,
-  (2,2):     largest singular value (restarted Lanczos on A^T A).
+  (2,2):     largest singular value (thick-restart Lanczos on A^T A).
 
 The first three are read off ``ComposedOperator.abs_stats``, which a
 composite computes once however many of them are asked for; only the (2,2)
@@ -26,7 +26,9 @@ from ..errors import NumericalError
 from .operators import ComposedOperator
 
 _RITZ_TOL = 1e-12   # relative residual of the top Ritz pair at which to stop
-_KRYLOV_DIM = 20    # Lanczos steps between restarts
+_KRYLOV_DIM = 20    # Lanczos vectors before a restart
+_KEPT = 4           # top Ritz vectors kept at a restart
+_MAX_PRODUCTS = 500  # products with A^T A before giving up
 
 
 def normalize_pair(pair: str) -> str:
@@ -35,48 +37,48 @@ def normalize_pair(pair: str) -> str:
     return pair
 
 
-def largest_singular_value(op, maxiter: int = 500) -> float:
-    """Largest singular value via restarted Lanczos on op^T op with full
-    reorthogonalization (Golub-Van Loan, Matrix Computations, 10.1).
-
+def largest_singular_value(op) -> float:
+    """Largest singular value via thick-restart Lanczos on op^T op with full
+    reorthogonalization (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
     Stops once the residual of the top Ritz pair is at most _RITZ_TOL times
-    its Ritz value.  Raises NumericalError (carrying the last estimate) if
-    that takes more than maxiter products with op^T op.
-    """
+    its Ritz value; raises NumericalError, carrying the last estimate, if
+    that takes more than _MAX_PRODUCTS products with op^T op."""
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(0), np.uint64(0x9E3779B97F4A7C15)], dtype=np.uint64)))
     v = rng.standard_normal(op.grid.size)
-    basis = np.empty((_KRYLOV_DIM, v.size))
+    basis = np.empty((_KRYLOV_DIM + 1, v.size))
     basis[0] = v / np.linalg.norm(v)
-    alpha, beta, last = [], [], None
-    for _ in range(maxiter):
-        k = len(alpha)
+    proj = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))  # basis (op^T op) basis^T
+    k, last = 0, None
+    for _ in range(_MAX_PRODUCTS):
         w = op.apply_transpose(op.apply(basis[k]))
-        alpha.append(float(basis[k] @ w))
-        for _ in range(2):
-            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
-        beta.append(float(np.linalg.norm(w)))
-        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
-        theta, top = float(ritz[-1]), vecs[:, -1]
+        for _ in range(2):  # proj's row k: the lower triangle eigh reads
+            c = basis[:k + 1] @ w
+            w -= basis[:k + 1].T @ c
+            proj[k, :k + 1] += c
+        norm = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(proj[:k + 1, :k + 1], UPLO="L")
+        theta = float(ritz[-1])
         last = math.sqrt(max(theta, 0.0))
-        if beta[-1] * abs(top[-1]) <= _RITZ_TOL * theta:
+        if norm * abs(vecs[-1, -1]) <= _RITZ_TOL * theta:
             return last
-        if k + 1 < _KRYLOV_DIM:
-            basis[k + 1] = w / beta[-1]
-        else:  # restart from the top Ritz vector
-            basis[0] = top @ basis
-            basis[0] /= np.linalg.norm(basis[0])
-            alpha, beta = [], []
-    raise NumericalError(
-        f"Lanczos did not converge within {maxiter} products "
-        f"(last estimate {last})", last_value=last)
+        basis[k + 1] = w / norm
+        k += 1
+        if k == _KRYLOV_DIM:  # thick restart: the top Ritz vectors, then w
+            basis[:_KEPT] = vecs[:, -_KEPT:].T @ basis[:k]
+            basis[_KEPT] = basis[k]
+            proj[:] = 0.0
+            proj[:_KEPT, :_KEPT] = np.diag(ritz[-_KEPT:])
+            k = _KEPT
+    raise NumericalError(f"Lanczos did not converge within {_MAX_PRODUCTS} "
+                         f"products (last estimate {last})", last_value=last)
 
 
-def operator_norm(op, pair: str, maxiter: int = 500) -> float:
+def operator_norm(op, pair: str) -> float:
     """Quadrature-weighted operator norm of a grid operator."""
     pair = normalize_pair(pair)
     if pair == "22":
-        return largest_singular_value(op, maxiter=maxiter)
+        return largest_singular_value(op)
     if not isinstance(op, ComposedOperator):
         raise TypeError(
             f"absolute-kernel norms unavailable for {type(op).__name__}")

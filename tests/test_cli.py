@@ -171,11 +171,8 @@ def test_verify_lists_skipped_fits():
 
 
 def test_verify_marks_unconverged_rows_in_the_context(monkeypatch):
-    from anisoradon.numerics import experiments
-    original = experiments.operator_norm
-    monkeypatch.setattr(experiments, "operator_norm",
-                        lambda op, pair, **kw: original(op, pair, maxiter=3,
-                                                        **kw))
+    from anisoradon.numerics import norms
+    monkeypatch.setattr(norms, "_MAX_PRODUCTS", 3)
     code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
                              "--grid", "16", "--jmax", "3", "--norms",
                              "11,22")
