@@ -19,6 +19,8 @@ from .errors import (DegenerateDenominator, HomogeneityViolation,
 from .polynomials import Polynomial, quasidegree_decompose
 from .scaling import MultiIndex, Weights
 
+DEFAULT_PSI_RADIUS = 0.3
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -33,7 +35,7 @@ class OperatorSpec:
     weights: Weights
     beta_dprime: MultiIndex
     s: tuple[Polynomial, ...]
-    psi_radius: float = 0.3
+    psi_radius: float = DEFAULT_PSI_RADIUS
 
     def __post_init__(self):
         if len(self.beta_dprime) != self.weights.n_dprime:

@@ -28,11 +28,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SchemaError
-from .exponents import OperatorSpec
+from .exponents import DEFAULT_PSI_RADIUS, OperatorSpec
 from .polynomials import Monomial, Polynomial
 from .scaling import MultiIndex, Weights
-
-DEFAULT_PSI_RADIUS = 0.3
 
 _REQUIRED = ("n_prime", "n_dprime", "alpha_prime", "alpha_dprime",
              "beta_prime", "beta_dprime", "S")
