@@ -10,8 +10,10 @@ except one:
   (2,2):     largest singular value (thick-restart Lanczos on A^T A).
 
 The first three are read off ``ComposedOperator.abs_stats``, which a
-composite computes once however many of them are asked for; only the (2,2)
-norm assembles the slab's sparse matrix.
+composite computes once however many of them are asked for: at n'' = 1 in
+closed form from the breakpoints of the y''-kernel, at n'' >= 2 by
+multiplying each y'-block of the slab by the dense y''-kernel in pieces.
+Only the (2,2) norm assembles the slab's sparse matrix.
 """
 
 from __future__ import annotations

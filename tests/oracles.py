@@ -86,6 +86,14 @@ def dense_multiplier(mult) -> np.ndarray:
     return np.kron(np.eye(n_rest), mult.ydd_kernel_matrix())
 
 
+def dense_abs_stats(slab, mult) -> tuple[float, float, float]:
+    """(max column sum, max row sum, max entry) of |slab o mult|, from the
+    dense product: the reference for ``ComposedOperator.abs_stats``."""
+    dense = np.abs(slab.matrix @ dense_multiplier(mult))
+    return (float(dense.sum(axis=0).max()), float(dense.sum(axis=1).max()),
+            float(dense.max()))
+
+
 def shell_points(weights_flat: Sequence[int], n_dprime: int, samples: int,
                  seed: int):
     """``samples`` random shell points (numerators, SAMPLE_DENOMINATOR,

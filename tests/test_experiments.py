@@ -8,11 +8,10 @@ import pytest
 from anisoradon.errors import (DilationCapError, ResolutionError,
                                SingularMapError)
 from anisoradon.exponents import OperatorSpec
-from anisoradon.numerics import (FourierMultiplier, Grid, decay_slope,
-                                 decay_table, dual_principal_check,
-                                 fit_decay_rows, knapp_exponent_table,
-                                 knapp_integral, p_shell_resolved,
-                                 q_resolved)
+from anisoradon.numerics import (Grid, decay_slope, decay_table,
+                                 dual_principal_check, fit_decay_rows,
+                                 knapp_exponent_table, knapp_integral,
+                                 p_shell_resolved, q_resolved)
 from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, isotropic_weights
 from anisoradon.specfile import load_spec
@@ -182,20 +181,28 @@ def test_decay_table_rows_and_fits():
 
 
 def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
-    # 3 slabs x (TjQj + TjPj0 + TjPj1) = 9 composites, 3 absolute norms each
-    kernels = []
-    original = FourierMultiplier.ydd_kernel_matrix
+    # 3 slabs x (TjQj + TjPj0 + TjPj1) = 9 composites, 3 absolute norms each:
+    # the closed form at n'' = 1, the kernel product at n'' = 2
+    from anisoradon.numerics import operators
+    passes = []
+    for path in ("_interpolation_stats", "_product_stats"):
+        def counted(slab, mult, path=path, original=getattr(operators, path)):
+            passes.append((path, mult))
+            return original(slab, mult)
 
-    def counted(self):
-        kernels.append(self)
-        return original(self)
-
-    monkeypatch.setattr(FourierMultiplier, "ydd_kernel_matrix", counted)
-    grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
-    rows = decay_table(REFERENCE, grid, jmax=3, kmax=1,
-                       pairs=("11", "oooo", "1oo"))
-    assert len(rows) == 27
-    assert len(kernels) == 9 == len(set(map(id, kernels)))
+        monkeypatch.setattr(operators, path, counted)
+    shear = load_spec(Path(__file__).resolve().parent / "golden" / "inputs"
+                      / "shear_1_2.json")
+    for spec, grid, path in (
+            (REFERENCE, Grid(dim=2, points_per_axis=32, half_width=2.0),
+             "_interpolation_stats"),
+            (shear, Grid(dim=3, points_per_axis=8), "_product_stats")):
+        passes.clear()
+        rows = decay_table(spec, grid, jmax=3, kmax=1,
+                           pairs=("11", "oooo", "1oo"))
+        assert len(rows) == 27
+        assert {p for p, _ in passes} == {path}
+        assert len(passes) == 9 == len(set(id(m) for _, m in passes))
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):

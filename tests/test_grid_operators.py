@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anisoradon.errors import DilationCapError
 from anisoradon.exponents import OperatorSpec
@@ -16,7 +18,7 @@ from anisoradon.numerics.cutoffs import phi0
 from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, isotropic_weights
 from anisoradon.specfile import load_spec
-from oracles import dense_multiplier
+from oracles import dense_abs_stats, dense_multiplier
 
 SPEC = load_spec(Path(__file__).resolve().parent.parent / "specs"
                  / "reference.json")
@@ -209,9 +211,7 @@ def test_composed_norms_match_dense():
         q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
         comp = ComposedOperator(tj, q)
         dense = tj.matrix @ dense_multiplier(q)
-        col = np.abs(dense).sum(axis=0).max()
-        row = np.abs(dense).sum(axis=1).max()
-        entry = np.abs(dense).max()
+        col, row, entry = dense_abs_stats(tj, q)
         assert operator_norm(comp, "11") == pytest.approx(col, rel=1e-12)
         assert operator_norm(comp, "oooo") == pytest.approx(row, rel=1e-12)
         assert operator_norm(comp, "1oo") == pytest.approx(
@@ -227,20 +227,78 @@ def test_composed_norms_match_dense():
 
 
 def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
-    # a y'-block multiplied 3 entries at a time gives the same bits as the
-    # whole block at once: the column sums add the rows in the same order
-    for spec, grid in ((SPEC, SMALL),
-                       (_two_dprime_spec(), Grid(dim=3, points_per_axis=8))):
+    # pieces of 96 kernel values.  At n'' = 2 a y'-block multiplied 3
+    # entries at a time gives the same bits as the whole block at once, as
+    # the column sums add the rows in the same order.  At n'' = 1 the row
+    # sums and the largest entry add in entry order whatever the pieces;
+    # the column sums regroup their breakpoint histograms, so they move by
+    # rounding only.
+    for spec, grid, col_rel in (
+            (SPEC, SMALL, 1e-14),
+            (_two_dprime_spec(), Grid(dim=3, points_per_axis=8), 0)):
         tj = discretize_tj(spec, grid, 1)
         q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
         whole = ComposedOperator(tj, q).abs_stats
         n_block = q.ydd_block.size
         assert np.bincount(tj.cols[:, 0] // n_block).max() > 3
+        assert tj.rows.size > 3 * n_block  # more than one piece
         monkeypatch.setattr(operators, "_PIECE_VALUES", 3 * n_block)
-        assert ComposedOperator(tj, q).abs_stats == whole
+        col, *rest = ComposedOperator(tj, q).abs_stats
+        assert col == pytest.approx(whole[0], rel=col_rel, abs=0)
+        assert rest == list(whole[1:])
         monkeypatch.undo()
 
 
+_KINDS = st.sampled_from(["interior", "on a node", "at a breakpoint",
+                          "wrapped"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([8, 16]), data=st.data())
+def test_closed_form_statistics_match_the_dense_product(n, data):
+    # a random real y''-block has a kernel with many sign changes, and a
+    # constant one the kernel c delta, whose u_m = 0 take their sign from
+    # d_m; the entries include f = 0, f at a breakpoint -u_m/d_m of the
+    # kernel, and corners that wrap from x''-node N-1 to 0, stored (0, N-1)
+    grid = Grid(dim=2, points_per_axis=n)
+    block = data.draw(st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1.0, 1.0)),
+        st.floats(-1.0, 1.0).map(lambda c: np.full(n, c))))
+    mult = FourierMultiplier(grid, block)
+    u = np.fft.ifft(block).real
+    d = np.roll(u, -1) - u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -u / d
+    breakpoints = np.sort(t[(t > 0.0) & (t < 1.0)])
+    entries = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, grid.size - 1),
+                  _KINDS, st.integers(0, n - 2), st.floats(0.0, 1.0),
+                  st.floats(0.01, 2.0), st.booleans()),
+        min_size=1, max_size=40, unique_by=lambda e: e[:2]))
+    entries.sort()  # y'-block after y'-block
+    rows, cols, vals = [], [], []
+    for g, row, kind, i0, f, base, negative in entries:
+        if kind == "on a node":
+            f = 0.0
+        elif kind == "at a breakpoint" and breakpoints.size:
+            f = float(breakpoints[i0 % breakpoints.size])
+        base = -base if negative else base
+        lo, hi = base * (1.0 - f), base * f
+        rows.append(row)
+        if kind == "wrapped":  # i0 = N-1: node 0 carries the weight f
+            cols.append((g * n, g * n + n - 1))
+            vals.append((hi, lo))
+        else:
+            cols.append((g * n + i0, g * n + i0 + 1))
+            vals.append((lo, hi))
+    slab = SparseKernelOperator(grid, np.array(rows), np.array(cols),
+                                np.array(vals))
+    got = ComposedOperator(slab, mult).abs_stats
+    want = dense_abs_stats(slab, mult)
+    # rounding scale: every column or row sum is at most sum |base| sum |u|
+    scale = np.abs(slab.vals).sum() * np.abs(u).sum()
+    for g_val, w_val in zip(got, want):
+        assert abs(g_val - w_val) <= 1e-13 * scale
 def test_transpose_of_multiplier():
     q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 1)
     dense = dense_multiplier(q)
