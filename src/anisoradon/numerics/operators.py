@@ -358,11 +358,11 @@ def _discretize(spec: OperatorSpec, grid: Grid, j: int,
         shaped(windows[n + i].astype(index), n + i) * N ** (n - 1 - i)
         for i in range(n_p)), mask.shape)[mask].reshape(corner)
     for l in range(n_d):
-        pos = ((axes[n_p + l]
-                + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
-                + L) / h - 0.5)[mask]
-        i0 = np.floor(pos)
-        frac = pos - i0
+        frac = ((axes[n_p + l]  # the x''-position in cells, then its fraction
+                 + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
+                 + L) / h - 0.5)[mask]
+        i0 = np.floor(frac)
+        frac -= i0
         i0 = (i0.astype(np.int64) % N).astype(index)
         idx = np.stack((i0, (i0 + 1) % N), axis=1)
         wgt = np.stack((1.0 - frac, frac), axis=1)

@@ -227,12 +227,12 @@ def test_composed_norms_match_dense():
 
 
 def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
-    # pieces of 96 kernel values.  At n'' = 2 a y'-block multiplied 3
-    # entries at a time gives the same bits as the whole block at once, as
-    # the column sums add the rows in the same order.  At n'' = 1 the row
-    # sums and the largest entry add in entry order whatever the pieces;
-    # the column sums regroup their breakpoint histograms, so they move by
-    # rounding only.
+    # pieces of three y''-blocks of values.  At n'' = 2 a y'-block
+    # multiplied 3 entries at a time gives the same bits as the whole block
+    # at once, as the column sums add the rows in the same order.  At
+    # n'' = 1 the row sums and the largest entry add in entry order whatever
+    # the pieces; the column sums regroup their breakpoint histograms, so
+    # they move by rounding only.
     for spec, grid, col_rel in (
             (SPEC, SMALL, 1e-14),
             (_two_dprime_spec(), Grid(dim=3, points_per_axis=8), 0)):
@@ -299,6 +299,8 @@ def test_closed_form_statistics_match_the_dense_product(n, data):
     scale = np.abs(slab.vals).sum() * np.abs(u).sum()
     for g_val, w_val in zip(got, want):
         assert abs(g_val - w_val) <= 1e-13 * scale
+
+
 def test_transpose_of_multiplier():
     q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 1)
     dense = dense_multiplier(q)
