@@ -35,8 +35,8 @@ from ..scaling import MultiIndex, check_dilation
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
-# A verify run peaks at about 77 B per mesh entry of its largest slab over
-# a 54 MB base (299 MB at 3.2 M entries, 212 MB at 2.1 M), most of it in
+# A verify run peaks at about 72 B per mesh entry of its largest slab over
+# a 54 MB base (275 MB at 3.2 M entries, 196 MB at 2.1 M), most of it in
 # the slab build, so 2**23 entries keep a run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
 # values (4 MB) per piece in ComposedOperator.abs_stats: histogram cells at
