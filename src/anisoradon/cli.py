@@ -86,6 +86,7 @@ def _refuse_below_one(**counts: int) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
+    _refuse_below_one(samples=args.samples)
     spec = load_spec(args.spec)
     report = analyze_report(spec, samples=args.samples, seed=args.seed)
     _emit(report_json(report), args.out)
@@ -142,7 +143,7 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_sample_generic(args) -> int:
-    _refuse_below_one(tuples=args.tuples)
+    _refuse_below_one(tuples=args.tuples, points=args.points)
     spec = load_spec(args.spec)
     rep = generic_rank_trial(spec.weights, spec.beta_dprime,
                              tuples=args.tuples,

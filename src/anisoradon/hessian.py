@@ -17,10 +17,11 @@ denominators cleared.
 A chunk of points is an int64 array of numerators, an int64 array of eta''
 and one denominator: 1 for the axis probes, ``SAMPLE_DENOMINATOR`` for the
 shell points, which are parsed from one draw per chunk.  A ``BoundHessian``
-evaluates a chunk of about ``CHUNK_ENTRIES`` point x term entries at once to
-integer matrices that are nonzero multiples of the true ones, so ranks agree;
-an a-priori bound on the chunk picks int64 arithmetic when no sum can
-overflow, Python integers otherwise.
+evaluates a chunk of about ``CHUNK_ENTRIES`` entries of its widest per-point
+temporary (distinct lower monomials or n'^2 n'' terms) to integer matrices
+that are nonzero multiples of the true ones, so ranks agree; an a-priori
+bound on the chunk picks float64, exact while every partial sum is an
+integer below 2^53, or Python integers otherwise.
 
 Ranks are screened by a stacked elimination modulo the prime
 ``SCREEN_PRIME`` in int64.  The rank mod p is at most the rank over Q, so a
@@ -55,8 +56,8 @@ Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
 # denominator used for random rational sample coordinates; small integers keep
 # the exact elimination fast
 SAMPLE_DENOMINATOR = 16
-# point x term entries evaluated at once (at least one point): keeps the
-# evaluation temporaries to a few MB
+# entries of the widest per-point temporary (distinct monomials or Hessian
+# terms) evaluated at once, at least one point: keeps them to a few MB
 CHUNK_ENTRIES = 2 ** 16
 # modulus of the rank screen: residues below 2^31 multiply without
 # overflowing int64
@@ -149,13 +150,14 @@ def _nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
     p = SCREEN_PRIME
     a = np.mod(mats, p).astype(np.int64)
     nonsingular = np.ones(n_points, dtype=bool)
-    rows = np.arange(n_points)
     for k in range(n):
         nonzero = a[:, k:, k] != 0
         nonsingular &= nonzero.any(axis=1)
         piv = k + nonzero.argmax(axis=1)
-        top = a[rows, piv].copy()
-        a[rows, piv] = a[rows, k]
+        # swap rows only where the pivot is off the diagonal
+        rows = np.flatnonzero(piv != k)
+        top = a[rows, piv[rows]].copy()
+        a[rows, piv[rows]] = a[rows, k]
         a[rows, k] = top
         # row_r <- a_kk row_r - a_rk row_k: a nonzero multiple of row_r plus
         # a multiple of row_k, so the rank mod p is unchanged
@@ -266,29 +268,33 @@ class BoundHessian:
             terms, compiled._entry_starts)
         self._matrix = {object: matrix}
         # an entry sums at most n_terms terms, as the bound in evaluate does
-        if self.max_coeff * compiled.n_terms < 2 ** 62:
-            self._matrix[np.int64] = matrix.astype(np.int64)
+        if self.max_coeff * compiled.n_terms < 2 ** 53:
+            self._matrix[np.float64] = matrix.astype(np.float64)
 
     def evaluate(self, nums: np.ndarray, den: int,
                  etas: np.ndarray) -> np.ndarray:
         """The matrices at the points ``nums[k] / den`` with eta'' =
         ``etas[k]``, each scaled by den**max_degree, in shape (points, n',
-        n').  Requires |nums| <= den, as shell normalization guarantees; the
-        a-priori bound picks int64 or exact Python integers."""
+        n').  Requires |nums| <= den, as shell normalization guarantees.
+        The temporaries hold n_monos or n'^2 n'' entries per point.  The
+        a-priori bound picks float64, exact while every partial sum is an
+        integer below 2^53 and returned as int64, or Python integers."""
         m = self.map
         n = m.n_prime
         # each term is bounded by max_coeff * den**max_degree, and every
         # partial sum, weighted by eta'', by max |eta''| times n_terms of them
         bound = self.max_coeff * den ** m.max_degree * m.n_terms \
             * int(np.abs(etas).max(initial=1))
-        dtype = np.int64 if bound < 2 ** 62 else object
+        dtype, out = ((np.float64, np.int64) if bound < 2 ** 53
+                      else (object, object))
         # the sentinel column holds the homogenizing variable
-        values = np.pad(nums, ((0, 0), (0, 1)),
-                        constant_values=den).astype(dtype)
-        monos = values[:, m._var_idx].prod(axis=1)
+        values = np.hstack([nums, np.full((len(nums), 1), den)]).astype(dtype)
+        monos = np.ones((len(nums), m.n_monos), dtype=dtype)
+        for factor in m._var_idx:
+            monos *= values[:, factor]
         parts = (monos @ self._matrix[dtype]).reshape(-1, n * n, m.n_dprime)
         flat = (parts * np.asarray(etas, dtype=dtype)[:, None, :]).sum(axis=2)
-        return flat.reshape(-1, n, n)
+        return flat.reshape(-1, n, n).astype(out, copy=False)
 
 
 def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -401,7 +407,7 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
         raise ValueError("need at least one sample")
     m = h.map
     n_p, n_d = m.n_prime, m.n_dprime
-    per_chunk = max(1, CHUNK_ENTRIES // max(m.n_terms, 1))
+    per_chunk = max(1, CHUNK_ENTRIES // max(m.n_monos, n_p * n_p * n_d, 1))
     chunks = _shell_chunks(m.weights_flat, n_d, samples, seed, per_chunk)
     if include_probes:
         chunks = itertools.chain([_probe_chunk(n_p, n_d)], chunks)

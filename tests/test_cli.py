@@ -327,6 +327,19 @@ def test_vacuous_counts_are_refused(argv):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--samples", "0"],
+                                  ["sample-generic", "--points", "0"]])
+def test_empty_rank_samples_are_refused_before_the_spec_loads(argv,
+                                                              monkeypatch):
+    # both exited 1 with a ValueError, after loading and compiling the spec
+    loads = []
+    monkeypatch.setattr(cli, "load_spec", loads.append)
+    code, out, err = run_cli(argv[0], "--spec", REFERENCE_SPEC, *argv[1:])
+    assert code == 1 and out == "" and loads == []
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and argv[1] in error["message"]
+
+
 EXIT_CODES = {
     errors.AnisoradonError: 1, errors.SchemaError: 1,
     errors.HomogeneityViolation: 1, errors.VanishingPrincipalPart: 1,

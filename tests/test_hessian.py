@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
+from anisoradon.exponents import check_homogeneity
 from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
                                 _CompiledHessian, _nonsingular_mod_p,
                                 _probe_chunk, _screened_ranks, _shell_chunks,
@@ -19,9 +21,11 @@ from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
                                 principal_hessian)
 from anisoradon.polynomials import Monomial, Polynomial, lambda_basis
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
+from anisoradon.specfile import load_spec
 from oracles import minor_rank_oracle, shell_points, sympy_hessian
 
 F = Fraction
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def poly(n_p, n_d, *terms):
@@ -233,7 +237,7 @@ def test_min_rank_sample_witness_consistency():
 
 
 def test_big_integer_evaluation_matches_sympy():
-    # degree-12 entries: the a-priori bound exceeds int64, so the evaluation
+    # degree-12 entries: the a-priori bound exceeds 2^53, so the evaluation
     # runs on exact Python integers.  The denominator is finer than the
     # sampler's so that the exact entries themselves exceed int64.
     w, bdd = isotropic_weights(2, 1), MultiIndex([14])
@@ -263,8 +267,9 @@ def test_big_integer_evaluation_matches_sympy():
 
 
 @pytest.mark.parametrize("alpha_dprime, bdd, dtype", [
+    # the float64 tier returns int64 matrices
     ((1, 1), (4, 5), np.int64),
-    # entries of degree up to 12: the shell points push the bound past int64
+    # entries of degree up to 12: the shell points push the bound past 2^53
     ((1,), (14,), object),
 ])
 def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
@@ -279,7 +284,7 @@ def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
     shells = next(_shell_chunks(h.map.weights_flat, w.n_dprime,
                                 len(probes[0]), seed=2, per_chunk=100))
     assert shells[1] == SAMPLE_DENOMINATOR
-    # probes fit int64 whatever the degree
+    # probes stay in the float64 tier whatever the degree
     for chunk, want_dtype in ((probes, np.int64), (shells, dtype)):
         got = h.evaluate(*chunk)
         assert got.dtype == want_dtype
@@ -287,6 +292,37 @@ def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
         for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
             assert mat.tolist() == scaled_sympy(polys, point, den, eta,
                                                 h.map.max_degree)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_float64_tier_is_exact_up_to_its_edge(above):
+    # scale a trial tuple so that the a-priori bound of a shell chunk sits
+    # just below 2^53, where float64 holds every partial sum exactly, or just
+    # above it, where the evaluation runs on Python integers
+    w = Weights(MultiIndex([1, 2]), MultiIndex([1, 1]), MultiIndex([2, 1]))
+    bdd = MultiIndex([4, 5])
+    polys = generic_trial_tuple(w, bdd, seed=1, trial_index=0)
+    h = principal_hessian(polys, w, bdd)
+    nums, den, etas = next(_shell_chunks(h.map.weights_flat, 2, 40, seed=2,
+                                         per_chunk=40))
+    unit = (h.max_coeff * den ** h.map.max_degree * h.map.n_terms
+            * int(np.abs(etas).max()))
+    scale = (2 ** 53 - 1) // unit + above
+    assert 2 ** 52 < scale * unit < 2 ** 53 + unit
+    assert (scale * unit < 2 ** 53) != above
+    scaled = tuple(Polynomial.from_monomials(
+        p.n_prime, p.n_dprime,
+        [Monomial(m.coeff * scale, m.exp_x, m.exp_xx, m.exp_y)
+         for m in p.monomials()]) for p in polys)
+    hs = principal_hessian(scaled, w, bdd)
+    assert hs.max_coeff == scale * h.max_coeff
+    got = hs.evaluate(nums, den, etas)
+    assert got.dtype == (object if above else np.int64)
+    # entries far past float32 and close to the edge
+    assert max(abs(int(v)) for v in got.ravel()) > 2 ** 45
+    for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
+        assert mat.tolist() == scaled_sympy(scaled, point, den, eta,
+                                            h.map.max_degree)
 
 
 def _skipped_draws(width, n_dprime, seed, samples):
@@ -393,6 +429,60 @@ def test_ranks_match_sympy(mat):
     assert _screened_ranks(stack).tolist() == [want]
     if want < len(mat):  # a singular matrix never passes the screen
         assert not _nonsingular_mod_p(stack)[0]
+
+
+@st.composite
+def screen_stacks(draw):
+    """Stacks of same-size integer matrices, the first with a zero leading
+    entry mod p, so that its screen swaps rows at the first step, the second
+    with a nonzero one."""
+    n = draw(st.integers(1, 4))
+    mats = draw(st.lists(st.lists(st.lists(small_ints, min_size=n,
+                                            max_size=n),
+                                   min_size=n, max_size=n),
+                         min_size=2, max_size=6))
+    mats[0][0][0] = draw(st.sampled_from([0, SCREEN_PRIME]))
+    mats[1][0][0] = draw(st.sampled_from([1, -2, SCREEN_PRIME + 1]))
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_stacks())
+@example([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0],
+                                              [0, 0, 1]]])
+def test_stacked_screen_matches_sympy(mats):
+    # only some matrices of the stack need a pivot swap at each step; the
+    # screen passes exactly those with a nonzero determinant mod p
+    stack = np.array(mats, dtype=object)
+    want = [sympy.Matrix(m) for m in mats]
+    assert _nonsingular_mod_p(stack).tolist() == [
+        m.det() % SCREEN_PRIME != 0 for m in want]
+    assert _screened_ranks(stack).tolist() == [m.rank() for m in want]
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 64, 2 ** 24])
+def test_rank_sampling_does_not_depend_on_the_chunk_size(chunk_entries,
+                                                         monkeypatch):
+    # iso_2_1_b3 has points of ranks 0 to 2 (rank 0 only at the probes), and
+    # some of its matrices fail the screen and reach Bareiss
+    spec = load_spec(GOLDEN_INPUTS / "iso_2_1_b3.json")
+    h = principal_hessian(check_homogeneity(spec), spec.weights,
+                          spec.beta_dprime)
+    w, bdd = isotropic_weights(3, 2), MultiIndex([3, 3])
+
+    def sample():
+        return (min_rank_sample(h, 300, seed=3),
+                min_rank_sample(h, 300, seed=3, include_probes=False),
+                generic_rank_trial(w, bdd, tuples=3, points_per_tuple=40,
+                                   seed=2))
+
+    calls = counting_rank(monkeypatch)
+    want = sample()
+    assert calls and sorted(want[0].rank_counts) == [0, 1, 2]
+    assert sorted(want[1].rank_counts) == [1, 2]
+    monkeypatch.setattr(hessian, "CHUNK_ENTRIES", chunk_entries)
+    # the reports compare minimal rank, witness, count and rank histograms
+    assert sample() == want
 
 
 def test_min_rank_sample_deterministic():
