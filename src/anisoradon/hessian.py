@@ -432,14 +432,15 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
 
 
 def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
-    bases = []
+    """The monomial basis of each component, enumerated once per degree."""
+    by_degree: dict[int, list[Monomial]] = {}
     for l, deg in enumerate(beta_dprime):
-        basis = lambda_basis(w, deg)
-        if not basis:
+        if deg not in by_degree:
+            by_degree[deg] = lambda_basis(w, deg)
+        if not by_degree[deg]:
             raise DegenerateSpace(
                 f"no monomials of quasidegree {deg} for component {l}")
-        bases.append(basis)
-    return bases
+    return [by_degree[deg] for deg in beta_dprime]
 
 
 def _trial_coefficients(sizes: Sequence[int], seed: int, trial_index: int,

@@ -24,8 +24,8 @@ from ..scaling import check_dilation
 from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, operator_norm
-from .operators import (ComposedOperator, discretize_tj, pjk_multiplier,
-                        qj_multiplier)
+from .operators import (ComposedOperator, SlabMesh, discretize_tj,
+                        pjk_multiplier, qj_multiplier, stream_abs_stats)
 
 BOX_UNDERFLOW = 2.0 ** -40
 # the duality check samples (x', y'', y') uniformly from [-DUAL_BOX, DUAL_BOX]
@@ -74,7 +74,7 @@ def _norm_with_flag(comp, pair: str) -> tuple[float, bool]:
 
 def _pieces(spec: OperatorSpec, grid: Grid, j: int, kmax: int):
     """The frequency pieces (family, k, multiplier, resolved) of slab j, in
-    row order.  Each multiplier is built only when its turn comes."""
+    row order."""
     n_p, b_dd = spec.n_prime, spec.beta_dprime
     yield ("TjQj", None, qj_multiplier(grid, n_p, b_dd, j),
            q_resolved(grid, b_dd, j))
@@ -89,15 +89,23 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
     """Measure norms of T_j Q_j for j = 1..jmax and of T_j P_jk for
     k = 0..kmax (none when kmax < 0).  Raises DilationCapError before any
     slab is built if slab jmax is past the cap, and ResolutionError when no
-    slab has a mesh entry on the grid, as every norm would then be zero."""
+    slab has a mesh entry on the grid, as every norm would then be zero.
+
+    A slab streams through the statistics of all its multipliers in chunks
+    and is never held whole, unless the (2,2) norm applies its matrix or,
+    at n'' >= 2, each multiplier's statistics hold a dense y''-kernel: then
+    the slab is built whole and its multipliers run one at a time."""
     check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
+    whole = "22" in pairs or spec.n_dprime > 1
     rows: list[DecayRow] = []
     entries = 0
     for j in range(1, jmax + 1):
-        tj = discretize_tj(spec, grid, j)
-        entries += tj.rows.size
-        for family, k, multiplier, res in _pieces(spec, grid, j, kmax):
-            comp = ComposedOperator(tj, multiplier)
+        pieces = list(_pieces(spec, grid, j, kmax))
+        tj = (discretize_tj(spec, grid, j) if whole
+              else SlabMesh(spec, grid, j, shell=True))
+        comps = [ComposedOperator(tj, mult) for _, _, mult, _ in pieces]
+        entries += tj.rows.size if whole else stream_abs_stats(comps)
+        for (family, k, _, res), comp in zip(pieces, comps):
             for pair in pairs:
                 value, converged = _norm_with_flag(comp, pair)
                 rows.append(DecayRow(family, j, k, pair, value, res,

@@ -9,11 +9,14 @@ except one:
   (1,inf):   max absolute entry divided by the cell volume,
   (2,2):     largest singular value (thick-restart Lanczos on A^T A).
 
-The first three are read off ``ComposedOperator.abs_stats``, which a
-composite computes once however many of them are asked for: at n'' = 1 in
-closed form from the breakpoints of the y''-kernel, at n'' >= 2 by
-multiplying each y'-block of the slab by the dense y''-kernel in pieces.
-Only the (2,2) norm assembles the slab's sparse matrix.
+The first three are read off ``ComposedOperator.abs_stats``, computed
+once per composite however many of them are asked for.  The statistics read
+the slab chunk by chunk and keep a few arrays over the grid per multiplier:
+at n'' = 1 in closed form from the breakpoints of the y''-kernel, for all
+the multipliers of a slab at once, so the slab is never held whole; at
+n'' >= 2 by multiplying each y'-block of the slab by the dense y''-kernel
+in pieces, one multiplier at a time over the slab held whole.  Only the
+(2,2) norm assembles the slab's sparse matrix.
 """
 
 from __future__ import annotations

@@ -8,14 +8,18 @@ nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.  The
 mesh is the product of per-axis node windows; cutoffs and index offsets are
 built from per-axis factors that broadcast, not from mesh-sized scratch.  A
-slab is kept as its nonzero mesh entries, y'-block after y'-block, which the
-absolute-kernel statistics read directly; its sparse matrix is assembled
-only when the slab is applied, as in the (2,2) norm.
+slab's nonzero mesh entries come y'-block after y'-block, in chunks of whole
+y'-blocks of bounded size, and only a chunk's scratch is held while it is
+built.  The absolute-kernel statistics read the chunks as they come, so a
+slab is built whole, in one chunk, only when something needs it whole: its
+sparse matrix, as in the (2,2) norm, or statistics that run one multiplier
+at a time.
 
-The absolute-kernel statistics of a slab composed with a multiplier take
-two paths.  At n'' = 1 they follow in closed form from the breakpoints of
-the y''-kernel, with no product formed; at n'' >= 2 each y'-block is
-multiplied by the dense y''-kernel, in pieces of bounded size.
+The absolute-kernel statistics of a slab composed with a multiplier keep
+per-multiplier accumulators over the grid between chunks.  At n'' = 1 they
+follow in closed form from the breakpoints of the y''-kernel, with no
+product formed; at n'' >= 2 each y'-block is multiplied by the dense
+y''-kernel, in pieces of bounded size.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,26 +40,36 @@ from ..scaling import MultiIndex, check_dilation
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
-# A verify run peaks at about 72 B per mesh entry of its largest slab over
-# a 54 MB base (275 MB at 3.2 M entries, 196 MB at 2.1 M), most of it in
-# the slab build, so 2**23 entries keep a run under about 700 MB.
+# Memory held at once is bounded by MAX_MESH_ENTRIES mesh entries.  A pass
+# over mesh entries peaks at about 73 B per nonzero entry (a whole slab:
+# 196 MB at 2.1 M entries over a 51 MB base).  What counts: a slab built
+# whole; when streamed, one y'-slice, the least a chunk holds; and the
+# statistics' accumulators, 8 B values that count nine to a mesh entry.
+# 2**23 entries keep a run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
-# values (4 MB) per piece in ComposedOperator.abs_stats: histogram cells at
-# n'' = 1, kernel values of a y'-block product at n'' >= 2
+_VALUES_PER_ENTRY = 9
+# mesh entries per chunk, unless one y'-slice is more: from 2**14 to 2**18
+# the decay-2d and grid-512 rank_one verify jobs take the same time, and
+# the peak grows past 2**17 (decay-2d: 78 MB at 2**15, 84 MB at 2**17,
+# 128 MB at 2**19, 249 MB at 2**21)
+_CHUNK_ENTRIES = 2 ** 17
+# values (4 MB) per piece of the absolute-kernel statistics: histogram
+# cells at n'' = 1, kernel values of a y'-block product at n'' >= 2
 _PIECE_VALUES = 2 ** 19
 
 
 # -- operator containers -------------------------------------------------------
 
 class SparseKernelOperator:
-    """A slab as its nonzero mesh entries, y'-block after y'-block.
+    """A slab, or a chunk of whole y'-blocks of one, as its nonzero mesh
+    entries, y'-block after y'-block.
 
     Entry e is row ``rows[e]``; its 2^n'' interpolation corners lie in one
     y'-block, at columns ``cols[e]`` with values ``vals[e]``: at n'' = 1 the
     x''-nodes i0 and i0 + 1 with base (1 - f) and base f, the pair (N-1, 0)
     stored in increasing column order.  Indices are int32 below 2^31 grid
     points.  The sparse matrix is assembled from the entries only when
-    first asked for."""
+    first asked for, and is then held with them."""
 
     def __init__(self, grid: Grid, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray):
@@ -145,24 +160,51 @@ class ComposedOperator:
     @functools.cached_property
     def abs_stats(self) -> tuple[float, float, float]:
         """(max column sum, max row sum, max entry) of the absolute kernel of
-        a slab composed with a y''-only multiplier, computed once.
-
-        The product is never materialized.  With two corners per entry
-        (n'' = 1) the statistics follow in closed form from the breakpoints
-        of the y''-kernel; with more, each y'-block is multiplied by the
-        dense y''-kernel in pieces."""
+        a slab composed with a y''-only multiplier, computed once: the
+        statistics pass of ``absolute_stats`` fed the slab as one chunk, or
+        for a SlabMesh, set by ``stream_abs_stats``.  The product is never
+        materialized."""
         left, right = self.left, self.right
         if not (isinstance(left, SparseKernelOperator)
                 and isinstance(right, FourierMultiplier)):
             raise TypeError("no absolute-kernel norms for this composite")
-        if left.cols.shape[1] == 2:
-            return _interpolation_stats(left, right)
-        return _product_stats(left, right)
+        return absolute_stats([left], [right])[0]
 
 
-def _interpolation_stats(slab: SparseKernelOperator, mult: FourierMultiplier
-                         ) -> tuple[float, float, float]:
-    """``abs_stats`` at n'' = 1, from the breakpoints of the y''-kernel u.
+# -- absolute-kernel statistics ------------------------------------------------
+
+def absolute_stats(chunks: Iterable[SparseKernelOperator],
+                   mults: Sequence[FourierMultiplier]
+                   ) -> list[tuple[float, float, float]]:
+    """``abs_stats`` of one slab composed with each of ``mults`` (y''-only
+    multipliers of one rank n''), the slab given as chunks of whole
+    y'-blocks in entry order.  Each chunk goes to every multiplier in turn
+    before the next chunk is read, so only the chunk and the accumulators
+    of the statistics are held: at n'' = 1 the closed form from the
+    breakpoints of the y''-kernel, at n'' >= 2 the product of each y'-block
+    with the dense y''-kernel, in pieces.  Accumulators that would hold
+    more than the memory of MAX_MESH_ENTRIES mesh entries are refused
+    before any is allocated."""
+    sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
+            else _ProductSums)
+    arrays, size = sums.arrays * len(mults), mults[0].grid.size
+    if arrays * size > MAX_MESH_ENTRIES * _VALUES_PER_ENTRY:
+        raise MemoryError(
+            f"the statistics need {arrays} arrays of {size} values, more "
+            f"than {MAX_MESH_ENTRIES * _VALUES_PER_ENTRY} values, the memory "
+            f"of the limit of {MAX_MESH_ENTRIES} mesh entries")
+    accs = [sums(mult) for mult in mults]
+    start = 0  # index in the slab of the chunk's first entry
+    for chunk in chunks:
+        for acc in accs:
+            acc.add(chunk, start)
+        start += chunk.rows.size
+    return [acc.result() for acc in accs]
+
+
+class _InterpolationSums:
+    """The statistics at n'' = 1 of the slab composed with one multiplier,
+    from the breakpoints of its y''-kernel u, accumulated chunk by chunk.
 
     An entry with lower x''-node i0, weight sum ``base`` and fraction f (the
     weight at i0 + 1 over ``base``) has the product row base (u_m + f d_m)
@@ -180,39 +222,60 @@ def _interpolation_stats(slab: SparseKernelOperator, mult: FourierMultiplier
       cumulative sums of a (group, breakpoint rank) histogram.
 
     The entries are taken in pieces of ``_PIECE_VALUES // (breakpoints + 1)``
-    so that the histogram of a piece has at most ``_PIECE_VALUES`` cells."""
-    u = np.fft.ifft(mult.ydd_block).real
-    n = u.size
-    d = np.roll(u, -1) - u
-    sign = np.sign(np.where(u != 0.0, u, d))  # of u_m + f d_m above f = 0
-    signed_u, signed_d = sign * u, sign * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -u / d
-    cross = np.flatnonzero((t > 0.0) & (t < 1.0))
-    cross = cross[np.argsort(-t[cross], kind="stable")]  # highest t_m first
-    rising = t[cross][::-1]
-    ranks = cross.size + 1
+    so that the histogram of a piece has at most ``_PIECE_VALUES`` cells.
+    Pieces are cut at multiples of that size counted from the slab's first
+    entry and at chunk ends, which fall between y'-blocks: the groups of a
+    piece, and so every sum, do not depend on how the slab is chunked."""
 
-    def exact(knots: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
-        knots = np.unique(np.concatenate(([0.0, 1.0], knots)))
-        return knots, reduce(np.abs(u[:, None] + knots * d[:, None]), axis=0)
+    arrays = 4  # accumulators over the grid
 
-    row_fn = exact(rising, np.sum)
-    entry_fn = exact(_envelope_knots(u, d), np.max)
-    size = slab.grid.size
-    rowsums, past_sums = np.zeros(size), np.zeros(size)
-    base_sums, frac_sums = np.zeros(size), np.zeros(size)  # |base|, |base| f
-    max_abs = 0.0
-    step = max(1, _PIECE_VALUES // ranks)
-    for a in range(0, slab.rows.size, step):
-        cols, vals = slab.cols[a:a + step], slab.vals[a:a + step]
+    def __init__(self, mult: FourierMultiplier):
+        u = np.fft.ifft(mult.ydd_block).real
+        self.n = u.size
+        d = np.roll(u, -1) - u
+        sign = np.sign(np.where(u != 0.0, u, d))  # of u_m + f d_m above f = 0
+        self.signed_u, self.signed_d = sign * u, sign * d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -u / d
+        cross = np.flatnonzero((t > 0.0) & (t < 1.0))
+        # highest t_m first
+        self.cross = cross[np.argsort(-t[cross], kind="stable")]
+        self.rising = t[self.cross][::-1]
+        self.ranks = self.cross.size + 1
+
+        def exact(knots: np.ndarray, reduce) -> tuple[np.ndarray, np.ndarray]:
+            knots = np.unique(np.concatenate(([0.0, 1.0], knots)))
+            return knots, reduce(np.abs(u[:, None] + knots * d[:, None]),
+                                 axis=0)
+
+        self.row_fn = exact(self.rising, np.sum)
+        self.entry_fn = exact(_envelope_knots(u, d), np.max)
+        size = mult.grid.size
+        self.rowsums, self.past_sums = np.zeros(size), np.zeros(size)
+        # per (y'-block, i0) group: the sums of |base| and |base| f
+        self.base_sums, self.frac_sums = np.zeros(size), np.zeros(size)
+        self.max_abs = 0.0
+        self.step = max(1, _PIECE_VALUES // self.ranks)
+
+    def add(self, chunk: SparseKernelOperator, start: int) -> None:
+        """Add the entries of ``chunk``, the slab's entries from ``start``."""
+        m = chunk.rows.size
+        edges = np.unique(np.r_[0, np.arange(-start % self.step, m,
+                                             self.step), m]).tolist()
+        for a, b in zip(edges[:-1], edges[1:]):
+            self._add_piece(chunk.rows[a:b], chunk.cols[a:b],
+                            chunk.vals[a:b])
+
+    def _add_piece(self, rows: np.ndarray, cols: np.ndarray,
+                   vals: np.ndarray) -> None:
+        n, cross, ranks = self.n, self.cross, self.ranks
         wrap = cols[:, 1] - cols[:, 0] > 1  # the pair (0, N-1): i0 = N-1
         base = vals[:, 0] + vals[:, 1]
         f = np.where(wrap, vals[:, 0], vals[:, 1]) / base
         weight = np.abs(base)
-        np.add.at(rowsums, slab.rows[a:a + step],
-                  weight * np.interp(f, *row_fn))
-        max_abs = max(max_abs, float((weight * np.interp(f, *entry_fn)).max()))
+        np.add.at(self.rowsums, rows, weight * np.interp(f, *self.row_fn))
+        self.max_abs = max(self.max_abs, float(
+            (weight * np.interp(f, *self.entry_fn)).max()))
         # group: y'-block and i0, as the flat column of the lower corner,
         # counted from the piece's first y'-block; ``seen`` spans its blocks
         key = cols[:, 0] + wrap * (n - 1)
@@ -223,22 +286,26 @@ def _interpolation_stats(slab: SparseKernelOperator, mult: FourierMultiplier
         groups = np.flatnonzero(seen)
         # rank: how many t_m are >= f, so an entry is past the q-th highest
         # breakpoint exactly when its rank is at most q
-        rank = cross.size - np.searchsorted(rising, f)
+        rank = cross.size - np.searchsorted(self.rising, f)
         cell = (np.cumsum(seen) - 1)[key] * ranks + rank
         past, past_f = (np.bincount(cell, w, minlength=groups.size * ranks)
                         .reshape(-1, ranks).cumsum(axis=1)
                         for w in (weight, weight * f))
-        base_sums[first + groups] += past[:, -1]
-        frac_sums[first + groups] += past_f[:, -1]
+        self.base_sums[first + groups] += past[:, -1]
+        self.frac_sums[first + groups] += past_f[:, -1]
         target = (groups - groups % n)[:, None] + (groups[:, None] - cross) % n
-        past_sums[first:first + seen.size] += np.bincount(
-            target.ravel(), (past[:, :-1] * signed_u[cross]
-                             + past_f[:, :-1] * signed_d[cross]).ravel(),
+        self.past_sums[first:first + seen.size] += np.bincount(
+            target.ravel(), (past[:, :-1] * self.signed_u[cross]
+                             + past_f[:, :-1] * self.signed_d[cross]).ravel(),
             minlength=seen.size)
-    colsums = (base_sums.reshape(-1, n) @ _circulant(signed_u)
-               + frac_sums.reshape(-1, n) @ _circulant(signed_d)).ravel()
-    return (float((colsums - 2 * past_sums).max()), float(rowsums.max()),
-            max_abs)
+
+    def result(self) -> tuple[float, float, float]:
+        n = self.n
+        colsums = (self.base_sums.reshape(-1, n) @ _circulant(self.signed_u)
+                   + self.frac_sums.reshape(-1, n)
+                   @ _circulant(self.signed_d)).ravel()
+        return (float((colsums - 2 * self.past_sums).max()),
+                float(self.rowsums.max()), self.max_abs)
 
 
 def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -262,131 +329,202 @@ def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return knots[(knots > 0.0) & (knots < 1.0)]
 
 
-def _product_stats(slab: SparseKernelOperator, mult: FourierMultiplier
-                   ) -> tuple[float, float, float]:
-    """``abs_stats`` at n'' >= 2: each y'-block is a contiguous run of the
-    slab's entries, one row per entry with its corners as the columns,
-    multiplied by the dense y''-kernel.  A run is multiplied in pieces of at
-    most ``_PIECE_VALUES`` kernel values, written into one buffer reused for
-    the whole slab, so the memory this takes does not grow with the slab."""
-    kernel = mult.ydd_kernel_matrix()
-    n_block = kernel.shape[0]
-    n_corners = slab.cols.shape[1]
-    step = max(1, _PIECE_VALUES // n_block)  # entries per piece
-    indptr = np.arange(0, step * n_corners + 1, n_corners)
-    # row 0 carries the block's column sums so far: summing it with the
-    # piece's rows adds in the same order as one sum over the whole run
-    buf = np.empty((step + 1, n_block))
-    # y'-block bounds: 0, each entry that starts a new block, the end
-    ends = np.flatnonzero(np.diff(slab.cols[:, 0] // n_block,
-                                  prepend=-1, append=-1))
-    rowsums = np.zeros(slab.grid.size)
-    max_col = max_abs = 0.0
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        buf[0] = 0.0
-        for a in range(lo, hi, step):
-            m = min(step, hi - a)
-            sub = sp.csr_matrix(
-                (slab.vals[a:a + m].ravel(),
-                 slab.cols[a:a + m].ravel() % n_block, indptr[:m + 1]),
-                shape=(m, n_block))
-            g = np.abs(sub @ kernel, out=buf[1:m + 1])
-            rowsums[slab.rows[a:a + m]] += g.sum(axis=1)
-            max_abs = max(max_abs, float(g.max()))
-            buf[0] = buf[:m + 1].sum(axis=0)
-        max_col = max(max_col, float(buf[0].max()))
-    return max_col, float(rowsums.max()), max_abs
+class _ProductSums:
+    """The statistics at n'' >= 2 of the slab composed with one multiplier:
+    each y'-block is a contiguous run of the slab's entries, one row per
+    entry with its corners as the columns, multiplied by the dense
+    y''-kernel.  A run is multiplied in pieces of at most ``_PIECE_VALUES``
+    kernel values, written into one buffer reused for the whole slab, so
+    the memory this takes does not grow with the slab."""
+
+    arrays = 1  # accumulators over the grid
+
+    def __init__(self, mult: FourierMultiplier):
+        self.kernel = mult.ydd_kernel_matrix()
+        n_block = self.kernel.shape[0]
+        self.step = max(1, _PIECE_VALUES // n_block)  # entries per piece
+        # row 0 carries the block's column sums so far: summing it with the
+        # piece's rows adds in the same order as one sum over the whole run
+        self.buf = np.empty((self.step + 1, n_block))
+        self.rowsums = np.zeros(mult.grid.size)
+        self.max_col = self.max_abs = 0.0
+
+    def add(self, chunk: SparseKernelOperator, start: int) -> None:
+        """Add the entries of ``chunk``; a y'-block's pieces are counted
+        from its first entry, so ``start`` is not needed."""
+        kernel, buf, step = self.kernel, self.buf, self.step
+        n_block = kernel.shape[0]
+        n_corners = chunk.cols.shape[1]
+        indptr = np.arange(0, step * n_corners + 1, n_corners)
+        # y'-block bounds: 0, each entry that starts a new block, the end
+        ends = np.flatnonzero(np.diff(chunk.cols[:, 0] // n_block,
+                                      prepend=-1, append=-1))
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            buf[0] = 0.0
+            for a in range(lo, hi, step):
+                m = min(step, hi - a)
+                sub = sp.csr_matrix(
+                    (chunk.vals[a:a + m].ravel(),
+                     chunk.cols[a:a + m].ravel() % n_block, indptr[:m + 1]),
+                    shape=(m, n_block))
+                g = np.abs(sub @ kernel, out=buf[1:m + 1])
+                self.rowsums[chunk.rows[a:a + m]] += g.sum(axis=1)
+                self.max_abs = max(self.max_abs, float(g.max()))
+                buf[0] = buf[:m + 1].sum(axis=0)
+            self.max_col = max(self.max_col, float(buf[0].max()))
+
+    def result(self) -> tuple[float, float, float]:
+        return self.max_col, float(self.rowsums.max()), self.max_abs
 
 
 # -- averaging-piece discretization --------------------------------------------
 
-def _discretize(spec: OperatorSpec, grid: Grid, j: int,
-                shell: bool) -> SparseKernelOperator:
-    n_p, n_d = spec.n_prime, spec.n_dprime
-    n = n_p + n_d
-    if grid.dim != n:
-        raise ValueError(f"grid dimension {grid.dim} != n' + n'' = {n}")
-    weights = spec.weights.flat  # dilation weight of each mesh axis
-    check_dilation(j + 1, weights, f"slab index {j}")
-    if j < 0:
-        raise ValueError("slab index must be nonnegative")
+class SlabMesh:
+    """The mesh of slab j (shell cutoff) or of the tail from j on (ball
+    cutoff), from which its entries are built in chunks of whole y'-blocks.
+    The per-axis node windows are found once; a chunk is a run of the first
+    y'-axis window, and its cutoff and index offsets are built from
+    per-axis factors cut to that run.  Every entry is computed from the
+    same per-axis values whatever the run, so the chunks put together are
+    the whole slab bit for bit.  As the left operand of a composite it is
+    the slab streamed, never held whole; such composites get their
+    ``abs_stats`` from ``stream_abs_stats``."""
 
-    N = grid.points_per_axis
-    h = grid.spacing
-    L = grid.half_width
-    rho = spec.psi_radius
-    nodes = grid.nodes()
-    ndims = n + n_p  # mesh axes: x' x'' then y'
+    def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
+        n_p, n_d = spec.n_prime, spec.n_dprime
+        n = n_p + n_d
+        if grid.dim != n:
+            raise ValueError(f"grid dimension {grid.dim} != n' + n'' = {n}")
+        weights = spec.weights.flat  # dilation weight of each mesh axis
+        check_dilation(j + 1, weights, f"slab index {j}")
+        if j < 0:
+            raise ValueError("slab index must be nonnegative")
+        self.spec, self.grid, self.j, self.shell = spec, grid, j, shell
+        rho = spec.psi_radius
+        nodes = grid.nodes()
+        # per-axis windows limited by supp(psi) (2 rho) and the outer phi
+        # shell, on the mesh axes x', x'' then y'
+        self.windows = [
+            np.nonzero(np.abs(nodes) <= min(2.0 * rho, np.ldexp(
+                4.0 * rho, -j * wt), grid.half_width) + 1e-12)[0]
+            for wt in weights]
+        self.axes = [self._shaped(nodes[w], c)
+                     for c, w in enumerate(self.windows)]
+        self.entries = math.prod(map(len, self.windows))
+        self.y_nodes = len(self.windows[n])  # the first y'-axis: mesh dim 0
+        self.per_slice = self.entries // max(1, self.y_nodes)
 
-    # per-axis windows limited by supp(psi) (2 rho) and the outer phi shell
-    windows: list[np.ndarray] = []
-    for c in range(ndims):
-        extent = min(2.0 * rho, np.ldexp(4.0 * rho, -j * weights[c]), L)
-        idx = np.nonzero(np.abs(nodes) <= extent + 1e-12)[0]
-        windows.append(idx)
-    entries = math.prod(map(len, windows))
-    if entries > MAX_MESH_ENTRIES:
-        raise MemoryError(f"slab j={j} needs {entries} mesh entries, more "
-                          f"than the limit of {MAX_MESH_ENTRIES}")
-
-    def shaped(arr: np.ndarray, c: int) -> np.ndarray:
+    def _shaped(self, arr: np.ndarray, c: int) -> np.ndarray:
         # axis c of x', x'', y' lies on mesh dim c + n' (mod ndims): y' comes
         # first, so each y'-block is one run of the entries in mesh order
+        n_p = self.spec.n_prime
+        ndims = 2 * n_p + self.spec.n_dprime
         dim = (c + n_p) % ndims
         return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
 
-    axes = [shaped(nodes[windows[c]], c) for c in range(ndims)]
+    def hold(self, entries: int, what: str) -> None:
+        """Refuse to hold more than MAX_MESH_ENTRIES mesh entries."""
+        if entries > MAX_MESH_ENTRIES:
+            raise MemoryError(f"{what} needs {entries} mesh entries, more "
+                              f"than the limit of {MAX_MESH_ENTRIES}")
 
-    def product_cutoff(scale_j: int) -> np.ndarray:
-        return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
-                         for t, wt in zip(axes, weights))
+    def chunks(self) -> Iterator[SparseKernelOperator]:
+        """The slab in runs of at most ``_CHUNK_ENTRIES`` mesh entries, or
+        of one y'-slice when a slice is more; a y'-slice of more than
+        MAX_MESH_ENTRIES is refused."""
+        self.hold(self.per_slice, f"a y'-slice of slab j={self.j}")
+        step = max(1, _CHUNK_ENTRIES // max(1, self.per_slice))
+        for lo in range(0, max(1, self.y_nodes), step):
+            yield self.chunk(slice(lo, lo + step))
 
-    cutoff = (product_cutoff(j) - product_cutoff(j + 1) if shell
-              else product_cutoff(j))
-    cutoff *= math.prod(phi0(t / rho) for t in axes)  # psi
+    def chunk(self, run: slice) -> SparseKernelOperator:
+        """The entries of the y'-slices ``run`` of the first y'-axis."""
+        spec, grid, j = self.spec, self.grid, self.j
+        n_p, n_d = spec.n_prime, spec.n_dprime
+        n = n_p + n_d
+        N, h, L = grid.points_per_axis, grid.spacing, grid.half_width
+        weights, rho = spec.weights.flat, spec.psi_radius
+        ax = [a[run] if c == n else a for c, a in enumerate(self.axes)]
 
-    # one entry per nonzero of the cutoff; the 2^n'' corners of its x''-
-    # interpolation run along trailing axes of length 2, one per x''-slot
-    mask = cutoff != 0.0
-    corner = (-1,) + (1,) * n_d
-    vals = np.empty((np.count_nonzero(mask),) + (2,) * n_d)
-    vals[...] = (cutoff[mask] * h ** n_p).reshape(corner)
-    del cutoff
-    index = np.int32 if grid.size < 2 ** 31 else np.int64
-    cols = np.empty(vals.shape, dtype=index)  # y'-part, then x''-corners
-    cols[...] = np.broadcast_to(sum(
-        shaped(windows[n + i].astype(index), n + i) * N ** (n - 1 - i)
-        for i in range(n_p)), mask.shape)[mask].reshape(corner)
-    for l in range(n_d):
-        frac = ((axes[n_p + l]  # the x''-position in cells, then its fraction
-                 + spec.s[l].evaluate(axes[:n_p], axes[n_p:n], axes[n:])
-                 + L) / h - 0.5)[mask]
-        i0 = np.floor(frac)
-        frac -= i0
-        i0 = (i0.astype(np.int64) % N).astype(index)
-        idx = np.stack((i0, (i0 + 1) % N), axis=1)
-        wgt = np.stack((1.0 - frac, frac), axis=1)
-        wrap = i0 == N - 1  # corners in increasing column order: (0, N-1)
-        idx[wrap], wgt[wrap] = idx[wrap, ::-1], wgt[wrap, ::-1]
-        sides = (-1,) + (1,) * l + (2,) + (1,) * (n_d - 1 - l)
-        vals *= wgt.reshape(sides)
-        idx *= N ** (n_d - 1 - l)
-        cols += idx.reshape(sides)
-    rows = np.broadcast_to(sum(
-        shaped(windows[c].astype(index), c) * N ** (n - 1 - c)
-        for c in range(n)), mask.shape)[mask]
-    return SparseKernelOperator(grid, rows, cols.reshape(rows.size, 2 ** n_d),
-                                vals.reshape(rows.size, 2 ** n_d))
+        def product_cutoff(scale_j: int) -> np.ndarray:
+            return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
+                             for t, wt in zip(ax, weights))
+
+        cutoff = (product_cutoff(j) - product_cutoff(j + 1) if self.shell
+                  else product_cutoff(j))
+        cutoff *= math.prod(phi0(t / rho) for t in ax)  # psi
+
+        # one entry per nonzero of the cutoff; the 2^n'' corners of its x''-
+        # interpolation run along trailing axes of length 2, one per x''-slot
+        mask = cutoff != 0.0
+        corner = (-1,) + (1,) * n_d
+        vals = np.empty((np.count_nonzero(mask),) + (2,) * n_d)
+        vals[...] = (cutoff[mask] * h ** n_p).reshape(corner)
+        del cutoff
+        index = np.int32 if grid.size < 2 ** 31 else np.int64
+        flat = [self._shaped(w.astype(index), c)
+                for c, w in enumerate(self.windows)]
+        cols = np.empty(vals.shape, dtype=index)  # y'-part, then x''-corners
+        cols[...] = np.broadcast_to(sum(
+            flat[n + i] * N ** (n - 1 - i) for i in range(n_p))[run],
+            mask.shape)[mask].reshape(corner)
+        for l in range(n_d):
+            # the x''-position in cells, then its fraction
+            frac = ((ax[n_p + l]
+                     + spec.s[l].evaluate(ax[:n_p], ax[n_p:n], ax[n:])
+                     + L) / h - 0.5)[mask]
+            i0 = np.floor(frac)
+            frac -= i0
+            i0 = (i0.astype(np.int64) % N).astype(index)
+            idx = np.stack((i0, (i0 + 1) % N), axis=1)
+            wgt = np.stack((1.0 - frac, frac), axis=1)
+            wrap = i0 == N - 1  # corners in increasing column order: (0, N-1)
+            idx[wrap], wgt[wrap] = idx[wrap, ::-1], wgt[wrap, ::-1]
+            sides = (-1,) + (1,) * l + (2,) + (1,) * (n_d - 1 - l)
+            vals *= wgt.reshape(sides)
+            idx *= N ** (n_d - 1 - l)
+            cols += idx.reshape(sides)
+        rows = np.broadcast_to(sum(flat[c] * N ** (n - 1 - c)
+                                   for c in range(n)), mask.shape)[mask]
+        return SparseKernelOperator(grid, rows,
+                                    cols.reshape(rows.size, 2 ** n_d),
+                                    vals.reshape(rows.size, 2 ** n_d))
+
+    def whole(self) -> SparseKernelOperator:
+        """The slab in one chunk.  Put together from small chunks instead,
+        the slabs of the ``decay-l2`` job peak at 200 MB rather than 196 MB
+        from the second job of a process on, as the allocator keeps the
+        chunks on its heap."""
+        self.hold(self.entries, f"slab j={self.j}")
+        return self.chunk(slice(None))
 
 
 def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
     """The j-th dyadic slab of the averaging operator (shell cutoff)."""
-    return _discretize(spec, grid, j, shell=True)
+    return SlabMesh(spec, grid, j, shell=True).whole()
 
 
 def discretize_uj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
     """The tail operator: everything at scales j and beyond (ball cutoff)."""
-    return _discretize(spec, grid, j, shell=False)
+    return SlabMesh(spec, grid, j, shell=False).whole()
+
+
+def stream_abs_stats(comps: Sequence[ComposedOperator]) -> int:
+    """Set ``abs_stats`` of the composites of one SlabMesh with their
+    multipliers in one pass over its chunks: each chunk is built once, goes
+    to every multiplier and is dropped.  Returns the slab's entry count."""
+    entries = 0
+
+    def counted() -> Iterator[SparseKernelOperator]:
+        nonlocal entries
+        for chunk in comps[0].left.chunks():
+            entries += chunk.rows.size
+            yield chunk
+
+    mults = [comp.right for comp in comps]
+    for comp, stats in zip(comps, absolute_stats(counted(), mults)):
+        comp.abs_stats = stats  # a cached_property takes a written value
+    return entries
 
 
 # -- frequency multipliers ------------------------------------------------------

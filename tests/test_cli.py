@@ -201,14 +201,52 @@ def test_verify_leaves_the_sparse_solvers_unimported(tmp_path):
 
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
+    # the (2,2) norm applies the slab's matrix, so the slab is built whole:
+    # slab 1 of rank_one at grid 16 has 512 mesh entries
     monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 100)
     out_csv = tmp_path / "decay.csv"
     code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
-                             "--grid", "16", "--out", str(out_csv))
+                             "--grid", "16", "--norms", "11,22",
+                             "--out", str(out_csv))
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert "more than the limit of 100" in error["message"]
+    assert error["message"] == ("slab j=1 needs 512 mesh entries, more than "
+                                "the limit of 100")
+
+
+def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
+    # without the (2,2) norm only a y'-slice (64 mesh entries) and four
+    # arrays of 256 values, counted nine to an entry, are held at once
+    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16"]
+    code, _, err = run_cli(*argv, "--out", str(tmp_path / "unlimited.csv"))
+    assert code == 0, err
+    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    code, _, err = run_cli(*argv, "--out", str(tmp_path / "limited.csv"))
+    assert code == 0, err
+    assert (tmp_path / "limited.csv").read_bytes() \
+        == (tmp_path / "unlimited.csv").read_bytes()
+
+
+def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
+    # three multipliers of slab 1 (Q_1, P_10, P_11) need twelve arrays of
+    # 256 values, more than the 9 * 128 values of the limit; the refusal
+    # comes before any accumulator is allocated
+    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    made = []
+    original = operators._InterpolationSums.__init__
+    monkeypatch.setattr(operators._InterpolationSums, "__init__",
+                        lambda acc, mult: made.append(mult)
+                        or original(acc, mult))
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "16", "--kmax", "1",
+                             "--out", str(out_csv))
+    assert code == 2 and not out_csv.exists()
+    error = json.loads(err)
+    assert error["error"] == "MemoryError"
+    assert "12 arrays of 256 values" in error["message"]
+    assert made == []
 
 
 def test_knapp_subcommand():

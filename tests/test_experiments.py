@@ -185,18 +185,19 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
     # the closed form at n'' = 1, the kernel product at n'' = 2
     from anisoradon.numerics import operators
     passes = []
-    for path in ("_interpolation_stats", "_product_stats"):
-        def counted(slab, mult, path=path, original=getattr(operators, path)):
+    for path in ("_InterpolationSums", "_ProductSums"):
+        def counted(acc, mult, path=path,
+                    original=getattr(operators, path).__init__):
             passes.append((path, mult))
-            return original(slab, mult)
+            original(acc, mult)
 
-        monkeypatch.setattr(operators, path, counted)
+        monkeypatch.setattr(getattr(operators, path), "__init__", counted)
     shear = load_spec(Path(__file__).resolve().parent / "golden" / "inputs"
                       / "shear_1_2.json")
     for spec, grid, path in (
             (REFERENCE, Grid(dim=2, points_per_axis=32, half_width=2.0),
-             "_interpolation_stats"),
-            (shear, Grid(dim=3, points_per_axis=8), "_product_stats")):
+             "_InterpolationSums"),
+            (shear, Grid(dim=3, points_per_axis=8), "_ProductSums")):
         passes.clear()
         rows = decay_table(spec, grid, jmax=3, kmax=1,
                            pairs=("11", "oooo", "1oo"))
@@ -206,22 +207,24 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
-    # the absolute-kernel norms read the slab's mesh entries; only Lanczos
-    # applies the sparse matrix
+    # the absolute-kernel norms stream the slab's chunks and never build it
+    # whole; only Lanczos applies the sparse matrix
     from anisoradon.numerics import experiments
-    slabs = []
+    from anisoradon.numerics.operators import SparseKernelOperator
+    slabs, matrices = [], []
     original = experiments.discretize_tj
     monkeypatch.setattr(experiments, "discretize_tj",
                         lambda *args: slabs.append(original(*args))
                         or slabs[-1])
+    matrix = SparseKernelOperator.matrix
+    monkeypatch.setattr(SparseKernelOperator, "matrix", property(
+        lambda op: matrices.append(op) or matrix.func(op)))
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo"))
-    assert len(slabs) == 3
-    assert all("matrix" not in vars(slab) for slab in slabs)
-    slabs.clear()
+    assert slabs == [] and matrices == []
     decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo", "22"))
     assert len(slabs) == 3
-    assert all("matrix" in vars(slab) for slab in slabs)
+    assert {id(op) for op in matrices} == {id(slab) for slab in slabs}
 
 
 def test_decay_table_flags_unconverged_rows(monkeypatch):

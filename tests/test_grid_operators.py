@@ -247,6 +247,33 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
         assert col == pytest.approx(whole[0], rel=col_rel, abs=0)
         assert rest == list(whole[1:])
         monkeypatch.undo()
+    # chunks of one y'-slice each give the bits of the whole slab: every
+    # chunk goes to Q_j and the P_jk in turn, at n'' = 1 cut into pieces at
+    # the same multiples of the piece size as the whole slab and at its
+    # ends; at n' = 2 a chunk holds many y'-blocks
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    for spec, grid, kmax in (
+            (SPEC, SMALL, 2),
+            (load_spec(inputs / "iso_2_1_b3.json"),
+             Grid(dim=3, points_per_axis=16), 1),
+            (load_spec(inputs / "shear_1_2.json"),
+             Grid(dim=3, points_per_axis=8), 1)):
+        monkeypatch.setattr(operators, "_PIECE_VALUES",
+                            3 * grid.points_per_axis ** spec.n_dprime)
+        for j in (1, 2, 3):
+            mults = [qj_multiplier(grid, 1, spec.beta_dprime, j)] + [
+                pjk_multiplier(grid, 1, spec.beta_dprime, j, k)
+                for k in range(kmax + 1)]
+            tj = discretize_tj(spec, grid, j)
+            whole = [ComposedOperator(tj, mult).abs_stats for mult in mults]
+            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
+            slab = operators.SlabMesh(spec, grid, j, shell=True)
+            assert j > 1 or len(list(slab.chunks())) > 1
+            comps = [ComposedOperator(slab, mult) for mult in mults]
+            assert operators.stream_abs_stats(comps) == tj.rows.size
+            assert [comp.abs_stats for comp in comps] == whole
+            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 2 ** 17)
+        monkeypatch.undo()
 
 
 _KINDS = st.sampled_from(["interior", "on a node", "at a breakpoint",
