@@ -104,7 +104,10 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
         tj = (discretize_tj(spec, grid, j) if whole
               else SlabMesh(spec, grid, j, shell=True))
         comps = [ComposedOperator(tj, mult) for _, _, mult, _ in pieces]
-        entries += tj.rows.size if whole else stream_abs_stats(comps)
+        if whole:
+            entries += tj.rows.size
+        else:  # every statistic of the slab, in one pass over its chunks
+            entries += stream_abs_stats(comps)
         for (family, k, _, res), comp in zip(pieces, comps):
             for pair in pairs:
                 value, converged = _norm_with_flag(comp, pair)
