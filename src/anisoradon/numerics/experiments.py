@@ -91,32 +91,38 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
     slab is built if slab jmax is past the cap, and ResolutionError when no
     slab has a mesh entry on the grid, as every norm would then be zero.
 
-    A slab streams through the statistics of all its multipliers in chunks
-    and is never held whole, unless the (2,2) norm applies its matrix or,
-    at n'' >= 2, each multiplier's statistics hold a dense y''-kernel: then
-    the slab is built whole and its multipliers run one at a time."""
+    At n'' = 1 a slab is never held whole: it streams in chunks through
+    the statistics of all its multipliers and, for the (2,2) norm, into the
+    CSR of its transpose, in one pass.  At n'' >= 2 each multiplier's
+    statistics hold a dense y''-kernel, so the slab is built whole and its
+    multipliers run one at a time."""
     check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
-    whole = "22" in pairs or spec.n_dprime > 1
     rows: list[DecayRow] = []
     entries = 0
     for j in range(1, jmax + 1):
-        pieces = list(_pieces(spec, grid, j, kmax))
-        tj = (discretize_tj(spec, grid, j) if whole
-              else SlabMesh(spec, grid, j, shell=True))
-        comps = [ComposedOperator(tj, mult) for _, _, mult, _ in pieces]
-        if whole:
-            entries += tj.rows.size
-        else:  # every statistic of the slab, in one pass over its chunks
-            entries += stream_abs_stats(comps)
-        for (family, k, _, res), comp in zip(pieces, comps):
-            for pair in pairs:
-                value, converged = _norm_with_flag(comp, pair)
-                rows.append(DecayRow(family, j, k, pair, value, res,
-                                     converged))
+        entries += _slab_rows(spec, grid, j, kmax, pairs, rows)
     if not entries:
         raise ResolutionError(f"no grid node lies in the support of any "
                               f"slab j=1..{jmax}")
     return rows
+
+
+def _slab_rows(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
+               pairs: tuple[str, ...], rows: list[DecayRow]) -> int:
+    """Append the rows of slab j to ``rows``; returns its entry count.  The
+    slab and its CSR are dropped on return, before the next is built."""
+    pieces = list(_pieces(spec, grid, j, kmax))
+    whole = spec.n_dprime > 1
+    tj = (discretize_tj(spec, grid, j) if whole
+          else SlabMesh(spec, grid, j, shell=True))
+    comps = [ComposedOperator(tj, mult) for _, _, mult, _ in pieces]
+    entries = (tj.rows.size if whole
+               else stream_abs_stats(comps, csr="22" in pairs))
+    for (family, k, _, res), comp in zip(pieces, comps):
+        for pair in pairs:
+            value, converged = _norm_with_flag(comp, pair)
+            rows.append(DecayRow(family, j, k, pair, value, res, converged))
+    return entries
 
 
 def fit_decay_rows(rows: list[DecayRow], family: str, pair: str,

@@ -16,7 +16,8 @@ at n'' = 1 in closed form from the breakpoints of the y''-kernel, for all
 the multipliers of a slab at once, so the slab is never held whole; at
 n'' >= 2 by multiplying each y'-block of the slab by the dense y''-kernel
 in pieces, one multiplier at a time over the slab held whole.  Only the
-(2,2) norm assembles the slab's sparse matrix.
+(2,2) norm applies the slab as a sparse matrix: at n'' = 1 the CSR of its
+transpose, written in the same pass over the chunks as the statistics.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ mesh is the product of per-axis node windows; cutoffs and index offsets are
 built from per-axis factors that broadcast, not from mesh-sized scratch.  A
 slab's nonzero mesh entries come y'-block after y'-block, in chunks of whole
 y'-blocks of bounded size, and only a chunk's scratch is held while it is
-built.  The absolute-kernel statistics read the chunks as they come, so a
-slab is built whole, in one chunk, only when something needs it whole: its
-sparse matrix, as in the (2,2) norm, or statistics that run one multiplier
-at a time.
+built.  The absolute-kernel statistics read the chunks as they come, and so
+does the (2,2) norm's sparse matrix, the slab's transpose written as a CSR
+chunk after chunk.  A slab is built whole, in one chunk, only at n'' >= 2,
+where the statistics run one multiplier at a time.
 
 The absolute-kernel statistics of a slab composed with a multiplier keep
 per-multiplier accumulators over the grid between chunks.  At n'' = 1 they
@@ -24,30 +24,39 @@ y''-kernel, in pieces of bounded size.
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
 multiplication by the even part of the block, inverse real FFT.
+
+``scipy.sparse`` is imported only where a CSR is built, so commands that
+build none do not pay for the import.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exponents import OperatorSpec
 from ..scaling import MultiIndex, check_dilation
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 # Memory held at once is bounded by MAX_MESH_ENTRIES mesh entries.  A pass
 # over mesh entries peaks at about 73 B per nonzero entry (a whole slab:
 # 196 MB at 2.1 M entries over a 51 MB base).  What counts: a slab built
-# whole; when streamed, one y'-slice, the least a chunk holds; and the
-# statistics' accumulators, 8 B values that count nine to a mesh entry.
-# 2**23 entries keep a run under about 700 MB.
+# whole; when streamed, one y'-slice, the least a chunk holds; and,
+# together, the statistics' accumulators (8 B values) and the (2,2) norm's
+# CSR (12 B per stored value: an 8 B value and a 4 B index; its row
+# pointer, one index per grid point, is not counted), against
+# _BYTES_PER_ENTRY, nine 8 B values, per mesh entry.  2**23 entries keep a
+# run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
-_VALUES_PER_ENTRY = 9
+_BYTES_PER_ENTRY = 9 * 8
+_BYTES_PER_STORED = 12
 # mesh entries per chunk, unless one y'-slice is more: from 2**14 to 2**18
 # the decay-2d and grid-512 rank_one verify jobs take the same time, and
 # the peak grows past 2**17 (decay-2d: 78 MB at 2**15, 84 MB at 2**17,
@@ -78,6 +87,7 @@ class SparseKernelOperator:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
         rows = np.repeat(self.rows, self.cols.shape[1])
         return sp.coo_matrix((self.vals.ravel(), (rows, self.cols.ravel())),
                              shape=(self.grid.size,) * 2).tocsr()
@@ -174,26 +184,34 @@ class ComposedOperator:
 # -- absolute-kernel statistics ------------------------------------------------
 
 def absolute_stats(chunks: Iterable[SparseKernelOperator],
-                   mults: Sequence[FourierMultiplier]
-                   ) -> list[tuple[float, float, float]]:
+                   mults: Sequence[FourierMultiplier],
+                   stored: int | None = None) -> list:
     """``abs_stats`` of one slab composed with each of ``mults`` (y''-only
     multipliers of one rank n''), the slab given as chunks of whole
     y'-blocks in entry order.  Each chunk goes to every multiplier in turn
     before the next chunk is read, so only the chunk and the accumulators
     of the statistics are held: at n'' = 1 the closed form from the
     breakpoints of the y''-kernel, at n'' >= 2 the product of each y'-block
-    with the dense y''-kernel, in pieces.  Accumulators that would hold
-    more than the memory of MAX_MESH_ENTRIES mesh entries are refused
-    before any is allocated."""
+    with the dense y''-kernel, in pieces.  Given ``stored``, the same
+    pass writes the slab's transpose as a CSR with room for ``stored``
+    values, returned after the statistics.  Accumulators and a CSR that
+    would hold more than the memory of MAX_MESH_ENTRIES mesh entries are
+    refused before any is allocated."""
     sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
             else _ProductSums)
     arrays, size = sums.arrays * len(mults), mults[0].grid.size
-    if arrays * size > MAX_MESH_ENTRIES * _VALUES_PER_ENTRY:
+    csr = stored is not None
+    need = 8 * arrays * size + _BYTES_PER_STORED * (stored if csr else 0)
+    limit = MAX_MESH_ENTRIES * _BYTES_PER_ENTRY
+    if need > limit:
+        with_csr = f" and a CSR of {stored} stored values" if csr else ""
         raise MemoryError(
-            f"the statistics need {arrays} arrays of {size} values, more "
-            f"than {MAX_MESH_ENTRIES * _VALUES_PER_ENTRY} values, the memory "
-            f"of the limit of {MAX_MESH_ENTRIES} mesh entries")
+            f"the statistics need {arrays} arrays of {size} values{with_csr}"
+            f", {need} B, more than the {limit} B of the limit of "
+            f"{MAX_MESH_ENTRIES} mesh entries")
     accs = [sums(mult) for mult in mults]
+    if csr:
+        accs.append(_TransposeRows(mults[0].grid, stored))
     start = 0  # index in the slab of the chunk's first entry
     for chunk in chunks:
         for acc in accs:
@@ -352,6 +370,7 @@ class _ProductSums:
     def add(self, chunk: SparseKernelOperator, start: int) -> None:
         """Add the entries of ``chunk``; a y'-block's pieces are counted
         from its first entry, so ``start`` is not needed."""
+        import scipy.sparse as sp
         kernel, buf, step = self.kernel, self.buf, self.step
         n_block = kernel.shape[0]
         n_corners = chunk.cols.shape[1]
@@ -377,6 +396,51 @@ class _ProductSums:
         return self.max_col, float(self.rowsums.max()), self.max_abs
 
 
+class _TransposeRows:
+    """The transpose of a slab as a CSR, its rows written chunk after chunk.
+
+    A chunk is a run of the first y'-axis window, the most significant
+    digit of a column, so its columns, the rows of the transpose, form one
+    range that no other chunk shares.  Within a y'-block the entries come in
+    ascending row, so a stable sort of a chunk's columns keeps each row of
+    the transpose in ascending column: the arrays, and the order in which
+    products sum, are those of the canonical CSR of the slab transposed.
+    The arrays are allocated once, with room for ``capacity`` stored
+    values; pages never written are never resident."""
+
+    def __init__(self, grid: Grid, capacity: int):
+        index = np.int32 if max(grid.size, capacity) < 2 ** 31 else np.int64
+        self.size = grid.size
+        self.indptr = np.zeros(grid.size + 1, dtype=index)
+        self.indices = np.empty(capacity, dtype=index)
+        self.data = np.empty(capacity)
+        self.nnz = 0
+
+    def add(self, chunk: SparseKernelOperator, start: int) -> None:
+        """Write the rows of the columns of ``chunk``; ``start`` is not
+        needed."""
+        keys = chunk.cols.ravel()
+        if not keys.size:
+            return
+        order = np.argsort(keys, kind="stable")
+        lo, end = keys[order[0]], self.nnz + keys.size
+        self.indices[self.nnz:end] = chunk.rows[order // chunk.cols.shape[1]]
+        self.data[self.nnz:end] = chunk.vals.ravel()[order]
+        self.nnz = end
+        counts = np.bincount(keys - lo)
+        self.indptr[lo + 1:lo + 1 + counts.size] += counts
+
+    def result(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        # shrunk in place: scipy copies arrays that are views of less than
+        # half of a larger one
+        for values in (self.indices, self.data):
+            values.resize(self.nnz, refcheck=False)
+        np.cumsum(self.indptr, out=self.indptr)
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.size,) * 2)
+
+
 # -- averaging-piece discretization --------------------------------------------
 
 class SlabMesh:
@@ -388,7 +452,10 @@ class SlabMesh:
     same per-axis values whatever the run, so the chunks put together are
     the whole slab bit for bit.  As the left operand of a composite it is
     the slab streamed, never held whole; such composites get their
-    ``abs_stats`` from ``stream_abs_stats``."""
+    ``abs_stats`` from ``stream_abs_stats``, and their products from the
+    transpose ``at`` that it writes as a CSR when asked."""
+
+    at = None  # the slab's transpose as a CSR, once stream_abs_stats wrote it
 
     def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
         n_p, n_d = spec.n_prime, spec.n_dprime
@@ -491,12 +558,19 @@ class SlabMesh:
                                     vals.reshape(rows.size, 2 ** n_d))
 
     def whole(self) -> SparseKernelOperator:
-        """The slab in one chunk.  Put together from small chunks instead,
-        the slabs of the ``decay-l2`` job peak at 200 MB rather than 196 MB
-        from the second job of a process on, as the allocator keeps the
-        chunks on its heap."""
+        """The slab in one chunk, for n'' >= 2 and for checks against the
+        streamed slab.  Put together from small chunks instead, a whole slab
+        peaks higher from the second build in a process on, as the
+        allocator keeps the chunks on its heap."""
         self.hold(self.entries, f"slab j={self.j}")
         return self.chunk(slice(None))
+
+    # two methods, not one under two names: a wrapper of one must not wrap both
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.at.T @ v
+
+    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        return self.at @ v
 
 
 def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
@@ -509,20 +583,28 @@ def discretize_uj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperato
     return SlabMesh(spec, grid, j, shell=False).whole()
 
 
-def stream_abs_stats(comps: Sequence[ComposedOperator]) -> int:
+def stream_abs_stats(comps: Sequence[ComposedOperator],
+                     csr: bool = False) -> int:
     """Set ``abs_stats`` of the composites of one SlabMesh with their
     multipliers in one pass over its chunks: each chunk is built once, goes
-    to every multiplier and is dropped.  Returns the slab's entry count."""
-    entries = 0
+    to every multiplier and is dropped.  With ``csr`` the same pass writes
+    the mesh's ``at``, so that the composites can be applied; its room is
+    the mesh's entry count times the 2^n'' corners, a bound on the stored
+    values.  Returns the slab's entry count."""
+    mesh, entries = comps[0].left, 0
 
     def counted() -> Iterator[SparseKernelOperator]:
         nonlocal entries
-        for chunk in comps[0].left.chunks():
+        for chunk in mesh.chunks():
             entries += chunk.rows.size
             yield chunk
 
     mults = [comp.right for comp in comps]
-    for comp, stats in zip(comps, absolute_stats(counted(), mults)):
+    stored = mesh.entries * 2 ** mesh.spec.n_dprime if csr else None
+    results = absolute_stats(counted(), mults, stored)
+    if csr:
+        mesh.at = results.pop()
+    for comp, stats in zip(comps, results):
         comp.abs_stats = stats  # a cached_property takes a written value
     return entries
 

@@ -200,19 +200,51 @@ def test_verify_leaves_the_sparse_solvers_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", REFERENCE_SPEC],
+    ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16",
+     "--kmax", "1"],
+])
+def test_commands_without_a_csr_leave_scipy_sparse_unimported(argv):
+    # only the (2,2) norm and n'' >= 2 build a CSR; importing scipy.sparse
+    # takes about half of the set-up of every other command
+    script = ("import sys\n"
+              "from anisoradon.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, 'scipy.sparse' in sys.modules)\n")
+    src = str(SPECS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
-    # the (2,2) norm applies the slab's matrix, so the slab is built whole:
-    # slab 1 of rank_one at grid 16 has 512 mesh entries
-    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 100)
+    # with the limit at 128 mesh entries (9216 B), the statistics of slab 1
+    # of rank_one at grid 16 stream (4 arrays of 256 values, 8192 B); the
+    # (2,2) norm adds the CSR of its transpose, 12 B for each of its 512
+    # mesh entries times 2 corners, and is refused before it is allocated
+    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    made = []
+    original = operators._TransposeRows.__init__
+    monkeypatch.setattr(operators._TransposeRows, "__init__",
+                        lambda csr, *args: made.append(args)
+                        or original(csr, *args))
+    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16"]
+    code, _, err = run_cli(*argv, "--norms", "11",
+                           "--out", str(tmp_path / "streamed.csv"))
+    assert code == 0, err
     out_csv = tmp_path / "decay.csv"
-    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
-                             "--grid", "16", "--norms", "11,22",
-                             "--out", str(out_csv))
+    code, out, err = run_cli(*argv, "--norms", "11,22", "--out", str(out_csv))
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert error["message"] == ("slab j=1 needs 512 mesh entries, more than "
-                                "the limit of 100")
+    assert error["message"] == (
+        "the statistics need 4 arrays of 256 values and a CSR of 1024 stored "
+        "values, 20480 B, more than the 9216 B of the limit of 128 mesh "
+        "entries")
+    assert made == []
 
 
 def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):

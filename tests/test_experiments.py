@@ -207,24 +207,26 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
-    # the absolute-kernel norms stream the slab's chunks and never build it
-    # whole; only Lanczos applies the sparse matrix
-    from anisoradon.numerics import experiments
-    from anisoradon.numerics.operators import SparseKernelOperator
-    slabs, matrices = [], []
-    original = experiments.discretize_tj
-    monkeypatch.setattr(experiments, "discretize_tj",
-                        lambda *args: slabs.append(original(*args))
-                        or slabs[-1])
-    matrix = SparseKernelOperator.matrix
-    monkeypatch.setattr(SparseKernelOperator, "matrix", property(
+    # at n'' = 1 every slab streams in chunks, with or without the (2,2)
+    # norm; only the (2,2) norm writes the CSR of its transpose, one per slab
+    from anisoradon.numerics import operators
+    wholes, csrs, matrices = [], [], []
+    whole = operators.SlabMesh.whole
+    monkeypatch.setattr(operators.SlabMesh, "whole",
+                        lambda mesh: wholes.append(mesh) or whole(mesh))
+    init = operators._TransposeRows.__init__
+    monkeypatch.setattr(operators._TransposeRows, "__init__",
+                        lambda csr, *args: csrs.append(csr)
+                        or init(csr, *args))
+    matrix = operators.SparseKernelOperator.matrix
+    monkeypatch.setattr(operators.SparseKernelOperator, "matrix", property(
         lambda op: matrices.append(op) or matrix.func(op)))
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
     decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo"))
-    assert slabs == [] and matrices == []
+    assert wholes == [] and csrs == [] and matrices == []
     decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo", "22"))
-    assert len(slabs) == 3
-    assert {id(op) for op in matrices} == {id(slab) for slab in slabs}
+    assert wholes == [] and matrices == []
+    assert len(csrs) == 3
 
 
 def test_decay_table_flags_unconverged_rows(monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 from anisoradon.errors import DilationCapError
 from anisoradon.exponents import OperatorSpec
 from anisoradon.numerics import (ComposedOperator, FourierMultiplier, Grid,
-                                 SparseKernelOperator, discretize_tj,
-                                 discretize_uj, operator_norm, pjk_multiplier,
-                                 qj_multiplier)
+                                 SparseKernelOperator, decay_table,
+                                 discretize_tj, discretize_uj, operator_norm,
+                                 pjk_multiplier, qj_multiplier)
 from anisoradon.numerics import operators
 from anisoradon.numerics.cutoffs import phi0
 from anisoradon.polynomials import Monomial, Polynomial
@@ -274,6 +274,44 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
             assert [comp.abs_stats for comp in comps] == whole
             monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 2 ** 17)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec_path, dim, n", [
+    (Path(__file__).resolve().parent.parent / "specs" / "rank_one.json", 2,
+     32),
+    # n' = 2: a chunk's columns are one range only because y'_1 is their
+    # most significant digit
+    (Path(__file__).resolve().parent / "golden" / "inputs"
+     / "iso_2_1_b3.json", 3, 16)])
+def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
+                                                         spec_path, dim, n):
+    # the CSR written chunk after chunk is the canonical CSR of the whole
+    # slab's transpose, bit for bit, and so are the products it gives
+    spec, grid = load_spec(spec_path), Grid(dim=dim, points_per_axis=n)
+    v = np.random.default_rng(3).standard_normal(grid.size)
+    for j in (1, 2):
+        whole = operators.SlabMesh(spec, grid, j, shell=True).whole()
+        want = whole.matrix.T.tocsr()
+        q = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
+        for chunk_entries in (1, 100, 2 ** 17):
+            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk_entries)
+            mesh = operators.SlabMesh(spec, grid, j, shell=True)
+            assert chunk_entries > 1 or len(list(mesh.chunks())) > 1
+            assert operators.stream_abs_stats([ComposedOperator(mesh, q)],
+                                              csr=True) == whole.rows.size
+            for part in ("indptr", "indices", "data"):
+                got, exact = getattr(mesh.at, part), getattr(want, part)
+                assert got.dtype == exact.dtype
+                assert got.tobytes() == exact.tobytes()
+            assert mesh.apply(v).tobytes() == whole.apply(v).tobytes()
+            assert mesh.apply_transpose(v).tobytes() \
+                == whole.apply_transpose(v).tobytes()
+    rows = []
+    for chunk_entries in (1, 100, 2 ** 17):
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk_entries)
+        rows.append(decay_table(spec, grid, jmax=2, kmax=0,
+                                pairs=("11", "22")))
+    assert rows[0] == rows[1] == rows[2]
 
 
 _KINDS = st.sampled_from(["interior", "on a node", "at a breakpoint",
