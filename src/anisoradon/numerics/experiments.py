@@ -24,8 +24,9 @@ from ..scaling import check_dilation
 from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, operator_norm
-from .operators import (ComposedOperator, SlabMesh, discretize_tj,
-                        pjk_multiplier, qj_multiplier, stream_abs_stats)
+from .operators import (ComposedOperator, SlabMesh, absolute_stats,
+                        discretize_tj, pjk_multiplier, qj_multiplier,
+                        refuse_oversized_pass)
 
 BOX_UNDERFLOW = 2.0 ** -40
 # the duality check samples (x', y'', y') uniformly from [-DUAL_BOX, DUAL_BOX]
@@ -91,11 +92,12 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
     slab is built if slab jmax is past the cap, and ResolutionError when no
     slab has a mesh entry on the grid, as every norm would then be zero.
 
-    At n'' = 1 a slab is never held whole: it streams in chunks through
-    the statistics of all its multipliers and, for the (2,2) norm, into the
-    CSR of its transpose, in one pass.  At n'' >= 2 each multiplier's
-    statistics hold a dense y''-kernel, so the slab is built whole and its
-    multipliers run one at a time."""
+    Each slab takes one pass, ``absolute_stats``, through the statistics
+    of all its multipliers and, for the (2,2) norm, into the CSR of its
+    transpose.  n'' only changes what feeds the pass: at n'' = 1 the slab
+    streams in chunks and is never held whole; at n'' >= 2 it is built
+    whole, as one chunk, and the statistics hold one dense y''-kernel at a
+    time."""
     check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
     rows: list[DecayRow] = []
     entries = 0
@@ -109,16 +111,20 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
 
 def _slab_rows(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
                pairs: tuple[str, ...], rows: list[DecayRow]) -> int:
-    """Append the rows of slab j to ``rows``; returns its entry count.  The
-    slab and its CSR are dropped on return, before the next is built."""
+    """Append the rows of slab j to ``rows``; returns its entry count.  A
+    pass too large for the memory bound is refused before any multiplier
+    is built.  The slab and its CSR are dropped on return, before the next
+    is built."""
+    mesh = SlabMesh(spec, grid, j, shell=True)
+    stored = mesh.entries * 2 ** spec.n_dprime if "22" in pairs else None
+    refuse_oversized_pass(grid, spec.n_dprime, 2 + max(kmax, -1), stored)
     pieces = list(_pieces(spec, grid, j, kmax))
-    whole = spec.n_dprime > 1
-    tj = (discretize_tj(spec, grid, j) if whole
-          else SlabMesh(spec, grid, j, shell=True))
-    comps = [ComposedOperator(tj, mult) for _, _, mult, _ in pieces]
-    entries = (tj.rows.size if whole
-               else stream_abs_stats(comps, csr="22" in pairs))
-    for (family, k, _, res), comp in zip(pieces, comps):
+    chunks = (mesh.chunks() if spec.n_dprime == 1
+              else [discretize_tj(spec, grid, j)])
+    stats, entries, op = absolute_stats(
+        chunks, [mult for _, _, mult, _ in pieces], stored)
+    for (family, k, mult, res), mult_stats in zip(pieces, stats):
+        comp = ComposedOperator(op, mult, mult_stats)
         for pair in pairs:
             value, converged = _norm_with_flag(comp, pair)
             rows.append(DecayRow(family, j, k, pair, value, res, converged))

@@ -9,15 +9,15 @@ except one:
   (1,inf):   max absolute entry divided by the cell volume,
   (2,2):     largest singular value (thick-restart Lanczos on A^T A).
 
-The first three are read off ``ComposedOperator.abs_stats``, computed
-once per composite however many of them are asked for.  The statistics read
-the slab chunk by chunk and keep a few arrays over the grid per multiplier:
-at n'' = 1 in closed form from the breakpoints of the y''-kernel, for all
-the multipliers of a slab at once, so the slab is never held whole; at
-n'' >= 2 by multiplying each y'-block of the slab by the dense y''-kernel
-in pieces, one multiplier at a time over the slab held whole.  Only the
-(2,2) norm applies the slab as a sparse matrix: at n'' = 1 the CSR of its
-transpose, written in the same pass over the chunks as the statistics.
+The first three are read off the ``abs_stats`` a ``ComposedOperator`` is
+given: the statistics pass ``operators.absolute_stats`` computes them for
+all the multipliers of a slab at once, however many pairs are asked for.
+It reads the slab chunk by chunk and keeps a few arrays over the grid per
+multiplier: at n'' = 1 in closed form from the breakpoints of the
+y''-kernel, the slab streaming and never held whole; at n'' >= 2 by
+multiplying each y'-block of the slab, built whole, by the dense
+y''-kernel in pieces.  Only the (2,2) norm applies the slab, as the CSR of
+its transpose that the same pass writes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NumericalError
-from .operators import ComposedOperator
 
 _RITZ_TOL = 1e-12   # relative residual of the top Ritz pair at which to stop
 _KRYLOV_DIM = 20    # Lanczos vectors before a restart
@@ -85,10 +84,11 @@ def operator_norm(op, pair: str) -> float:
     pair = normalize_pair(pair)
     if pair == "22":
         return largest_singular_value(op)
-    if not isinstance(op, ComposedOperator):
+    stats = getattr(op, "abs_stats", None)
+    if stats is None:
         raise TypeError(
             f"absolute-kernel norms unavailable for {type(op).__name__}")
-    col, row, entry = op.abs_stats
+    col, row, entry = stats
     if pair == "11":
         return col
     if pair == "oooo":

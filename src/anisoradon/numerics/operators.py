@@ -10,16 +10,17 @@ mesh is the product of per-axis node windows; cutoffs and index offsets are
 built from per-axis factors that broadcast, not from mesh-sized scratch.  A
 slab's nonzero mesh entries come y'-block after y'-block, in chunks of whole
 y'-blocks of bounded size, and only a chunk's scratch is held while it is
-built.  The absolute-kernel statistics read the chunks as they come, and so
-does the (2,2) norm's sparse matrix, the slab's transpose written as a CSR
-chunk after chunk.  A slab is built whole, in one chunk, only at n'' >= 2,
-where the statistics run one multiplier at a time.
+built.
 
-The absolute-kernel statistics of a slab composed with a multiplier keep
-per-multiplier accumulators over the grid between chunks.  At n'' = 1 they
-follow in closed form from the breakpoints of the y''-kernel, with no
-product formed; at n'' >= 2 each y'-block is multiplied by the dense
-y''-kernel, in pieces of bounded size.
+One pass over the chunks of a slab, ``absolute_stats``, gives all that the
+norms read: the absolute-kernel statistics of the slab composed with each
+of its multipliers, the slab's entry count and, for the (2,2) norm, the
+slab as an operator, its transpose written as a CSR chunk after chunk.  The
+statistics keep per-multiplier accumulators over the grid between chunks.
+At n'' = 1 they follow in closed form from the breakpoints of the
+y''-kernel, with no product formed, and the slab streams; at n'' >= 2 each
+y'-block is multiplied by the dense y''-kernel, in pieces of bounded size,
+and the slab is built whole, as one chunk.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -52,8 +53,9 @@ if TYPE_CHECKING:
 # together, the statistics' accumulators (8 B values) and the (2,2) norm's
 # CSR (12 B per stored value: an 8 B value and a 4 B index; its row
 # pointer, one index per grid point, is not counted), against
-# _BYTES_PER_ENTRY, nine 8 B values, per mesh entry.  2**23 entries keep a
-# run under about 700 MB.
+# _BYTES_PER_ENTRY, nine 8 B values, per mesh entry.  At n'' >= 2 one dense
+# y''-kernel of N^(2 n'') values (134 MB at N = 64) is held on top,
+# uncounted.  2**23 entries keep a run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
 _BYTES_PER_ENTRY = 9 * 8
 _BYTES_PER_STORED = 12
@@ -77,8 +79,8 @@ class SparseKernelOperator:
     y'-block, at columns ``cols[e]`` with values ``vals[e]``: at n'' = 1 the
     x''-nodes i0 and i0 + 1 with base (1 - f) and base f, the pair (N-1, 0)
     stored in increasing column order.  Indices are int32 below 2^31 grid
-    points.  The sparse matrix is assembled from the entries only when
-    first asked for, and is then held with them."""
+    points.  The sparse matrix, for checks, is assembled from the entries
+    only when first asked for, and is then held with them."""
 
     def __init__(self, grid: Grid, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray):
@@ -91,12 +93,6 @@ class SparseKernelOperator:
         rows = np.repeat(self.rows, self.cols.shape[1])
         return sp.coo_matrix((self.vals.ravel(), (rows, self.cols.ravel())),
                              shape=(self.grid.size,) * 2).tocsr()
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ v
 
 
 class FourierMultiplier:
@@ -154,12 +150,14 @@ def _circulant(kernel: np.ndarray) -> np.ndarray:
 
 
 class ComposedOperator:
-    """left o right, applied right-to-left."""
+    """left o right, applied right-to-left.  ``abs_stats``, given for a slab
+    composed with a y''-only multiplier, is the (max column sum, max row
+    sum, max entry) of its absolute kernel, as ``absolute_stats`` returns
+    it."""
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.grid = left.grid
+    def __init__(self, left, right, abs_stats=None):
+        self.left, self.right, self.abs_stats = left, right, abs_stats
+        self.grid = right.grid
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.left.apply(self.right.apply(v))
@@ -167,57 +165,56 @@ class ComposedOperator:
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         return self.right.apply_transpose(self.left.apply_transpose(v))
 
-    @functools.cached_property
-    def abs_stats(self) -> tuple[float, float, float]:
-        """(max column sum, max row sum, max entry) of the absolute kernel of
-        a slab composed with a y''-only multiplier, computed once: the
-        statistics pass of ``absolute_stats`` fed the slab as one chunk, or
-        for a SlabMesh, set by ``stream_abs_stats``.  The product is never
-        materialized."""
-        left, right = self.left, self.right
-        if not (isinstance(left, SparseKernelOperator)
-                and isinstance(right, FourierMultiplier)):
-            raise TypeError("no absolute-kernel norms for this composite")
-        return absolute_stats([left], [right])[0]
-
 
 # -- absolute-kernel statistics ------------------------------------------------
 
-def absolute_stats(chunks: Iterable[SparseKernelOperator],
-                   mults: Sequence[FourierMultiplier],
-                   stored: int | None = None) -> list:
-    """``abs_stats`` of one slab composed with each of ``mults`` (y''-only
-    multipliers of one rank n''), the slab given as chunks of whole
-    y'-blocks in entry order.  Each chunk goes to every multiplier in turn
-    before the next chunk is read, so only the chunk and the accumulators
-    of the statistics are held: at n'' = 1 the closed form from the
-    breakpoints of the y''-kernel, at n'' >= 2 the product of each y'-block
-    with the dense y''-kernel, in pieces.  Given ``stored``, the same
-    pass writes the slab's transpose as a CSR with room for ``stored``
-    values, returned after the statistics.  Accumulators and a CSR that
-    would hold more than the memory of MAX_MESH_ENTRIES mesh entries are
-    refused before any is allocated."""
-    sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
-            else _ProductSums)
-    arrays, size = sums.arrays * len(mults), mults[0].grid.size
-    csr = stored is not None
-    need = 8 * arrays * size + _BYTES_PER_STORED * (stored if csr else 0)
+def refuse_oversized_pass(grid: Grid, n_dprime: int, mults: int,
+                          stored: int | None) -> None:
+    """Refuse a pass of ``absolute_stats`` over ``mults`` multipliers of
+    rank ``n_dprime``, and a CSR of ``stored`` values when given, whose
+    accumulators and CSR would hold more than the memory of
+    MAX_MESH_ENTRIES mesh entries; it needs no multiplier built."""
+    sums = _InterpolationSums if n_dprime == 1 else _ProductSums
+    arrays, csr = sums.arrays * mults, stored is not None
+    need = 8 * arrays * grid.size + _BYTES_PER_STORED * (stored if csr else 0)
     limit = MAX_MESH_ENTRIES * _BYTES_PER_ENTRY
     if need > limit:
         with_csr = f" and a CSR of {stored} stored values" if csr else ""
         raise MemoryError(
-            f"the statistics need {arrays} arrays of {size} values{with_csr}"
-            f", {need} B, more than the {limit} B of the limit of "
+            f"the statistics need {arrays} arrays of {grid.size} values"
+            f"{with_csr}, {need} B, more than the {limit} B of the limit of "
             f"{MAX_MESH_ENTRIES} mesh entries")
+
+
+def absolute_stats(chunks: Iterable[SparseKernelOperator],
+                   mults: Sequence[FourierMultiplier],
+                   stored: int | None = None
+                   ) -> tuple[list, int, _TransposeRows | None]:
+    """The one pass over a slab, given as chunks of whole y'-blocks in entry
+    order, composed with each of ``mults`` (y''-only multipliers of one
+    rank n'').  Each chunk goes to every multiplier in turn before the next
+    chunk is read, so only the chunk and the accumulators of the statistics
+    are held: at n'' = 1 the closed form from the breakpoints of the
+    y''-kernel, at n'' >= 2 the product of each y'-block with the dense
+    y''-kernel, in pieces.
+
+    Returns the (max column sum, max row sum, max entry) of the absolute
+    kernel of each composite, the slab's entry count and, given ``stored``,
+    the slab as an operator: its transpose, written in the same pass as a
+    CSR with room for ``stored`` values (else None).  What the pass holds
+    is bounded by ``refuse_oversized_pass``, which the caller runs first."""
+    sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
+            else _ProductSums)
     accs = [sums(mult) for mult in mults]
-    if csr:
+    if stored is not None:
         accs.append(_TransposeRows(mults[0].grid, stored))
     start = 0  # index in the slab of the chunk's first entry
     for chunk in chunks:
         for acc in accs:
             acc.add(chunk, start)
         start += chunk.rows.size
-    return [acc.result() for acc in accs]
+    op = accs.pop().result() if stored is not None else None
+    return [acc.result() for acc in accs], start, op
 
 
 class _InterpolationSums:
@@ -351,19 +348,16 @@ class _ProductSums:
     """The statistics at n'' >= 2 of the slab composed with one multiplier:
     each y'-block is a contiguous run of the slab's entries, one row per
     entry with its corners as the columns, multiplied by the dense
-    y''-kernel.  A run is multiplied in pieces of at most ``_PIECE_VALUES``
-    kernel values, written into one buffer reused for the whole slab, so
-    the memory this takes does not grow with the slab."""
+    y''-kernel.  The kernel, and one buffer of ``_PIECE_VALUES`` kernel
+    values into which a run is multiplied piece after piece, are built in
+    ``add`` and dropped when it returns: a pass over all the multipliers of
+    a slab holds one kernel at a time, and the memory does not grow with
+    the slab."""
 
     arrays = 1  # accumulators over the grid
 
     def __init__(self, mult: FourierMultiplier):
-        self.kernel = mult.ydd_kernel_matrix()
-        n_block = self.kernel.shape[0]
-        self.step = max(1, _PIECE_VALUES // n_block)  # entries per piece
-        # row 0 carries the block's column sums so far: summing it with the
-        # piece's rows adds in the same order as one sum over the whole run
-        self.buf = np.empty((self.step + 1, n_block))
+        self.mult = mult
         self.rowsums = np.zeros(mult.grid.size)
         self.max_col = self.max_abs = 0.0
 
@@ -371,8 +365,12 @@ class _ProductSums:
         """Add the entries of ``chunk``; a y'-block's pieces are counted
         from its first entry, so ``start`` is not needed."""
         import scipy.sparse as sp
-        kernel, buf, step = self.kernel, self.buf, self.step
+        kernel = self.mult.ydd_kernel_matrix()
         n_block = kernel.shape[0]
+        step = max(1, _PIECE_VALUES // n_block)  # entries per piece
+        # row 0 carries the block's column sums so far: summing it with the
+        # piece's rows adds in the same order as one sum over the whole run
+        buf = np.empty((step + 1, n_block))
         n_corners = chunk.cols.shape[1]
         indptr = np.arange(0, step * n_corners + 1, n_corners)
         # y'-block bounds: 0, each entry that starts a new block, the end
@@ -397,7 +395,8 @@ class _ProductSums:
 
 
 class _TransposeRows:
-    """The transpose of a slab as a CSR, its rows written chunk after chunk.
+    """The slab as an operator for the (2,2) norm: its transpose as a CSR
+    ``at``, the rows written chunk after chunk.
 
     A chunk is a run of the first y'-axis window, the most significant
     digit of a column, so its columns, the rows of the transpose, form one
@@ -410,7 +409,7 @@ class _TransposeRows:
 
     def __init__(self, grid: Grid, capacity: int):
         index = np.int32 if max(grid.size, capacity) < 2 ** 31 else np.int64
-        self.size = grid.size
+        self.grid = grid
         self.indptr = np.zeros(grid.size + 1, dtype=index)
         self.indices = np.empty(capacity, dtype=index)
         self.data = np.empty(capacity)
@@ -430,15 +429,24 @@ class _TransposeRows:
         counts = np.bincount(keys - lo)
         self.indptr[lo + 1:lo + 1 + counts.size] += counts
 
-    def result(self) -> sp.csr_matrix:
+    def result(self) -> _TransposeRows:
+        """This operator, with ``at`` finished."""
         import scipy.sparse as sp
         # shrunk in place: scipy copies arrays that are views of less than
         # half of a larger one
         for values in (self.indices, self.data):
             values.resize(self.nnz, refcheck=False)
         np.cumsum(self.indptr, out=self.indptr)
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=(self.size,) * 2)
+        self.at = sp.csr_matrix((self.data, self.indices, self.indptr),
+                                shape=(self.grid.size,) * 2)
+        return self
+
+    # two methods, not one under two names: a wrapper of one must not wrap both
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.at.T @ v
+
+    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        return self.at @ v
 
 
 # -- averaging-piece discretization --------------------------------------------
@@ -450,12 +458,8 @@ class SlabMesh:
     y'-axis window, and its cutoff and index offsets are built from
     per-axis factors cut to that run.  Every entry is computed from the
     same per-axis values whatever the run, so the chunks put together are
-    the whole slab bit for bit.  As the left operand of a composite it is
-    the slab streamed, never held whole; such composites get their
-    ``abs_stats`` from ``stream_abs_stats``, and their products from the
-    transpose ``at`` that it writes as a CSR when asked."""
-
-    at = None  # the slab's transpose as a CSR, once stream_abs_stats wrote it
+    the whole slab bit for bit: at n'' = 1 ``absolute_stats`` reads the
+    slab in these chunks and never holds it whole."""
 
     def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
         n_p, n_d = spec.n_prime, spec.n_dprime
@@ -565,13 +569,6 @@ class SlabMesh:
         self.hold(self.entries, f"slab j={self.j}")
         return self.chunk(slice(None))
 
-    # two methods, not one under two names: a wrapper of one must not wrap both
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.at.T @ v
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self.at @ v
-
 
 def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
     """The j-th dyadic slab of the averaging operator (shell cutoff)."""
@@ -581,32 +578,6 @@ def discretize_tj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperato
 def discretize_uj(spec: OperatorSpec, grid: Grid, j: int) -> SparseKernelOperator:
     """The tail operator: everything at scales j and beyond (ball cutoff)."""
     return SlabMesh(spec, grid, j, shell=False).whole()
-
-
-def stream_abs_stats(comps: Sequence[ComposedOperator],
-                     csr: bool = False) -> int:
-    """Set ``abs_stats`` of the composites of one SlabMesh with their
-    multipliers in one pass over its chunks: each chunk is built once, goes
-    to every multiplier and is dropped.  With ``csr`` the same pass writes
-    the mesh's ``at``, so that the composites can be applied; its room is
-    the mesh's entry count times the 2^n'' corners, a bound on the stored
-    values.  Returns the slab's entry count."""
-    mesh, entries = comps[0].left, 0
-
-    def counted() -> Iterator[SparseKernelOperator]:
-        nonlocal entries
-        for chunk in mesh.chunks():
-            entries += chunk.rows.size
-            yield chunk
-
-    mults = [comp.right for comp in comps]
-    stored = mesh.entries * 2 ** mesh.spec.n_dprime if csr else None
-    results = absolute_stats(counted(), mults, stored)
-    if csr:
-        mesh.at = results.pop()
-    for comp, stats in zip(comps, results):
-        comp.abs_stats = stats  # a cached_property takes a written value
-    return entries
 
 
 # -- frequency multipliers ------------------------------------------------------

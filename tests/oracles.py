@@ -88,7 +88,7 @@ def dense_multiplier(mult) -> np.ndarray:
 
 def dense_abs_stats(slab, mult) -> tuple[float, float, float]:
     """(max column sum, max row sum, max entry) of |slab o mult|, from the
-    dense product: the reference for ``ComposedOperator.abs_stats``."""
+    dense product: the reference for ``operators.absolute_stats``."""
     dense = np.abs(slab.matrix @ dense_multiplier(mult))
     return (float(dense.sum(axis=0).max()), float(dense.sum(axis=1).max()),
             float(dense.max()))

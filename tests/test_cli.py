@@ -261,6 +261,24 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
 
 
 def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
+    # kmax 10^5 asks for 100002 multipliers, 400008 arrays of 256 values,
+    # more than the limit of 2^23 mesh entries (604 MB): the refusal comes
+    # from the multiplier count, before any multiplier is built
+    from anisoradon.numerics import experiments
+    built = []
+    original_pjk = experiments.pjk_multiplier
+    monkeypatch.setattr(experiments, "pjk_multiplier",
+                        lambda *args: built.append(args)
+                        or original_pjk(*args))
+    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16"]
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli(*argv, "--jmax", "1", "--kmax", "100000",
+                             "--out", str(out_csv))
+    assert code == 2 and not out_csv.exists()
+    error = json.loads(err)
+    assert error["error"] == "MemoryError"
+    assert "400008 arrays of 256 values" in error["message"]
+    assert built == []
     # three multipliers of slab 1 (Q_1, P_10, P_11) need twelve arrays of
     # 256 values, more than the 9 * 128 values of the limit; the refusal
     # comes before any accumulator is allocated
@@ -270,15 +288,12 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     monkeypatch.setattr(operators._InterpolationSums, "__init__",
                         lambda acc, mult: made.append(mult)
                         or original(acc, mult))
-    out_csv = tmp_path / "decay.csv"
-    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
-                             "--grid", "16", "--kmax", "1",
-                             "--out", str(out_csv))
+    code, out, err = run_cli(*argv, "--kmax", "1", "--out", str(out_csv))
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert "12 arrays of 256 values" in error["message"]
-    assert made == []
+    assert made == [] and built == []
 
 
 def test_knapp_subcommand():

@@ -207,10 +207,14 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
-    # at n'' = 1 every slab streams in chunks, with or without the (2,2)
-    # norm; only the (2,2) norm writes the CSR of its transpose, one per slab
+    # at n'' = 1 every slab streams in chunks, at n'' = 2 it is built whole,
+    # with or without the (2,2) norm; at every n'' no slab matrix is built,
+    # and only the (2,2) norm writes the CSR of a slab's transpose, one per
+    # slab.  The statistics of all the multipliers of a slab share one
+    # pass, yet no two dense y''-kernels are alive at once
+    import weakref
     from anisoradon.numerics import operators
-    wholes, csrs, matrices = [], [], []
+    wholes, csrs, matrices, kernels, alive = [], [], [], [], []
     whole = operators.SlabMesh.whole
     monkeypatch.setattr(operators.SlabMesh, "whole",
                         lambda mesh: wholes.append(mesh) or whole(mesh))
@@ -221,12 +225,31 @@ def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
     matrix = operators.SparseKernelOperator.matrix
     monkeypatch.setattr(operators.SparseKernelOperator, "matrix", property(
         lambda op: matrices.append(op) or matrix.func(op)))
-    grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
-    decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo"))
-    assert wholes == [] and csrs == [] and matrices == []
-    decay_table(REFERENCE, grid, jmax=3, pairs=("11", "oooo", "1oo", "22"))
-    assert wholes == [] and matrices == []
-    assert len(csrs) == 3
+    kernel_matrix = operators.FourierMultiplier.ydd_kernel_matrix
+
+    def tracked(mult):
+        alive.append(sum(ref() is not None for ref in kernels))
+        kernel = kernel_matrix(mult)
+        kernels.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(operators.FourierMultiplier, "ydd_kernel_matrix",
+                        tracked)
+    shear = load_spec(Path(__file__).resolve().parent / "golden" / "inputs"
+                      / "shear_1_2.json")
+    for spec, grid, kmax, whole_slabs in (
+            (REFERENCE, Grid(dim=2, points_per_axis=32, half_width=2.0), -1,
+             0),
+            (shear, Grid(dim=3, points_per_axis=8), 1, 3)):
+        for pairs, slab_csrs in ((("11", "oooo", "1oo"), 0),
+                                 (("11", "oooo", "1oo", "22"), 3)):
+            for made in (wholes, csrs, matrices):
+                made.clear()
+            decay_table(spec, grid, jmax=3, kmax=kmax, pairs=pairs)
+            assert len(wholes) == whole_slabs and matrices == []
+            assert len(csrs) == slab_csrs
+    # 3 slabs x (Q_j, P_j0, P_j1), twice, at n'' = 2
+    assert len(kernels) == 18 and alive == [0] * 18
 
 
 def test_decay_table_flags_unconverged_rows(monkeypatch):

@@ -35,6 +35,16 @@ def _two_dprime_spec() -> OperatorSpec:
                         s=(mono(1, 1), mono(0, 2)), psi_radius=0.5)
 
 
+def _pass_operator(slab: SparseKernelOperator, mult: FourierMultiplier):
+    """The slab as the statistics pass returns it for the (2,2) norm."""
+    return operators.absolute_stats([slab], [mult], slab.cols.size)[2]
+
+
+def _ones(grid: Grid, n_dprime: int = 1) -> FourierMultiplier:
+    """The identity, as a y''-multiplier."""
+    return FourierMultiplier(grid, np.ones(grid.shape()[grid.dim - n_dprime:]))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(dim=2, points_per_axis=12)
@@ -92,7 +102,7 @@ def test_tj_constant_input_equals_cutoff_integral():
     grid = Grid(dim=2, points_per_axis=64, half_width=2.0)
     op = discretize_tj(SPEC, grid, 1)
     ones = np.ones(grid.size)
-    applied = op.apply(ones)
+    applied = _pass_operator(op, _ones(grid)).apply(ones)
     rows = np.asarray(op.matrix.sum(axis=1)).ravel()
     assert np.allclose(applied, rows, atol=1e-12)
 
@@ -110,7 +120,7 @@ def test_uj_telescoping_matches_tj():
 
 def test_adjoint_consistency():
     grid = Grid(dim=2, points_per_axis=32, half_width=2.0)
-    op = discretize_tj(SPEC, grid, 1)
+    op = _pass_operator(discretize_tj(SPEC, grid, 1), _ones(grid))
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = rng.standard_normal(grid.size)
@@ -134,16 +144,19 @@ def _embedded_matrix_op():
 def test_norm_conventions_on_small_matrix():
     # an all-ones y''-multiplier (n' = 0, n'' = 1) has the identity kernel
     op = _embedded_matrix_op()
-    comp = ComposedOperator(op, FourierMultiplier(op.grid,
-                                                  np.ones(op.grid.shape())))
+    mult = _ones(op.grid)
+    (stats,), entries, _ = operators.absolute_stats([op], [mult])
+    assert entries == 2
+    comp = ComposedOperator(None, mult, stats)
     assert operator_norm(comp, "11") == 6.0
     assert operator_norm(comp, "oooo") == 7.0
     assert operator_norm(comp, "1oo") == 4.0
 
 
 def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
-    # only a slab followed by a multiplier has absolute-kernel norms: not a
-    # bare slab or multiplier, and not the two in the other order
+    # only a composite given the statistics of the pass has absolute-kernel
+    # norms: not a bare slab or multiplier, and not the two in the other
+    # order
     op = _embedded_matrix_op()
     rng = np.random.default_rng(7)
     mult = FourierMultiplier(op.grid, rng.standard_normal(op.grid.shape()))
@@ -156,7 +169,8 @@ def test_two_norm_of_small_matrix():
     op = _embedded_matrix_op()
     # largest singular value of [[1,2],[3,4]]: sqrt(15 + sqrt(221))
     exact = np.sqrt(15 + np.sqrt(221))
-    assert operator_norm(op, "22") == pytest.approx(exact, rel=1e-12)
+    assert operator_norm(_pass_operator(op, _ones(op.grid)), "22") \
+        == pytest.approx(exact, rel=1e-12)
 
 
 def test_two_norm_zero_operator():
@@ -164,16 +178,18 @@ def test_two_norm_zero_operator():
     op = SparseKernelOperator(grid, np.zeros(0, dtype=np.int64),
                               np.zeros((0, 2), dtype=np.int64),
                               np.zeros((0, 2)))
-    assert operator_norm(op, "22") == 0.0
+    assert operator_norm(_pass_operator(op, _ones(grid)), "22") == 0.0
     # zero composites: an empty slab, and a shell at 2^20 times the Qj
     # scale, beyond the grid's frequencies
     empty_slab = discretize_tj(SPEC, SMALL, 9)
     q = qj_multiplier(SMALL, 1, SPEC.beta_dprime, 9)
     off_grid = pjk_multiplier(SMALL, 1, SPEC.beta_dprime, 1, 20)
     assert empty_slab.matrix.nnz == 0 and not off_grid.ydd_block.any()
-    for comp in (ComposedOperator(empty_slab, q),
-                 ComposedOperator(discretize_tj(SPEC, SMALL, 1), off_grid)):
-        assert operator_norm(comp, "22") == 0.0
+    for slab, mult in ((empty_slab, q),
+                       (discretize_tj(SPEC, SMALL, 1), off_grid)):
+        (stats,), _, op = operators.absolute_stats([slab], [mult],
+                                                   slab.cols.size)
+        assert operator_norm(ComposedOperator(op, mult, stats), "22") == 0.0
 
 
 def test_multiplier_two_norm_is_symbol_sup():
@@ -208,8 +224,13 @@ def test_composed_norms_match_dense():
         corners = tj.cols % n
         assert np.count_nonzero((corners[:, 0] == 0)
                                 & (corners[:, -1] == n - 1)) == wrapped
-        q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
-        comp = ComposedOperator(tj, q)
+        mults = (qj_multiplier(grid, 1, spec.beta_dprime, 1),
+                 pjk_multiplier(grid, 1, spec.beta_dprime, 1, 0))
+        stats, entries, op = operators.absolute_stats([tj], mults,
+                                                      tj.cols.size)
+        assert entries == tj.rows.size
+        q = mults[0]
+        comp = ComposedOperator(op, q, stats[0])
         dense = tj.matrix @ dense_multiplier(q)
         col, row, entry = dense_abs_stats(tj, q)
         assert operator_norm(comp, "11") == pytest.approx(col, rel=1e-12)
@@ -219,11 +240,11 @@ def test_composed_norms_match_dense():
         rng = np.random.default_rng(2)
         v = rng.standard_normal(grid.size)
         assert np.abs(comp.apply(v) - dense @ v).max() < 1e-10
-        for mult in (q, pjk_multiplier(grid, 1, spec.beta_dprime, 1, 0)):
+        for mult, mult_stats in zip(mults, stats):
             exact = np.linalg.norm(tj.matrix @ dense_multiplier(mult), 2)
             assert exact > 0
-            assert operator_norm(ComposedOperator(tj, mult), "22") \
-                == pytest.approx(exact, rel=1e-10)
+            assert operator_norm(ComposedOperator(op, mult, mult_stats),
+                                 "22") == pytest.approx(exact, rel=1e-10)
 
 
 def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
@@ -238,12 +259,12 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
             (_two_dprime_spec(), Grid(dim=3, points_per_axis=8), 0)):
         tj = discretize_tj(spec, grid, 1)
         q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
-        whole = ComposedOperator(tj, q).abs_stats
+        (whole,), _, _ = operators.absolute_stats([tj], [q])
         n_block = q.ydd_block.size
         assert np.bincount(tj.cols[:, 0] // n_block).max() > 3
         assert tj.rows.size > 3 * n_block  # more than one piece
         monkeypatch.setattr(operators, "_PIECE_VALUES", 3 * n_block)
-        col, *rest = ComposedOperator(tj, q).abs_stats
+        ((col, *rest),), _, _ = operators.absolute_stats([tj], [q])
         assert col == pytest.approx(whole[0], rel=col_rel, abs=0)
         assert rest == list(whole[1:])
         monkeypatch.undo()
@@ -265,13 +286,13 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
                 pjk_multiplier(grid, 1, spec.beta_dprime, j, k)
                 for k in range(kmax + 1)]
             tj = discretize_tj(spec, grid, j)
-            whole = [ComposedOperator(tj, mult).abs_stats for mult in mults]
+            whole = [operators.absolute_stats([tj], [mult])[0][0]
+                     for mult in mults]
             monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
             slab = operators.SlabMesh(spec, grid, j, shell=True)
             assert j > 1 or len(list(slab.chunks())) > 1
-            comps = [ComposedOperator(slab, mult) for mult in mults]
-            assert operators.stream_abs_stats(comps) == tj.rows.size
-            assert [comp.abs_stats for comp in comps] == whole
+            assert operators.absolute_stats(slab.chunks(), mults)[:2] \
+                == (whole, tj.rows.size)
             monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 2 ** 17)
         monkeypatch.undo()
 
@@ -282,30 +303,40 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
     # n' = 2: a chunk's columns are one range only because y'_1 is their
     # most significant digit
     (Path(__file__).resolve().parent / "golden" / "inputs"
-     / "iso_2_1_b3.json", 3, 16)])
+     / "iso_2_1_b3.json", 3, 16),
+    # n'' = 2: four corners per entry; decay_table feeds the whole slab
+    (Path(__file__).resolve().parent / "golden" / "inputs"
+     / "shear_1_2.json", 3, 8)])
 def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
                                                          spec_path, dim, n):
-    # the CSR written chunk after chunk is the canonical CSR of the whole
-    # slab's transpose, bit for bit, and so are the products it gives
+    # the CSR the pass writes chunk after chunk, or from the whole slab as
+    # one chunk, is the canonical CSR of the whole slab's transpose, bit for
+    # bit, and so are the products it gives
     spec, grid = load_spec(spec_path), Grid(dim=dim, points_per_axis=n)
     v = np.random.default_rng(3).standard_normal(grid.size)
     for j in (1, 2):
-        whole = operators.SlabMesh(spec, grid, j, shell=True).whole()
+        whole = discretize_tj(spec, grid, j)
         want = whole.matrix.T.tocsr()
         q = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
-        for chunk_entries in (1, 100, 2 ** 17):
-            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk_entries)
-            mesh = operators.SlabMesh(spec, grid, j, shell=True)
-            assert chunk_entries > 1 or len(list(mesh.chunks())) > 1
-            assert operators.stream_abs_stats([ComposedOperator(mesh, q)],
-                                              csr=True) == whole.rows.size
+        stored = whole.cols.size
+        for chunk_entries in (1, 100, 2 ** 17, None):
+            if chunk_entries is None:
+                chunks = [whole]
+            else:
+                monkeypatch.setattr(operators, "_CHUNK_ENTRIES",
+                                    chunk_entries)
+                chunks = list(operators.SlabMesh(spec, grid, j,
+                                                 shell=True).chunks())
+                assert chunk_entries > 1 or len(chunks) > 1
+            _, entries, op = operators.absolute_stats(chunks, [q], stored)
+            assert entries == whole.rows.size
             for part in ("indptr", "indices", "data"):
-                got, exact = getattr(mesh.at, part), getattr(want, part)
+                got, exact = getattr(op.at, part), getattr(want, part)
                 assert got.dtype == exact.dtype
                 assert got.tobytes() == exact.tobytes()
-            assert mesh.apply(v).tobytes() == whole.apply(v).tobytes()
-            assert mesh.apply_transpose(v).tobytes() \
-                == whole.apply_transpose(v).tobytes()
+            assert op.apply(v).tobytes() == (whole.matrix @ v).tobytes()
+            assert op.apply_transpose(v).tobytes() \
+                == (whole.matrix.T @ v).tobytes()
     rows = []
     for chunk_entries in (1, 100, 2 ** 17):
         monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk_entries)
@@ -358,7 +389,7 @@ def test_closed_form_statistics_match_the_dense_product(n, data):
             vals.append((lo, hi))
     slab = SparseKernelOperator(grid, np.array(rows), np.array(cols),
                                 np.array(vals))
-    got = ComposedOperator(slab, mult).abs_stats
+    (got,), _, _ = operators.absolute_stats([slab], [mult])
     want = dense_abs_stats(slab, mult)
     # rounding scale: every column or row sum is at most sum |base| sum |u|
     scale = np.abs(slab.vals).sum() * np.abs(u).sum()
