@@ -40,9 +40,9 @@ def _pass_operator(slab: SparseKernelOperator, mult: FourierMultiplier):
     return operators.absolute_stats([slab], [mult], slab.cols.size)[2]
 
 
-def _ones(grid: Grid, n_dprime: int = 1) -> FourierMultiplier:
-    """The identity, as a y''-multiplier."""
-    return FourierMultiplier(grid, np.ones(grid.shape()[grid.dim - n_dprime:]))
+def _ones(grid: Grid) -> FourierMultiplier:
+    """The identity, as a y''-multiplier of rank n'' = 1."""
+    return FourierMultiplier(grid, np.ones(grid.points_per_axis))
 
 
 def test_grid_validation():
