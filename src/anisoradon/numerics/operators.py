@@ -16,11 +16,10 @@ One pass over the chunks of a slab, ``absolute_stats``, gives all that the
 norms read: the absolute-kernel statistics of the slab composed with each
 of its multipliers, the slab's entry count and, for the (2,2) norm, the
 slab as an operator, its transpose written as a CSR chunk after chunk.  The
-statistics keep per-multiplier accumulators over the grid between chunks.
-At n'' = 1 they follow in closed form from the breakpoints of the
-y''-kernel, with no product formed, and the slab streams; at n'' >= 2 each
-y'-block is multiplied by the dense y''-kernel, in pieces of bounded size,
-and the slab is built whole, as one chunk.
+statistics keep per-multiplier accumulators over the grid between chunks,
+and take each chunk in runs of whole y'-blocks.  At n'' = 1 they follow in
+closed form from the breakpoints of the y''-kernel, with no product
+formed; at n'' >= 2 each y'-block is multiplied by the dense y''-kernel.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -50,12 +49,11 @@ if TYPE_CHECKING:
 # over mesh entries peaks at about 73 B per nonzero entry (a whole slab:
 # 196 MB at 2.1 M entries over a 51 MB base).  What counts: a slab built
 # whole; when streamed, one y'-slice, the least a chunk holds; and,
-# together, the statistics' accumulators (8 B values) and the (2,2) norm's
-# CSR (12 B per stored value: an 8 B value and a 4 B index; its row
-# pointer, one index per grid point, is not counted), against
-# _BYTES_PER_ENTRY, nine 8 B values, per mesh entry.  At n'' >= 2 one dense
-# y''-kernel of N^(2 n'') values (134 MB at N = 64) is held on top,
-# uncounted.  2**23 entries keep a run under about 700 MB.
+# together, the statistics' accumulators (8 B values), at n'' >= 2 the
+# dense y''-kernel held at a time (8 B N^(2 n''): 134 MB at N = 64) and the
+# (2,2) norm's CSR (12 B per stored value: an 8 B value and a 4 B index;
+# its row pointer is not counted), against _BYTES_PER_ENTRY, nine 8 B
+# values, per mesh entry.  2**23 entries keep a run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
 _BYTES_PER_ENTRY = 9 * 8
 _BYTES_PER_STORED = 12
@@ -65,7 +63,7 @@ _BYTES_PER_STORED = 12
 # 128 MB at 2**19, 249 MB at 2**21)
 _CHUNK_ENTRIES = 2 ** 17
 # values (4 MB) per piece of the absolute-kernel statistics: histogram
-# cells at n'' = 1, kernel values of a y'-block product at n'' >= 2
+# cells at n'' = 1, or one y'-block's; y'-block product values at n'' >= 2
 _PIECE_VALUES = 2 ** 19
 
 
@@ -172,18 +170,21 @@ def refuse_oversized_pass(grid: Grid, n_dprime: int, mults: int,
                           stored: int | None) -> None:
     """Refuse a pass of ``absolute_stats`` over ``mults`` multipliers of
     rank ``n_dprime``, and a CSR of ``stored`` values when given, whose
-    accumulators and CSR would hold more than the memory of
+    accumulators, y''-kernel and CSR would hold more than the memory of
     MAX_MESH_ENTRIES mesh entries; it needs no multiplier built."""
     sums = _InterpolationSums if n_dprime == 1 else _ProductSums
     arrays, csr = sums.arrays * mults, stored is not None
-    need = 8 * arrays * grid.size + _BYTES_PER_STORED * (stored if csr else 0)
+    kernel = 0 if n_dprime == 1 else grid.points_per_axis ** (2 * n_dprime)
+    need = (8 * (arrays * grid.size + kernel)
+            + _BYTES_PER_STORED * (stored if csr else 0))
     limit = MAX_MESH_ENTRIES * _BYTES_PER_ENTRY
     if need > limit:
+        with_kernel = f", a y''-kernel of {kernel} values" if kernel else ""
         with_csr = f" and a CSR of {stored} stored values" if csr else ""
         raise MemoryError(
             f"the statistics need {arrays} arrays of {grid.size} values"
-            f"{with_csr}, {need} B, more than the {limit} B of the limit of "
-            f"{MAX_MESH_ENTRIES} mesh entries")
+            f"{with_kernel}{with_csr}, {need} B, more than the {limit} B of "
+            f"the limit of {MAX_MESH_ENTRIES} mesh entries")
 
 
 def absolute_stats(chunks: Iterable[SparseKernelOperator],
@@ -196,7 +197,7 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
     chunk is read, so only the chunk and the accumulators of the statistics
     are held: at n'' = 1 the closed form from the breakpoints of the
     y''-kernel, at n'' >= 2 the product of each y'-block with the dense
-    y''-kernel, in pieces.
+    y''-kernel.  How the slab is chunked changes no bit of the result.
 
     Returns the (max column sum, max row sum, max entry) of the absolute
     kernel of each composite, the slab's entry count and, given ``stored``,
@@ -208,13 +209,26 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
     accs = [sums(mult) for mult in mults]
     if stored is not None:
         accs.append(_TransposeRows(mults[0].grid, stored))
-    start = 0  # index in the slab of the chunk's first entry
+    entries = 0
     for chunk in chunks:
         for acc in accs:
-            acc.add(chunk, start)
-        start += chunk.rows.size
+            acc.add(chunk)
+        entries += chunk.rows.size
     op = accs.pop().result() if stored is not None else None
-    return [acc.result() for acc in accs], start, op
+    return [acc.result() for acc in accs], entries, op
+
+
+def _block_runs(cols: np.ndarray, span: int) -> list[tuple[int, int]]:
+    """The nonempty runs of entries whose lower corners lie in one range
+    [k span, (k + 1) span), span a multiple of the y'-block size, found by
+    bisection: ``cols[:, 0] < k span`` is monotone along the entries."""
+    first = cols[:, 0]
+    if not first.size:
+        return []
+    cuts = np.arange(first[0] // span + 1, first[-1] // span + 1) * span
+    edges = np.unique(np.r_[0, np.searchsorted(
+        first, cuts.astype(first.dtype)), first.size]).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class _InterpolationSums:
@@ -236,11 +250,10 @@ class _InterpolationSums:
       |base| f, minus twice the terms of the entries past each t_m, read off
       cumulative sums of a (group, breakpoint rank) histogram.
 
-    The entries are taken in pieces of ``_PIECE_VALUES // (breakpoints + 1)``
-    so that the histogram of a piece has at most ``_PIECE_VALUES`` cells.
-    Pieces are cut at multiples of that size counted from the slab's first
-    entry and at chunk ends, which fall between y'-blocks: the groups of a
-    piece, and so every sum, do not depend on how the slab is chunked."""
+    The entries are taken in pieces of max(1, ``_PIECE_VALUES`` // (ranks
+    N)) whole y'-blocks, counted by the global block index: a histogram has
+    at most max(``_PIECE_VALUES``, N ranks) cells, and as each y'-block adds
+    its sums alone, no sum depends on the pieces or the chunks."""
 
     arrays = 4  # accumulators over the grid
 
@@ -270,14 +283,11 @@ class _InterpolationSums:
         # per (y'-block, i0) group: the sums of |base| and |base| f
         self.base_sums, self.frac_sums = np.zeros(size), np.zeros(size)
         self.max_abs = 0.0
-        self.step = max(1, _PIECE_VALUES // self.ranks)
+        self.span = self.n * max(1, _PIECE_VALUES // (self.ranks * self.n))
 
-    def add(self, chunk: SparseKernelOperator, start: int) -> None:
-        """Add the entries of ``chunk``, the slab's entries from ``start``."""
-        m = chunk.rows.size
-        edges = np.unique(np.r_[0, np.arange(-start % self.step, m,
-                                             self.step), m]).tolist()
-        for a, b in zip(edges[:-1], edges[1:]):
+    def add(self, chunk: SparseKernelOperator) -> None:
+        """Add the entries of ``chunk``."""
+        for a, b in _block_runs(chunk.cols, self.span):
             self._add_piece(chunk.rows[a:b], chunk.cols[a:b],
                             chunk.vals[a:b])
 
@@ -293,10 +303,9 @@ class _InterpolationSums:
             (weight * np.interp(f, *self.entry_fn)).max()))
         # group: y'-block and i0, as the flat column of the lower corner,
         # counted from the piece's first y'-block; ``seen`` spans its blocks
-        key = cols[:, 0] + wrap * (n - 1)
-        first = key.min() - key.min() % n
-        key -= first
-        seen = np.zeros(key.max() - key.max() % n + n, dtype=np.intp)
+        first = cols[0, 0] - cols[0, 0] % n
+        key = cols[:, 0] + wrap * (n - 1) - first
+        seen = np.zeros(cols[-1, 0] - cols[-1, 0] % n + n - first, np.intp)
         seen[key] = 1
         groups = np.flatnonzero(seen)
         # rank: how many t_m are >= f, so an entry is past the q-th highest
@@ -361,9 +370,8 @@ class _ProductSums:
         self.rowsums = np.zeros(mult.grid.size)
         self.max_col = self.max_abs = 0.0
 
-    def add(self, chunk: SparseKernelOperator, start: int) -> None:
-        """Add the entries of ``chunk``; a y'-block's pieces are counted
-        from its first entry, so ``start`` is not needed."""
+    def add(self, chunk: SparseKernelOperator) -> None:
+        """Add the entries of ``chunk``, y'-block after y'-block."""
         import scipy.sparse as sp
         kernel = self.mult.ydd_kernel_matrix()
         n_block = kernel.shape[0]
@@ -373,10 +381,7 @@ class _ProductSums:
         buf = np.empty((step + 1, n_block))
         n_corners = chunk.cols.shape[1]
         indptr = np.arange(0, step * n_corners + 1, n_corners)
-        # y'-block bounds: 0, each entry that starts a new block, the end
-        ends = np.flatnonzero(np.diff(chunk.cols[:, 0] // n_block,
-                                      prepend=-1, append=-1))
-        for lo, hi in zip(ends[:-1], ends[1:]):
+        for lo, hi in _block_runs(chunk.cols, n_block):
             buf[0] = 0.0
             for a in range(lo, hi, step):
                 m = min(step, hi - a)
@@ -415,9 +420,8 @@ class _TransposeRows:
         self.data = np.empty(capacity)
         self.nnz = 0
 
-    def add(self, chunk: SparseKernelOperator, start: int) -> None:
-        """Write the rows of the columns of ``chunk``; ``start`` is not
-        needed."""
+    def add(self, chunk: SparseKernelOperator) -> None:
+        """Write the rows of the columns of ``chunk``."""
         keys = chunk.cols.ravel()
         if not keys.size:
             return
@@ -458,8 +462,8 @@ class SlabMesh:
     y'-axis window, and its cutoff and index offsets are built from
     per-axis factors cut to that run.  Every entry is computed from the
     same per-axis values whatever the run, so the chunks put together are
-    the whole slab bit for bit: at n'' = 1 ``absolute_stats`` reads the
-    slab in these chunks and never holds it whole."""
+    the whole slab bit for bit: ``absolute_stats`` reads the slab in these
+    chunks and never holds it whole."""
 
     def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
         n_p, n_d = spec.n_prime, spec.n_dprime
@@ -562,8 +566,8 @@ class SlabMesh:
                                     vals.reshape(rows.size, 2 ** n_d))
 
     def whole(self) -> SparseKernelOperator:
-        """The slab in one chunk, for n'' >= 2 and for checks against the
-        streamed slab.  Put together from small chunks instead, a whole slab
+        """The slab in one chunk, as ``discretize_tj`` and ``discretize_uj``
+        give it.  Put together from small chunks instead, a whole slab
         peaks higher from the second build in a process on, as the
         allocator keeps the chunks on its heap."""
         self.hold(self.entries, f"slab j={self.j}")

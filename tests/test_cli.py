@@ -260,6 +260,34 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
         == (tmp_path / "unlimited.csv").read_bytes()
 
 
+def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
+                                                                 tmp_path):
+    # at n'' = 2 the statistics hold one dense y''-kernel of N^4 values at a
+    # time: 134217728 B at grid 64 is admitted, 2147483648 B at grid 128 is
+    # refused before any chunk of a slab is built
+    from anisoradon.numerics import Grid
+    operators.refuse_oversized_pass(Grid(dim=3, points_per_axis=64), 2, 3,
+                                    None)
+    built = []
+    original = operators.SlabMesh.chunk
+    monkeypatch.setattr(operators.SlabMesh, "chunk",
+                        lambda mesh, run: built.append(run)
+                        or original(mesh, run))
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli(
+        "verify", "--spec", str(SPECS.parent / "tests" / "golden" / "inputs"
+                                / "shear_1_2.json"),
+        "--grid", "128", "--jmax", "4", "--kmax", "1", "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    error = json.loads(err)
+    assert error["error"] == "MemoryError"
+    assert error["message"] == (
+        "the statistics need 3 arrays of 2097152 values, a y''-kernel of "
+        "268435456 values, 2197815296 B, more than the 603979776 B of the "
+        "limit of 8388608 mesh entries")
+    assert built == []
+
+
 def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     # kmax 10^5 asks for 100002 multipliers, 400008 arrays of 256 values,
     # more than the limit of 2^23 mesh entries (604 MB): the refusal comes
@@ -340,11 +368,11 @@ def test_dual_check_refuses_levels_past_the_dilation_cap():
 
 
 def test_verify_refuses_jmax_past_the_cap_before_any_slab(monkeypatch):
-    from anisoradon.numerics import experiments
     built = []
-    original = experiments.discretize_tj
-    monkeypatch.setattr(experiments, "discretize_tj",
-                        lambda *args: built.append(args) or original(*args))
+    original = operators.SlabMesh.chunk
+    monkeypatch.setattr(operators.SlabMesh, "chunk",
+                        lambda mesh, run: built.append(run)
+                        or original(mesh, run))
     code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
                              "--grid", "16", "--jmax", "2000")
     assert code == 2 and out == ""

@@ -207,13 +207,15 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
-    # at n'' = 1 every slab streams in chunks, at n'' = 2 it is built whole,
-    # with or without the (2,2) norm; at every n'' no slab matrix is built,
-    # and only the (2,2) norm writes the CSR of a slab's transpose, one per
-    # slab.  The statistics of all the multipliers of a slab share one
-    # pass, yet no two dense y''-kernels are alive at once
+    # at every n'' every slab streams in chunks, here of one y'-slice each,
+    # and is never built whole, with or without the (2,2) norm; no slab
+    # matrix is built, and only the (2,2) norm writes the CSR of a slab's
+    # transpose, one per slab.  The statistics of all the multipliers of a
+    # slab share one pass, and each builds its dense y''-kernel once per
+    # chunk, yet no two dense y''-kernels are alive at once
     import weakref
     from anisoradon.numerics import operators
+    monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
     wholes, csrs, matrices, kernels, alive = [], [], [], [], []
     whole = operators.SlabMesh.whole
     monkeypatch.setattr(operators.SlabMesh, "whole",
@@ -237,19 +239,19 @@ def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
                         tracked)
     shear = load_spec(Path(__file__).resolve().parent / "golden" / "inputs"
                       / "shear_1_2.json")
-    for spec, grid, kmax, whole_slabs in (
-            (REFERENCE, Grid(dim=2, points_per_axis=32, half_width=2.0), -1,
-             0),
-            (shear, Grid(dim=3, points_per_axis=8), 1, 3)):
+    for spec, grid, kmax in (
+            (REFERENCE, Grid(dim=2, points_per_axis=32, half_width=2.0), -1),
+            (shear, Grid(dim=3, points_per_axis=8), 1)):
         for pairs, slab_csrs in ((("11", "oooo", "1oo"), 0),
                                  (("11", "oooo", "1oo", "22"), 3)):
             for made in (wholes, csrs, matrices):
                 made.clear()
             decay_table(spec, grid, jmax=3, kmax=kmax, pairs=pairs)
-            assert len(wholes) == whole_slabs and matrices == []
+            assert wholes == [] and matrices == []
             assert len(csrs) == slab_csrs
-    # 3 slabs x (Q_j, P_j0, P_j1), twice, at n'' = 2
-    assert len(kernels) == 18 and alive == [0] * 18
+    # at n'' = 2, 5 chunks (two y'-slices in slabs 1 and 2, slab 3 empty)
+    # x (Q_j, P_j0, P_j1), twice
+    assert len(kernels) == 30 and alive == [0] * 30
 
 
 def test_decay_table_flags_unconverged_rows(monkeypatch):
