@@ -16,7 +16,9 @@ It reads the slab chunk by chunk, never whole, and keeps a few arrays over
 the grid per multiplier: at n'' = 1 in closed form from the breakpoints of
 the y''-kernel; at n'' >= 2 by multiplying each y'-block by the dense
 y''-kernel.  Only the (2,2) norm applies the slab, as the CSR of its
-transpose that the same pass writes.
+transpose that the same pass writes, on the slab's support: its vectors
+hold the values at the grid nodes that carry an entry and on the whole
+y''-lines of the y'-blocks that hold one, off which the composite vanishes.
 """
 
 from __future__ import annotations
@@ -46,10 +48,14 @@ def largest_singular_value(op) -> float:
     reorthogonalization (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
     Stops once the residual of the top Ritz pair is at most _RITZ_TOL times
     its Ritz value; raises NumericalError, carrying the last estimate, if
-    that takes more than _MAX_PRODUCTS products with op^T op."""
+    that takes more than _MAX_PRODUCTS products with op^T op.  The start
+    vector is drawn over ``op.domain``, the values op applies to: for a
+    slab's composite its support, where an empty one has norm 0."""
+    if not op.domain:
+        return 0.0
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(0), np.uint64(0x9E3779B97F4A7C15)], dtype=np.uint64)))
-    v = rng.standard_normal(op.grid.size)
+    v = rng.standard_normal(op.domain)
     basis = np.empty((_KRYLOV_DIM + 1, v.size))
     basis[0] = v / np.linalg.norm(v)
     proj = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))  # basis (op^T op) basis^T

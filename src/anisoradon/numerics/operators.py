@@ -15,15 +15,20 @@ built.
 One pass over the chunks of a slab, ``absolute_stats``, gives all that the
 norms read: the absolute-kernel statistics of the slab composed with each
 of its multipliers, the slab's entry count and, for the (2,2) norm, the
-slab as an operator, its transpose written as a CSR chunk after chunk.  The
-statistics keep per-multiplier accumulators over the grid between chunks,
-and take each chunk in runs of whole y'-blocks.  At n'' = 1 they follow in
+slab as an operator on its support, its transpose written as a CSR chunk
+after chunk.  The support is the grid nodes that carry an entry and the
+whole y''-lines of the y'-blocks that hold one: a multiplier maps those
+lines to themselves, so the composite vanishes off the support, and the
+(2,2) norm's vectors hold only the support's values.  The statistics
+keep per-multiplier accumulators over the grid between chunks, and take
+each chunk in runs of whole y'-blocks.  At n'' = 1 they follow in
 closed form from the breakpoints of the y''-kernel, with no product
 formed; at n'' >= 2 each y'-block is multiplied by the dense y''-kernel.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
-multiplication by the even part of the block, inverse real FFT.
+multiplication by the even part of the block, inverse real FFT, on the
+whole grid or on any run of whole y''-lines.
 
 ``scipy.sparse`` is imported only where a CSR is built, so commands that
 build none do not pay for the import.
@@ -52,7 +57,8 @@ if TYPE_CHECKING:
 # together, the statistics' accumulators (8 B values), at n'' >= 2 the
 # dense y''-kernel held at a time (8 B N^(2 n''): 134 MB at N = 64) and the
 # (2,2) norm's CSR (12 B per stored value: an 8 B value and a 4 B index;
-# its row pointer is not counted), against _BYTES_PER_ENTRY, nine 8 B
+# its row pointer, over the support's columns, is not counted) with its row
+# mark, one more array over the grid, against _BYTES_PER_ENTRY, nine 8 B
 # values, per mesh entry.  2**23 entries keep a run under about 700 MB.
 MAX_MESH_ENTRIES = 2 ** 23
 _BYTES_PER_ENTRY = 9 * 8
@@ -100,13 +106,14 @@ class FourierMultiplier:
 
     The symbol depends on the y''-frequencies only; ``ydd_block`` holds it
     as an array over the trailing n'' axes, the only axes the FFT runs over
-    and the y''-kernel of the absolute-kernel statistics.
+    and the y''-kernel of the absolute-kernel statistics.  So it filters
+    any number of whole y''-lines, not only the ``domain`` of the grid.
     """
 
     def __init__(self, grid: Grid, ydd_block: np.ndarray):
         if ydd_block.shape != grid.shape()[grid.dim - ydd_block.ndim:]:
             raise ValueError("y''-block shape does not match the grid")
-        self.grid = grid
+        self.grid, self.domain = grid, grid.size
         self.ydd_block = ydd_block
 
     @functools.cached_property
@@ -118,7 +125,8 @@ class FourierMultiplier:
 
     def _filter(self, v: np.ndarray) -> np.ndarray:
         axes = tuple(range(-self._half_symbol.ndim, 0))
-        field = np.asarray(v, dtype=float).reshape(self.grid.shape())
+        field = np.asarray(v, dtype=float).reshape((-1,)
+                                                   + self.ydd_block.shape)
         spectrum = np.fft.rfftn(field, axes=axes) * self._half_symbol
         return np.fft.irfftn(spectrum, axes=axes).ravel()
 
@@ -151,11 +159,17 @@ class ComposedOperator:
     """left o right, applied right-to-left.  ``abs_stats``, given for a slab
     composed with a y''-only multiplier, is the (max column sum, max row
     sum, max entry) of its absolute kernel, as ``absolute_stats`` returns
-    it."""
+    it.  Such a composite runs on the slab's support: the multiplier
+    filters the whole y''-lines of the slab's ``domain``, and the slab
+    maps them to its rows."""
 
     def __init__(self, left, right, abs_stats=None):
         self.left, self.right, self.abs_stats = left, right, abs_stats
         self.grid = right.grid
+
+    @property
+    def domain(self) -> int:
+        return self.left.domain
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.left.apply(self.right.apply(v))
@@ -173,7 +187,8 @@ def refuse_oversized_pass(grid: Grid, n_dprime: int, mults: int,
     accumulators, y''-kernel and CSR would hold more than the memory of
     MAX_MESH_ENTRIES mesh entries; it needs no multiplier built."""
     sums = _InterpolationSums if n_dprime == 1 else _ProductSums
-    arrays, csr = sums.arrays * mults, stored is not None
+    csr = stored is not None
+    arrays = sums.arrays * mults + csr  # and the CSR's row mark
     kernel = 0 if n_dprime == 1 else grid.points_per_axis ** (2 * n_dprime)
     need = (8 * (arrays * grid.size + kernel)
             + _BYTES_PER_STORED * (stored if csr else 0))
@@ -201,14 +216,16 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
 
     Returns the (max column sum, max row sum, max entry) of the absolute
     kernel of each composite, the slab's entry count and, given ``stored``,
-    the slab as an operator: its transpose, written in the same pass as a
-    CSR with room for ``stored`` values (else None).  What the pass holds
-    is bounded by ``refuse_oversized_pass``, which the caller runs first."""
+    the slab as an operator on its support: its transpose, written in the
+    same pass as a CSR with room for ``stored`` values (else None).  What
+    the pass holds is bounded by ``refuse_oversized_pass``, which the
+    caller runs first."""
     sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
             else _ProductSums)
     accs = [sums(mult) for mult in mults]
     if stored is not None:
-        accs.append(_TransposeRows(mults[0].grid, stored))
+        accs.append(_TransposeRows(mults[0].grid, mults[0].ydd_block.size,
+                                   stored))
     entries = 0
     for chunk in chunks:
         for acc in accs:
@@ -371,17 +388,21 @@ class _ProductSums:
         self.max_col = self.max_abs = 0.0
 
     def add(self, chunk: SparseKernelOperator) -> None:
-        """Add the entries of ``chunk``, y'-block after y'-block."""
+        """Add the entries of ``chunk``, y'-block after y'-block; an empty
+        chunk builds no kernel."""
+        n_block = self.mult.ydd_block.size
+        runs = _block_runs(chunk.cols, n_block)
+        if not runs:
+            return
         import scipy.sparse as sp
         kernel = self.mult.ydd_kernel_matrix()
-        n_block = kernel.shape[0]
         step = max(1, _PIECE_VALUES // n_block)  # entries per piece
         # row 0 carries the block's column sums so far: summing it with the
         # piece's rows adds in the same order as one sum over the whole run
         buf = np.empty((step + 1, n_block))
         n_corners = chunk.cols.shape[1]
         indptr = np.arange(0, step * n_corners + 1, n_corners)
-        for lo, hi in _block_runs(chunk.cols, n_block):
+        for lo, hi in runs:
             buf[0] = 0.0
             for a in range(lo, hi, step):
                 m = min(step, hi - a)
@@ -400,8 +421,14 @@ class _ProductSums:
 
 
 class _TransposeRows:
-    """The slab as an operator for the (2,2) norm: its transpose as a CSR
-    ``at``, the rows written chunk after chunk.
+    """The slab as an operator for the (2,2) norm, on its support: its
+    transpose restricted to C x R as a CSR ``at`` of shape (|C|, |R|), the
+    rows written chunk after chunk.  R, ``rows``, holds the grid nodes that
+    carry an entry; C, ``cols``, the whole y''-lines of every y'-block that
+    holds one, both as sorted grid indices.  A y''-multiplier maps the
+    lines of C to themselves, so slab o M vanishes off R x C and has the
+    singular values of its restriction, whose vectors are a grid vector's
+    values at ``cols`` (the ``domain``) and at ``rows``.
 
     A chunk is a run of the first y'-axis window, the most significant
     digit of a column, so its columns, the rows of the transpose, form one
@@ -409,40 +436,64 @@ class _TransposeRows:
     ascending row, so a stable sort of a chunk's columns keeps each row of
     the transpose in ascending column: the arrays, and the order in which
     products sum, are those of the canonical CSR of the slab transposed.
-    The arrays are allocated once, with room for ``capacity`` stored
-    values; pages never written are never resident."""
+    The row pointer keeps the rows of C only; the rows it drops hold no
+    entry, so no value moves.  At the end the column indices are mapped to
+    positions in R through ``mark``, a table over the grid, in slices of
+    ``_CHUNK_ENTRIES`` values.  The arrays are allocated once, with room for
+    ``capacity`` stored values and a row pointer over the grid; pages never
+    written are never resident."""
 
-    def __init__(self, grid: Grid, capacity: int):
+    def __init__(self, grid: Grid, block: int, capacity: int):
         index = np.int32 if max(grid.size, capacity) < 2 ** 31 else np.int64
-        self.grid = grid
+        self.grid, self.block = grid, block
         self.indptr = np.zeros(grid.size + 1, dtype=index)
         self.indices = np.empty(capacity, dtype=index)
         self.data = np.empty(capacity)
-        self.nnz = 0
+        self.mark = np.zeros(grid.size, dtype=index)  # 1 on R, then positions
+        self.blocks = [np.zeros(0, dtype=np.intp)]  # the y'-blocks of C
+        self.nnz = self.n_cols = 0
 
     def add(self, chunk: SparseKernelOperator) -> None:
         """Write the rows of the columns of ``chunk``."""
         keys = chunk.cols.ravel()
         if not keys.size:
             return
+        n, end = self.block, self.nnz + keys.size
         order = np.argsort(keys, kind="stable")
-        lo, end = keys[order[0]], self.nnz + keys.size
         self.indices[self.nnz:end] = chunk.rows[order // chunk.cols.shape[1]]
         self.data[self.nnz:end] = chunk.vals.ravel()[order]
         self.nnz = end
-        counts = np.bincount(keys - lo)
-        self.indptr[lo + 1:lo + 1 + counts.size] += counts
+        self.mark[chunk.rows] = 1
+        # the corners of an entry lie in its y'-block: count per y'-block
+        first, last = chunk.cols[0, 0] // n, chunk.cols[-1, 0] // n
+        counts = np.bincount(keys - first * n,
+                             minlength=(last + 1 - first) * n).reshape(-1, n)
+        held = np.flatnonzero(counts.any(axis=1))
+        self.blocks.append(first + held)
+        counts = counts[held].ravel()
+        self.indptr[self.n_cols + 1:self.n_cols + 1 + counts.size] = counts
+        self.n_cols += counts.size
 
     def result(self) -> _TransposeRows:
-        """This operator, with ``at`` finished."""
+        """This operator, with ``at``, ``rows`` and ``cols`` finished."""
         import scipy.sparse as sp
         # shrunk in place: scipy copies arrays that are views of less than
         # half of a larger one
         for values in (self.indices, self.data):
             values.resize(self.nnz, refcheck=False)
+        self.indptr.resize(self.n_cols + 1, refcheck=False)
         np.cumsum(self.indptr, out=self.indptr)
+        self.rows = np.flatnonzero(self.mark)
+        self.mark[self.rows] = np.arange(self.rows.size)
+        for a in range(0, self.nnz, _CHUNK_ENTRIES):
+            part = self.indices[a:a + _CHUNK_ENTRIES]
+            part[...] = self.mark[part]
+        del self.mark
+        self.cols = (np.concatenate(self.blocks)[:, None] * self.block
+                     + np.arange(self.block)).ravel()
+        self.domain = self.cols.size
         self.at = sp.csr_matrix((self.data, self.indices, self.indptr),
-                                shape=(self.grid.size,) * 2)
+                                shape=(self.domain, self.rows.size))
         return self
 
     # two methods, not one under two names: a wrapper of one must not wrap both

@@ -224,7 +224,8 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     # with the limit at 128 mesh entries (9216 B), the statistics of slab 1
     # of rank_one at grid 16 stream (4 arrays of 256 values, 8192 B); the
     # (2,2) norm adds the CSR of its transpose, 12 B for each of its 512
-    # mesh entries times 2 corners, and is refused before it is allocated
+    # mesh entries times 2 corners, and its row mark, one more array of 256
+    # values, and is refused before it is allocated
     monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
     made = []
     original = operators._TransposeRows.__init__
@@ -241,8 +242,8 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "the statistics need 4 arrays of 256 values and a CSR of 1024 stored "
-        "values, 20480 B, more than the 9216 B of the limit of 128 mesh "
+        "the statistics need 5 arrays of 256 values and a CSR of 1024 stored "
+        "values, 22528 B, more than the 9216 B of the limit of 128 mesh "
         "entries")
     assert made == []
 

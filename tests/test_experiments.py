@@ -249,9 +249,9 @@ def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
             decay_table(spec, grid, jmax=3, kmax=kmax, pairs=pairs)
             assert wholes == [] and matrices == []
             assert len(csrs) == slab_csrs
-    # at n'' = 2, 5 chunks (two y'-slices in slabs 1 and 2, slab 3 empty)
-    # x (Q_j, P_j0, P_j1), twice
-    assert len(kernels) == 30 and alive == [0] * 30
+    # at n'' = 2, 4 chunks (two y'-slices in slabs 1 and 2; slab 3 is one
+    # empty chunk, which builds no kernel) x (Q_j, P_j0, P_j1), twice
+    assert len(kernels) == 24 and alive == [0] * 24
 
 
 def test_decay_table_flags_unconverged_rows(monkeypatch):
@@ -286,7 +286,7 @@ def test_l2_norm_converges_on_a_clustered_top_spectrum(monkeypatch):
     assert all(r.converged for r in rows)
     assert max(products) <= 150
     (i,) = [i for i, r in enumerate(rows) if (r.j, r.k) == (1, 4)]
-    op, n = ops[i], grid.size
+    op, n = ops[i], ops[i].domain  # the slab's support
     ata = LinearOperator((n, n), dtype=float,
                          matvec=lambda v: op.apply_transpose(apply(op, v)))
     v0 = np.random.default_rng(0).standard_normal(n)

@@ -40,6 +40,14 @@ def _pass_operator(slab: SparseKernelOperator, mult: FourierMultiplier):
     return operators.absolute_stats([slab], [mult], slab.cols.size)[2]
 
 
+def _on_grid(op, values: np.ndarray) -> np.ndarray:
+    """A vector over the rows of the pass's operator as a grid vector,
+    zero off them."""
+    full = np.zeros(op.grid.size)
+    full[op.rows] = values
+    return full
+
+
 def _ones(grid: Grid) -> FourierMultiplier:
     """The identity, as a y''-multiplier of rank n'' = 1."""
     return FourierMultiplier(grid, np.ones(grid.points_per_axis))
@@ -101,8 +109,8 @@ def test_tj_row_sums_match_direct_quadrature():
 def test_tj_constant_input_equals_cutoff_integral():
     grid = Grid(dim=2, points_per_axis=64, half_width=2.0)
     op = discretize_tj(SPEC, grid, 1)
-    ones = np.ones(grid.size)
-    applied = _pass_operator(op, _ones(grid)).apply(ones)
+    support = _pass_operator(op, _ones(grid))
+    applied = _on_grid(support, support.apply(np.ones(support.domain)))
     rows = np.asarray(op.matrix.sum(axis=1)).ravel()
     assert np.allclose(applied, rows, atol=1e-12)
 
@@ -123,8 +131,8 @@ def test_adjoint_consistency():
     op = _pass_operator(discretize_tj(SPEC, grid, 1), _ones(grid))
     rng = np.random.default_rng(5)
     for _ in range(20):
-        f = rng.standard_normal(grid.size)
-        g = rng.standard_normal(grid.size)
+        f = rng.standard_normal(op.domain)
+        g = rng.standard_normal(op.rows.size)
         lhs = g @ op.apply(f)
         rhs = op.apply_transpose(g) @ f
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -239,7 +247,8 @@ def test_composed_norms_match_dense():
             entry / grid.cell_volume, rel=1e-12)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(grid.size)
-        assert np.abs(comp.apply(v) - dense @ v).max() < 1e-10
+        assert np.abs(_on_grid(op, comp.apply(v[op.cols]))
+                      - dense @ v).max() < 1e-10
         for mult, mult_stats in zip(mults, stats):
             exact = np.linalg.norm(tj.matrix @ dense_multiplier(mult), 2)
             assert exact > 0
@@ -318,15 +327,20 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
 def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
                                                          spec_path, dim, n):
     # the CSR the pass writes chunk after chunk, or from the whole slab as
-    # one chunk, is the canonical CSR of the whole slab's transpose, bit for
-    # bit, and so are the products it gives
+    # one chunk, is the canonical CSR of the whole slab's transpose
+    # restricted to its support, bit for bit, and so are the products it
+    # gives there.  The support is the rows that carry an entry and the
+    # whole y''-lines of the y'-blocks that hold one, and no entry of the
+    # slab lies off it
     spec, grid = load_spec(spec_path), Grid(dim=dim, points_per_axis=n)
+    n_block = n ** spec.n_dprime
     v = np.random.default_rng(3).standard_normal(grid.size)
     for j in (1, 2):
         whole = discretize_tj(spec, grid, j)
-        want = whole.matrix.T.tocsr()
         q = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
         stored = whole.cols.size
+        entries = whole.matrix.tocoo()
+        assert entries.nnz > 0
         for chunk_entries in (1, 100, 2 ** 17, None):
             if chunk_entries is None:
                 chunks = [whole]
@@ -336,15 +350,26 @@ def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
                 chunks = list(operators.SlabMesh(spec, grid, j,
                                                  shell=True).chunks())
                 assert chunk_entries > 1 or len(chunks) > 1
-            _, entries, op = operators.absolute_stats(chunks, [q], stored)
-            assert entries == whole.rows.size
+            _, count, op = operators.absolute_stats(chunks, [q], stored)
+            assert count == whole.rows.size
+            assert np.array_equal(op.rows, np.unique(whole.rows))
+            blocks = np.unique(whole.cols // n_block)
+            assert np.array_equal(op.cols, (blocks[:, None] * n_block
+                                            + np.arange(n_block)).ravel())
+            assert op.domain == op.cols.size
+            assert np.isin(entries.row, op.rows).all()
+            assert np.isin(entries.col, op.cols).all()
+            want = whole.matrix.T.tocsr()[op.cols][:, op.rows]
+            assert want.has_canonical_format
+            assert want.nnz == whole.matrix.nnz
             for part in ("indptr", "indices", "data"):
                 got, exact = getattr(op.at, part), getattr(want, part)
                 assert got.dtype == exact.dtype
                 assert got.tobytes() == exact.tobytes()
-            assert op.apply(v).tobytes() == (whole.matrix @ v).tobytes()
-            assert op.apply_transpose(v).tobytes() \
-                == (whole.matrix.T @ v).tobytes()
+            assert op.apply(v[op.cols]).tobytes() \
+                == (whole.matrix @ v)[op.rows].tobytes()
+            assert op.apply_transpose(v[op.rows]).tobytes() \
+                == (whole.matrix.T @ v)[op.cols].tobytes()
     rows = []
     for chunk_entries in (1, 100, 2 ** 17):
         monkeypatch.setattr(operators, "_CHUNK_ENTRIES", chunk_entries)
