@@ -30,6 +30,8 @@ from .specfile import load_spec, parse_rational, rational_str
 
 _NUMERIC_ERRORS = (NumericalError, ResolutionError, SingularMapError,
                    DilationCapError, MemoryError)
+# rows of a --p-grid table, and the top n' of a --n-range one
+MAX_TABLE_ROWS = 10_000
 
 
 class HypothesisNotSatisfied(AnisoradonError):
@@ -58,12 +60,10 @@ def _p_grid(text: str) -> list[Fraction]:
     start, stop, step = (parse_rational(p) for p in parts)
     if step <= 0 or start <= 1 or stop < start:
         raise SchemaError("p-grid needs 1 < start <= stop and step > 0")
-    grid = []
-    p = start
-    while p <= stop:
-        grid.append(p)
-        p += step
-    return grid
+    rows = (stop - start) // step + 1
+    if rows > MAX_TABLE_ROWS:
+        raise SchemaError(f"p-grid {text} has {rows} rows > {MAX_TABLE_ROWS}")
+    return [start + i * step for i in range(rows)]
 
 
 def _load_ranked_spec(args):
@@ -132,8 +132,9 @@ def _cmd_generic(args) -> int:
             lo_n, hi_n = (int(v) for v in args.n_range.split(":"))
         except ValueError as exc:
             raise SchemaError("n-range must have the form a:b") from exc
-        if not 1 <= lo_n <= hi_n:
-            raise SchemaError(f"n-range {args.n_range} needs 1 <= a <= b")
+        if not 1 <= lo_n <= hi_n <= MAX_TABLE_ROWS:
+            raise SchemaError(f"n-range {args.n_range} needs 1 <= a <= b <= "
+                              f"{MAX_TABLE_ROWS}")
         out["threshold_by_n_prime"] = [
             {"n_prime": n, "threshold": rep.threshold(n_prime=n),
              "exceeds_rank_1": rep.threshold_exceeds(1, n_prime=n)}

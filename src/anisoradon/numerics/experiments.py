@@ -26,8 +26,8 @@ from .grid import Grid
 from .norms import decay_slope, operator_norm
 # discretize_tj is not called here: perfbench's tracer test reads it here
 from .operators import (ComposedOperator, SlabMesh, absolute_stats,
-                        discretize_tj, pjk_multiplier, qj_multiplier,
-                        refuse_oversized_pass)
+                        discretize_tj, pass_account, pjk_multiplier,
+                        qj_multiplier)
 
 BOX_UNDERFLOW = 2.0 ** -40
 # the duality check samples (x', y'', y') uniformly from [-DUAL_BOX, DUAL_BOX]
@@ -92,10 +92,7 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
     k = 0..kmax (none when kmax < 0).  Raises DilationCapError before any
     slab is built if slab jmax is past the cap, and ResolutionError when no
     slab has a mesh entry on the grid, as every norm would then be zero.
-
-    Each slab takes one pass, ``absolute_stats``, through the statistics
-    of all its multipliers and, for the (2,2) norm, into the CSR of its
-    transpose; the slab streams in chunks and is never held whole."""
+    Each slab takes one pass over its chunks, ``absolute_stats``."""
     check_dilation(jmax + 1, spec.weights.flat, f"slab index {jmax}")
     rows: list[DecayRow] = []
     entries = 0
@@ -113,11 +110,11 @@ def _slab_rows(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
     pass too large for the memory bound is refused before any multiplier
     or chunk is built.  Its CSR is dropped before the next slab is read."""
     mesh = SlabMesh(spec, grid, j, shell=True)
-    stored = mesh.entries * 2 ** spec.n_dprime if "22" in pairs else None
-    refuse_oversized_pass(grid, spec.n_dprime, 2 + max(kmax, -1), stored)
+    pass_account(mesh, 2 + max(kmax, -1), "22" in pairs)
     pieces = list(_pieces(spec, grid, j, kmax))
     stats, entries, op = absolute_stats(
-        mesh.chunks(), [mult for _, _, mult, _ in pieces], stored)
+        mesh.chunks(), [mult for _, _, mult, _ in pieces],
+        mesh.stored if "22" in pairs else None)
     for (family, k, mult, res), mult_stats in zip(pieces, stats):
         comp = ComposedOperator(op, mult, mult_stats)
         for pair in pairs:

@@ -12,13 +12,9 @@ except one:
 The first three are read off the ``abs_stats`` a ``ComposedOperator`` is
 given: the statistics pass ``operators.absolute_stats`` computes them for
 all the multipliers of a slab at once, however many pairs are asked for.
-It reads the slab chunk by chunk, never whole, and keeps a few arrays over
-the grid per multiplier: at n'' = 1 in closed form from the breakpoints of
-the y''-kernel; at n'' >= 2 by multiplying each y'-block by the dense
-y''-kernel.  Only the (2,2) norm applies the slab, as the CSR of its
-transpose that the same pass writes, on the slab's support: its vectors
-hold the values at the grid nodes that carry an entry and on the whole
-y''-lines of the y'-blocks that hold one, off which the composite vanishes.
+Only the (2,2) norm applies the slab, as the CSR of its transpose on its
+support that the same pass writes; ``operators.pass_account`` counts that
+CSR and the KRYLOV_DIM + 1 Lanczos vectors over the support.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 from ..errors import NumericalError
 
 _RITZ_TOL = 1e-12   # relative residual of the top Ritz pair at which to stop
-_KRYLOV_DIM = 20    # Lanczos vectors before a restart
+KRYLOV_DIM = 20     # Lanczos vectors before a restart
 _KEPT = 4           # top Ritz vectors kept at a restart
 _MAX_PRODUCTS = 500  # products with A^T A before giving up
 
@@ -56,9 +52,9 @@ def largest_singular_value(op) -> float:
     rng = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(0), np.uint64(0x9E3779B97F4A7C15)], dtype=np.uint64)))
     v = rng.standard_normal(op.domain)
-    basis = np.empty((_KRYLOV_DIM + 1, v.size))
+    basis = np.empty((KRYLOV_DIM + 1, v.size))
     basis[0] = v / np.linalg.norm(v)
-    proj = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))  # basis (op^T op) basis^T
+    proj = np.zeros((KRYLOV_DIM, KRYLOV_DIM))  # basis (op^T op) basis^T
     k, last = 0, None
     for _ in range(_MAX_PRODUCTS):
         w = op.apply_transpose(op.apply(basis[k]))
@@ -74,7 +70,7 @@ def largest_singular_value(op) -> float:
             return last
         basis[k + 1] = w / norm
         k += 1
-        if k == _KRYLOV_DIM:  # thick restart: the top Ritz vectors, then w
+        if k == KRYLOV_DIM:  # thick restart: the top Ritz vectors, then w
             basis[:_KEPT] = vecs[:, -_KEPT:].T @ basis[:k]
             basis[_KEPT] = basis[k]
             proj[:] = 0.0

@@ -6,24 +6,18 @@ defining y'-integral, with the shifted argument x'' + S(x, y') evaluated by
 periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.  The
-mesh is the product of per-axis node windows; cutoffs and index offsets are
-built from per-axis factors that broadcast, not from mesh-sized scratch.  A
-slab's nonzero mesh entries come y'-block after y'-block, in chunks of whole
-y'-blocks of bounded size, and only a chunk's scratch is held while it is
-built.
+mesh is the product of per-axis node windows; a slab's nonzero mesh entries
+come y'-block after y'-block, in chunks of whole y'-blocks.
 
 One pass over the chunks of a slab, ``absolute_stats``, gives all that the
 norms read: the absolute-kernel statistics of the slab composed with each
-of its multipliers, the slab's entry count and, for the (2,2) norm, the
-slab as an operator on its support, its transpose written as a CSR chunk
-after chunk.  The support is the grid nodes that carry an entry and the
-whole y''-lines of the y'-blocks that hold one: a multiplier maps those
-lines to themselves, so the composite vanishes off the support, and the
-(2,2) norm's vectors hold only the support's values.  The statistics
-keep per-multiplier accumulators over the grid between chunks, and take
-each chunk in runs of whole y'-blocks.  At n'' = 1 they follow in
-closed form from the breakpoints of the y''-kernel, with no product
-formed; at n'' >= 2 each y'-block is multiplied by the dense y''-kernel.
+of its multipliers (at n'' = 1 in closed form from the breakpoints of the
+y''-kernel, at n'' >= 2 by products with the dense y''-kernel), the slab's
+entry count and, for the (2,2) norm, the CSR of its transpose on its
+support: the grid nodes that carry an entry and the whole y''-lines of the
+y'-blocks that hold one, off which the composite vanishes.  From the mesh
+alone, ``pass_account`` counts the bytes such a pass holds at one time and
+refuses one past MAX_PASS_BYTES before it allocates.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -46,27 +40,17 @@ from ..exponents import OperatorSpec
 from ..scaling import MultiIndex, check_dilation
 from .cutoffs import phi0, phi_radial
 from .grid import Grid
+from .norms import KRYLOV_DIM
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Memory held at once is bounded by MAX_MESH_ENTRIES mesh entries.  A pass
-# over mesh entries peaks at about 73 B per nonzero entry (a whole slab:
-# 196 MB at 2.1 M entries over a 51 MB base).  What counts: a slab built
-# whole; when streamed, one y'-slice, the least a chunk holds; and,
-# together, the statistics' accumulators (8 B values), at n'' >= 2 the
-# dense y''-kernel held at a time (8 B N^(2 n''): 134 MB at N = 64) and the
-# (2,2) norm's CSR (12 B per stored value: an 8 B value and a 4 B index;
-# its row pointer, over the support's columns, is not counted) with its row
-# mark, one more array over the grid, against _BYTES_PER_ENTRY, nine 8 B
-# values, per mesh entry.  2**23 entries keep a run under about 700 MB.
-MAX_MESH_ENTRIES = 2 ** 23
-_BYTES_PER_ENTRY = 9 * 8
-_BYTES_PER_STORED = 12
+# the bytes a pass over a slab may hold at one time, by ``pass_account``
+MAX_PASS_BYTES = 576 * 2 ** 20
 # mesh entries per chunk, unless one y'-slice is more: from 2**14 to 2**18
 # the decay-2d and grid-512 rank_one verify jobs take the same time, and
-# the peak grows past 2**17 (decay-2d: 78 MB at 2**15, 84 MB at 2**17,
-# 128 MB at 2**19, 249 MB at 2**21)
+# the peak grows past 2**17 (decay-2d job, ru_maxrss: 52 MB at 2**15,
+# 54 MB at 2**17, 85 MB at 2**19, 213 MB at 2**21)
 _CHUNK_ENTRIES = 2 ** 17
 # values (4 MB) per piece of the absolute-kernel statistics: histogram
 # cells at n'' = 1, or one y'-block's; y'-block product values at n'' >= 2
@@ -83,8 +67,7 @@ class SparseKernelOperator:
     y'-block, at columns ``cols[e]`` with values ``vals[e]``: at n'' = 1 the
     x''-nodes i0 and i0 + 1 with base (1 - f) and base f, the pair (N-1, 0)
     stored in increasing column order.  Indices are int32 below 2^31 grid
-    points.  The sparse matrix, for checks, is assembled from the entries
-    only when first asked for, and is then held with them."""
+    points.  The sparse matrix, for checks, is built when first asked for."""
 
     def __init__(self, grid: Grid, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray):
@@ -180,26 +163,70 @@ class ComposedOperator:
 
 # -- absolute-kernel statistics ------------------------------------------------
 
-def refuse_oversized_pass(grid: Grid, n_dprime: int, mults: int,
-                          stored: int | None) -> None:
-    """Refuse a pass of ``absolute_stats`` over ``mults`` multipliers of
-    rank ``n_dprime``, and a CSR of ``stored`` values when given, whose
-    accumulators, y''-kernel and CSR would hold more than the memory of
-    MAX_MESH_ENTRIES mesh entries; it needs no multiplier built."""
-    sums = _InterpolationSums if n_dprime == 1 else _ProductSums
-    csr = stored is not None
-    arrays = sums.arrays * mults + csr  # and the CSR's row mark
-    kernel = 0 if n_dprime == 1 else grid.points_per_axis ** (2 * n_dprime)
-    need = (8 * (arrays * grid.size + kernel)
-            + _BYTES_PER_STORED * (stored if csr else 0))
-    limit = MAX_MESH_ENTRIES * _BYTES_PER_ENTRY
-    if need > limit:
-        with_kernel = f", a y''-kernel of {kernel} values" if kernel else ""
-        with_csr = f" and a CSR of {stored} stored values" if csr else ""
-        raise MemoryError(
-            f"the statistics need {arrays} arrays of {grid.size} values"
-            f"{with_kernel}{with_csr}, {need} B, more than the {limit} B of "
-            f"the limit of {MAX_MESH_ENTRIES} mesh entries")
+def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
+                 whole: bool = False) -> dict[str, int]:
+    """The most bytes a pass over ``mesh`` (in chunks, or ``whole``) with
+    ``mults`` multipliers, and the (2,2) CSR and its Lanczos run when
+    ``csr``, holds at one time: what it keeps and its largest transient
+    set, by the shape and dtype of each array the code allocates, from the
+    mesh alone.  Refused with MemoryError, naming the two largest terms,
+    past MAX_PASS_BYTES."""
+    spec, n, size = mesh.spec, mesh.grid.points_per_axis, mesh.grid.size
+    block, corners = n ** spec.n_dprime, 2 ** spec.n_dprime
+    index = 4 if max(size, mesh.stored) < 2 ** 31 else 8
+    slices = mesh.y_nodes if whole else min(mesh.y_nodes, mesh.step)
+    entries = slices * mesh.per_slice
+    span = slices * n ** (spec.n_prime - 1) * block  # a chunk's columns
+    chunk = entries * (index + corners * (8 + index))  # rows, cols, vals
+    # the transient sets, each with the one chunk alive while it is built
+    # and read: one being built holds its mask and seven mesh-sized floats
+    scratch = {"chunk scratch": chunk + entries * (1 + 7 * 8)}
+    if spec.n_dprime == 1:
+        # per multiplier four arrays over the grid, sixteen over the y''-axis;
+        # a piece holds seven arrays and a mask per entry, three over its
+        # columns and six over its (x''-node, rank) cells: a y'-block
+        # reaches its x''-window widened by the terms of S that vary in it,
+        # with at most N + 1 ranks each (pieces: see _InterpolationSums)
+        acc = 8 * mults * (4 * size + 16 * n)
+        vary = sum(abs(float(m.coeff)) * math.prod(
+            r ** e for r, e in zip(mesh.radii, m.exp_x + m.exp_xx + m.exp_y))
+            for m in spec.s[0].monomials() if any(m.exp_x + m.exp_xx))
+        reach = min(n, len(mesh.windows[spec.n_prime]) + 2
+                    + int(2 * vary / mesh.grid.spacing))
+        cells = min(entries // max(1, mesh.per_block) * reach * (n + 1),
+                    max(_PIECE_VALUES * reach // n, reach * (n + 1)))
+        scratch["statistics scratch"] = bool(mults) * (chunk + entries + 8 * (
+            7 * entries + 3 * min(span, max(_PIECE_VALUES, n)) + 6 * cells))
+        # _circulant's two matrices and index table; three column-sum arrays
+        scratch["circulants"] = bool(mults) * 8 * (3 * n * n + 3 * size)
+    else:
+        # the y''-kernel, a buffer of step + 1 rows, one product and its CSR
+        acc = 8 * mults * (size + 2 * block)
+        step = max(1, _PIECE_VALUES // block)
+        piece = min(step, entries)
+        scratch["statistics scratch"] = bool(mults) * (
+            chunk + 8 * block * (block + step + 1 + piece)
+            + piece * corners * (8 + 2 * index))
+    # the CSR at capacity, its row pointer and row mark over the grid, R and
+    # C (at most the mesh's rows, and the y''-lines of its y'-blocks); a
+    # chunk's argsort and counts; Lanczos's basis and one product, over C
+    rows = mesh.per_block
+    domain = mesh.entries * block // max(1, rows)
+    scratch["CSR scratch"] = csr * (chunk + entries * corners * (
+        24 + 2 * index) + 16 * span)
+    scratch["Lanczos"] = csr * 8 * ((KRYLOV_DIM + 7) * domain + 2 * rows)
+    worst = max(scratch, key=scratch.get)
+    terms = {"accumulators": acc,
+             "CSR": csr * (mesh.stored * (8 + index) + (2 * size + 1) * index
+                           + 8 * (rows + domain)),
+             worst: scratch[worst], "objects": 2 ** 17}  # the interpreter's
+    need = sum(terms.values())
+    if need > MAX_PASS_BYTES:
+        top = sorted(terms, key=terms.get, reverse=True)[:2]
+        raise MemoryError(f"slab j={mesh.j} needs {need} B at once, more than "
+                          f"the limit of {MAX_PASS_BYTES} B: " + ", ".join(
+                              f"{terms[name]} B of {name}" for name in top))
+    return terms
 
 
 def absolute_stats(chunks: Iterable[SparseKernelOperator],
@@ -208,18 +235,14 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
                    ) -> tuple[list, int, _TransposeRows | None]:
     """The one pass over a slab, given as chunks of whole y'-blocks in entry
     order, composed with each of ``mults`` (y''-only multipliers of one
-    rank n'').  Each chunk goes to every multiplier in turn before the next
-    chunk is read, so only the chunk and the accumulators of the statistics
-    are held: at n'' = 1 the closed form from the breakpoints of the
-    y''-kernel, at n'' >= 2 the product of each y'-block with the dense
-    y''-kernel.  How the slab is chunked changes no bit of the result.
+    rank n''): each chunk goes to every multiplier in turn before the next
+    is read, and how the slab is chunked changes no bit of the result.
 
     Returns the (max column sum, max row sum, max entry) of the absolute
     kernel of each composite, the slab's entry count and, given ``stored``,
     the slab as an operator on its support: its transpose, written in the
-    same pass as a CSR with room for ``stored`` values (else None).  What
-    the pass holds is bounded by ``refuse_oversized_pass``, which the
-    caller runs first."""
+    same pass as a CSR with room for ``stored`` values (else None).  The
+    caller bounds what the pass holds with ``pass_account`` first."""
     sums = (_InterpolationSums if mults[0].ydd_block.ndim == 1
             else _ProductSums)
     accs = [sums(mult) for mult in mults]
@@ -231,6 +254,7 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
         for acc in accs:
             acc.add(chunk)
         entries += chunk.rows.size
+        del chunk  # before the next is built
     op = accs.pop().result() if stored is not None else None
     return [acc.result() for acc in accs], entries, op
 
@@ -271,8 +295,6 @@ class _InterpolationSums:
     N)) whole y'-blocks, counted by the global block index: a histogram has
     at most max(``_PIECE_VALUES``, N ranks) cells, and as each y'-block adds
     its sums alone, no sum depends on the pieces or the chunks."""
-
-    arrays = 4  # accumulators over the grid
 
     def __init__(self, mult: FourierMultiplier):
         u = np.fft.ifft(mult.ydd_block).real
@@ -372,15 +394,9 @@ def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 class _ProductSums:
     """The statistics at n'' >= 2 of the slab composed with one multiplier:
-    each y'-block is a contiguous run of the slab's entries, one row per
-    entry with its corners as the columns, multiplied by the dense
-    y''-kernel.  The kernel, and one buffer of ``_PIECE_VALUES`` kernel
-    values into which a run is multiplied piece after piece, are built in
-    ``add`` and dropped when it returns: a pass over all the multipliers of
-    a slab holds one kernel at a time, and the memory does not grow with
-    the slab."""
-
-    arrays = 1  # accumulators over the grid
+    each y'-block, a run of entries with their corners as columns, times
+    the dense y''-kernel, piece after piece into a buffer of
+    ``_PIECE_VALUES`` kernel values.  ``add`` builds both and drops them."""
 
     def __init__(self, mult: FourierMultiplier):
         self.mult = mult
@@ -439,9 +455,8 @@ class _TransposeRows:
     The row pointer keeps the rows of C only; the rows it drops hold no
     entry, so no value moves.  At the end the column indices are mapped to
     positions in R through ``mark``, a table over the grid, in slices of
-    ``_CHUNK_ENTRIES`` values.  The arrays are allocated once, with room for
-    ``capacity`` stored values and a row pointer over the grid; pages never
-    written are never resident."""
+    ``_CHUNK_ENTRIES`` values.  The arrays are allocated once, at
+    ``capacity`` stored values."""
 
     def __init__(self, grid: Grid, block: int, capacity: int):
         index = np.int32 if max(grid.size, capacity) < 2 ** 31 else np.int64
@@ -508,13 +523,10 @@ class _TransposeRows:
 
 class SlabMesh:
     """The mesh of slab j (shell cutoff) or of the tail from j on (ball
-    cutoff), from which its entries are built in chunks of whole y'-blocks.
-    The per-axis node windows are found once; a chunk is a run of the first
-    y'-axis window, and its cutoff and index offsets are built from
-    per-axis factors cut to that run.  Every entry is computed from the
-    same per-axis values whatever the run, so the chunks put together are
-    the whole slab bit for bit: ``absolute_stats`` reads the slab in these
-    chunks and never holds it whole."""
+    cutoff), whose entries are built in chunks, runs of ``step`` nodes of
+    the first y'-axis window, from per-axis factors cut to that run.  Every
+    entry comes from the same per-axis values whatever the run, so the
+    chunks put together are the whole slab bit for bit."""
 
     def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
         n_p, n_d = spec.n_prime, spec.n_dprime
@@ -530,15 +542,18 @@ class SlabMesh:
         nodes = grid.nodes()
         # per-axis windows limited by supp(psi) (2 rho) and the outer phi
         # shell, on the mesh axes x', x'' then y'
-        self.windows = [
-            np.nonzero(np.abs(nodes) <= min(2.0 * rho, np.ldexp(
-                4.0 * rho, -j * wt), grid.half_width) + 1e-12)[0]
-            for wt in weights]
+        self.radii = [min(2.0 * rho, math.ldexp(4.0 * rho, -j * wt),
+                          grid.half_width) for wt in weights]
+        self.windows = [np.nonzero(np.abs(nodes) <= r + 1e-12)[0]
+                        for r in self.radii]
         self.axes = [self._shaped(nodes[w], c)
                      for c, w in enumerate(self.windows)]
         self.entries = math.prod(map(len, self.windows))
         self.y_nodes = len(self.windows[n])  # the first y'-axis: mesh dim 0
         self.per_slice = self.entries // max(1, self.y_nodes)
+        self.step = max(1, _CHUNK_ENTRIES // max(1, self.per_slice))  # slices
+        self.per_block = math.prod(map(len, self.windows[:n]))
+        self.stored = self.entries * 2 ** n_d  # values of the (2,2) CSR
 
     def _shaped(self, arr: np.ndarray, c: int) -> np.ndarray:
         # axis c of x', x'', y' lies on mesh dim c + n' (mod ndims): y' comes
@@ -548,20 +563,11 @@ class SlabMesh:
         dim = (c + n_p) % ndims
         return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
 
-    def hold(self, entries: int, what: str) -> None:
-        """Refuse to hold more than MAX_MESH_ENTRIES mesh entries."""
-        if entries > MAX_MESH_ENTRIES:
-            raise MemoryError(f"{what} needs {entries} mesh entries, more "
-                              f"than the limit of {MAX_MESH_ENTRIES}")
-
     def chunks(self) -> Iterator[SparseKernelOperator]:
-        """The slab in runs of at most ``_CHUNK_ENTRIES`` mesh entries, or
-        of one y'-slice when a slice is more; a y'-slice of more than
-        MAX_MESH_ENTRIES is refused."""
-        self.hold(self.per_slice, f"a y'-slice of slab j={self.j}")
-        step = max(1, _CHUNK_ENTRIES // max(1, self.per_slice))
-        for lo in range(0, max(1, self.y_nodes), step):
-            yield self.chunk(slice(lo, lo + step))
+        """The slab in chunks, once ``pass_account`` admits one."""
+        pass_account(self)
+        for lo in range(0, max(1, self.y_nodes), self.step):
+            yield self.chunk(slice(lo, lo + self.step))
 
     def chunk(self, run: slice) -> SparseKernelOperator:
         """The entries of the y'-slices ``run`` of the first y'-axis."""
@@ -617,11 +623,9 @@ class SlabMesh:
                                     vals.reshape(rows.size, 2 ** n_d))
 
     def whole(self) -> SparseKernelOperator:
-        """The slab in one chunk, as ``discretize_tj`` and ``discretize_uj``
-        give it.  Put together from small chunks instead, a whole slab
-        peaks higher from the second build in a process on, as the
-        allocator keeps the chunks on its heap."""
-        self.hold(self.entries, f"slab j={self.j}")
+        """The slab in one chunk, for ``discretize_tj`` and ``discretize_uj``
+        (from chunks, it peaks higher as the allocator keeps them)."""
+        pass_account(self, whole=True)
         return self.chunk(slice(None))
 
 

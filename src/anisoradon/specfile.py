@@ -24,6 +24,7 @@ floating point.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,8 +121,8 @@ def spec_from_dict(doc: dict) -> OperatorSpec:
 
     psi_radius = doc.get("psi_radius", DEFAULT_PSI_RADIUS)
     if isinstance(psi_radius, bool) or not isinstance(psi_radius, (int, float)) \
-            or not psi_radius > 0:
-        raise SchemaError("psi_radius must be a positive number")
+            or not 0 < psi_radius <= sys.float_info.max:
+        raise SchemaError("psi_radius must be a positive finite number")
     try:
         return OperatorSpec(weights=weights, beta_dprime=beta_dd,
                             s=tuple(polys), psi_radius=float(psi_radius))

@@ -133,6 +133,34 @@ def test_generic_refuses_an_empty_or_nonpositive_n_range(n_range):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("hi", [str(cli.MAX_TABLE_ROWS + 1),
+                                "1" + "0" * 400])
+def test_generic_refuses_an_n_range_past_the_cap(hi):
+    # an n' of 401 digits overflows the float threshold
+    code, out, err = run_cli("generic", "--alpha-prime", "1",
+                             "--alpha-dprime", "1", "--beta-prime", "1",
+                             "--n-range", f"5:{hi}")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_sobolev_refuses_a_p_grid_past_the_cap():
+    # 2:3:1/10^12 asks for 10^12 + 1 rows; the count is exact, so the cap
+    # itself is admitted
+    argv = ["sobolev", "--spec", RANK_TWO_SPEC, "--rank", "2", "--p-grid"]
+    code, out, err = run_cli(*argv, "2:3:1/1000000000000")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "SchemaError"
+    assert "1000000000001 rows" in error["message"]
+    cap = cli.MAX_TABLE_ROWS
+    code, out, err = run_cli(*argv, f"2:{cap + 1}:1")
+    assert code == 0, err
+    assert len(json.loads(out)["table"]) == cap
+    code, out, err = run_cli(*argv, f"2:{cap + 2}:1")
+    assert code == 1 and json.loads(err)["error"] == "SchemaError"
+
+
 def test_sample_generic():
     code, out, err = run_cli("sample-generic", "--spec",
                              str(SPECS / "rank_one.json"),
@@ -221,18 +249,19 @@ def test_commands_without_a_csr_leave_scipy_sparse_unimported(argv):
 
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
-    # with the limit at 128 mesh entries (9216 B), the statistics of slab 1
-    # of rank_one at grid 16 stream (4 arrays of 256 values, 8192 B); the
-    # (2,2) norm adds the CSR of its transpose, 12 B for each of its 512
-    # mesh entries times 2 corners, and its row mark, one more array of 256
-    # values, and is refused before it is allocated
-    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    # with chunks of one y'-slice and a limit of 1 MiB, the statistics of
+    # slab 1 of rank_one at grid 64 stream (558592 B at most); the (2,2)
+    # norm adds the CSR of its transpose, at capacity 2 * 32768 values,
+    # and the Lanczos vectors over its support, and is refused before the
+    # CSR is allocated
+    monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 20)
     made = []
     original = operators._TransposeRows.__init__
     monkeypatch.setattr(operators._TransposeRows, "__init__",
                         lambda csr, *args: made.append(args)
                         or original(csr, *args))
-    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16"]
+    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "64"]
     code, _, err = run_cli(*argv, "--norms", "11",
                            "--out", str(tmp_path / "streamed.csv"))
     assert code == 0, err
@@ -242,23 +271,58 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "the statistics need 5 arrays of 256 values and a CSR of 1024 stored "
-        "values, 22528 B, more than the 9216 B of the limit of 128 mesh "
-        "entries")
+        "slab j=1 needs 1572868 B at once, more than the limit of 1048576 "
+        "B: 843780 B of CSR, 458752 B of Lanczos")
     assert made == []
 
 
 def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
-    # without the (2,2) norm only a y'-slice (64 mesh entries) and four
-    # arrays of 256 values, counted nine to an entry, are held at once
-    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16"]
+    # built whole, slab 1 of rank_one at grid 64 would hold 2916352 B; in
+    # chunks of one y'-slice its pass holds at most 558592 B, under the
+    # limit of 1 MiB, and gives the same bytes.  Whole, it is refused
+    # before any entry array is built
+    from anisoradon.numerics import Grid, discretize_tj
+    from anisoradon.specfile import load_spec
+    argv = ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "64"]
     code, _, err = run_cli(*argv, "--out", str(tmp_path / "unlimited.csv"))
     assert code == 0, err
-    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 20)
     code, _, err = run_cli(*argv, "--out", str(tmp_path / "limited.csv"))
     assert code == 0, err
     assert (tmp_path / "limited.csv").read_bytes() \
         == (tmp_path / "unlimited.csv").read_bytes()
+    built = []
+    original = operators.SlabMesh.chunk
+    monkeypatch.setattr(operators.SlabMesh, "chunk",
+                        lambda mesh, run: built.append(run)
+                        or original(mesh, run))
+    with pytest.raises(MemoryError, match="^slab j=1 needs 2916352 B"):
+        discretize_tj(load_spec(SPECS / "rank_one.json"),
+                      Grid(dim=2, points_per_axis=64), 1)
+    assert built == []
+
+
+def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
+        monkeypatch):
+    # one y'-slice of slab 1 of rank_one at grid 64 is 1024 mesh entries:
+    # with its scratch and the interpreter's objects, 218112 B, more than a
+    # limit of 192 KiB
+    from anisoradon.numerics import Grid
+    from anisoradon.specfile import load_spec
+    monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
+    mesh = operators.SlabMesh(load_spec(SPECS / "rank_one.json"),
+                              Grid(dim=2, points_per_axis=64), 1, shell=True)
+    assert mesh.step == 1 and mesh.per_slice == 1024
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 17 + 2 ** 16)
+    built = []
+    original = operators.SlabMesh.chunk
+    monkeypatch.setattr(operators.SlabMesh, "chunk",
+                        lambda mesh, run: built.append(run)
+                        or original(mesh, run))
+    with pytest.raises(MemoryError, match="^slab j=1 needs 218112 B"):
+        next(mesh.chunks())
+    assert built == []
 
 
 def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
@@ -267,8 +331,10 @@ def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
     # time: 134217728 B at grid 64 is admitted, 2147483648 B at grid 128 is
     # refused before any chunk of a slab is built
     from anisoradon.numerics import Grid
-    operators.refuse_oversized_pass(Grid(dim=3, points_per_axis=64), 2, 3,
-                                    None)
+    from anisoradon.specfile import load_spec
+    spec_path = SPECS.parent / "tests" / "golden" / "inputs" / "shear_1_2.json"
+    operators.pass_account(operators.SlabMesh(
+        load_spec(spec_path), Grid(dim=3, points_per_axis=64), 1, True), 3)
     built = []
     original = operators.SlabMesh.chunk
     monkeypatch.setattr(operators.SlabMesh, "chunk",
@@ -276,22 +342,21 @@ def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
                         or original(mesh, run))
     out_csv = tmp_path / "decay.csv"
     code, out, err = run_cli(
-        "verify", "--spec", str(SPECS.parent / "tests" / "golden" / "inputs"
-                                / "shear_1_2.json"),
-        "--grid", "128", "--jmax", "4", "--kmax", "1", "--out", str(out_csv))
+        "verify", "--spec", str(spec_path), "--grid", "128", "--jmax", "4",
+        "--kmax", "1", "--out", str(out_csv))
     assert code == 2 and out == "" and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "the statistics need 3 arrays of 2097152 values, a y''-kernel of "
-        "268435456 values, 2197815296 B, more than the 603979776 B of the "
-        "limit of 8388608 mesh entries")
+        "slab j=1 needs 2212961216 B at once, more than the limit of "
+        "603979776 B: 2161712064 B of statistics scratch, 51118080 B of "
+        "accumulators")
     assert built == []
 
 
 def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
-    # kmax 10^5 asks for 100002 multipliers, 400008 arrays of 256 values,
-    # more than the limit of 2^23 mesh entries (604 MB): the refusal comes
+    # kmax 10^5 asks for 100002 multipliers, whose accumulators hold
+    # 1024020480 B, more than the limit of 603979776 B: the refusal comes
     # from the multiplier count, before any multiplier is built
     from anisoradon.numerics import experiments
     built = []
@@ -306,12 +371,12 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert "400008 arrays of 256 values" in error["message"]
+    assert "1024020480 B of accumulators" in error["message"]
     assert built == []
-    # three multipliers of slab 1 (Q_1, P_10, P_11) need twelve arrays of
-    # 256 values, more than the 9 * 128 values of the limit; the refusal
-    # comes before any accumulator is allocated
-    monkeypatch.setattr(operators, "MAX_MESH_ENTRIES", 128)
+    # three multipliers of slab 1 (Q_1, P_10, P_11) need 312832 B, more
+    # than a limit of 256 KiB; the refusal comes before any accumulator
+    # is allocated
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 18)
     made = []
     original = operators._InterpolationSums.__init__
     monkeypatch.setattr(operators._InterpolationSums, "__init__",
@@ -321,7 +386,7 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert "12 arrays of 256 values" in error["message"]
+    assert error["message"].startswith("slab j=1 needs 312832 B at once")
     assert made == [] and built == []
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from oracles import dense_multiplier
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 REFERENCE = load_spec(SPECS / "reference.json")
 
 
@@ -293,3 +294,35 @@ def test_l2_norm_converges_on_a_clustered_top_spectrum(monkeypatch):
     top = eigsh(ata, k=1, which="LA", v0=v0,
                 return_eigenvectors=False)[0]
     assert math.isclose(rows[i].value, math.sqrt(top), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("spec_path, n, kmax, pairs", [
+    (SPECS / "rank_one.json", 256, -1, ("11", "oooo", "1oo", "22")),
+    (SPECS / "rank_one.json", 256, 5, ("11", "oooo", "1oo")),
+    (SPECS / "rank_one.json", 256, 5, ("11", "22")),
+    (SPECS / "reference.json", 512, -1, ("11", "oooo", "1oo")),
+    (GOLDEN_INPUTS / "shear_1_2.json", 32, 1, ("11", "oooo", "1oo", "22")),
+    (GOLDEN_INPUTS / "iso_2_1_b3.json", 32, 1, ("11", "22"))],
+    ids=["decay-l2", "kmax5", "kmax5-22", "reference-512", "shear-n2",
+         "iso-n2"])
+def test_pass_account_bounds_what_a_slab_pass_holds(spec_path, n, kmax,
+                                                    pairs):
+    # the account is at least the traced peak of the slab's rows, so a
+    # pass it admits stays under the limit, and at most 1.5 times it
+    import tracemalloc
+    import scipy.sparse  # noqa: F401  its import is not the pass's memory
+    from anisoradon.numerics import experiments, operators
+    spec = load_spec(spec_path)
+    grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=n)
+    for j in (1, 2, 3):
+        account = sum(operators.pass_account(
+            operators.SlabMesh(spec, grid, j, shell=True),
+            2 + max(kmax, -1), "22" in pairs).values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._slab_rows(spec, grid, j, kmax, pairs, [])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= account <= 1.5 * peak, (j, peak, account)

@@ -52,3 +52,19 @@ def test_no_private_cross_module_imports():
                       for a in node.names
                       if a.name.startswith("_") and not a.name.startswith("__")]
     assert found == []
+
+
+def test_memory_is_refused_in_one_check():
+    # a run too large for memory is refused by the byte account of a pass,
+    # or by _circulant's own cap; no second memory check grows beside them
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and "MemoryError" in ast.unparse(node.exc)]
+    assert sorted(found) == [("operators.py", "_circulant"),
+                             ("operators.py", "pass_account")]

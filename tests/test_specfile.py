@@ -74,6 +74,17 @@ def test_bad_rational_rejected():
         parse_rational(1.5)
 
 
+@pytest.mark.parametrize("radius", ["1" + "0" * 400, "Infinity", "1e400",
+                                    "NaN", "0", "-1"])
+def test_psi_radius_out_of_range_rejected(tmp_path, radius):
+    # json reads Infinity and 1e400 as infinity, and a 401-digit integer
+    # exactly, past the largest float
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(base_doc()).replace("0.3", radius))
+    with pytest.raises(SchemaError, match="psi_radius"):
+        load_spec(path)
+
+
 def test_nonpositive_weight_rejected():
     doc = base_doc()
     doc["alpha_prime"] = [0]
