@@ -7,7 +7,9 @@ periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.  The
 mesh is the product of per-axis node windows; a slab's nonzero mesh entries
-come y'-block after y'-block, in chunks of whole y'-blocks.
+come y'-block after y'-block, in chunks of whole y'-blocks, each as its row,
+the column of its lower x''-corner, its weight and its x''-fractions: its
+2^n'' corners are laid out only for a CSR (``SparseKernelOperator.corners``).
 
 One pass over the chunks of a slab, ``absolute_stats``, gives all that the
 norms read: the absolute-kernel statistics of the slab composed with each
@@ -61,25 +63,45 @@ _PIECE_VALUES = 2 ** 19
 
 class SparseKernelOperator:
     """A slab, or a chunk of whole y'-blocks of one, as its nonzero mesh
-    entries, y'-block after y'-block.
+    entries, y'-block after y'-block: entry e is row ``rows[e]`` with weight
+    c = ``weight[e]`` (the cutoff times the y'-cell volume) at the lower
+    column ``low[e]``, every x''-slot at its lower node i0, and ``frac[e, l]``
+    of a cell further in slot l.  Indices are int32 below 2^31 grid points.
+    The sparse matrix, for checks, is built when first asked for."""
 
-    Entry e is row ``rows[e]``; its 2^n'' interpolation corners lie in one
-    y'-block, at columns ``cols[e]`` with values ``vals[e]``: at n'' = 1 the
-    x''-nodes i0 and i0 + 1 with base (1 - f) and base f, the pair (N-1, 0)
-    stored in increasing column order.  Indices are int32 below 2^31 grid
-    points.  The sparse matrix, for checks, is built when first asked for."""
-
-    def __init__(self, grid: Grid, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray):
+    def __init__(self, grid: Grid, rows: np.ndarray, low: np.ndarray,
+                 weight: np.ndarray, frac: np.ndarray):
         self.grid = grid
-        self.rows, self.cols, self.vals = rows, cols, vals
+        self.rows, self.low, self.weight, self.frac = rows, low, weight, frac
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         import scipy.sparse as sp
-        rows = np.repeat(self.rows, self.cols.shape[1])
-        return sp.coo_matrix((self.vals.ravel(), (rows, self.cols.ravel())),
+        cols, vals = self.corners()
+        rows = np.repeat(self.rows, cols.shape[1])
+        return sp.coo_matrix((vals.ravel(), (rows, cols.ravel())),
                              shape=(self.grid.size,) * 2).tocsr()
+
+    def corners(self, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The one layout of the interpolation corners of the entries ``part``:
+        columns and values, (entries, 2^n'') each, slot 0 most significant.
+        Slot l has the x''-nodes i0 and i0 + 1 with weights 1 - f and f, the
+        pair (N-1, 0) in increasing column order, (0, N-1) with f and 1 - f;
+        a value is c times the weight of slot 0, then of slot 1, and so on."""
+        n, n_d = self.grid.points_per_axis, self.frac.shape[1]
+        low, frac = self.low[part], self.frac[part]
+        cols, vals = low[:, None], self.weight[part, None]
+        for l in range(n_d):
+            stride = n ** (n_d - 1 - l)
+            wrap = low // stride % n == n - 1
+            wgt = np.stack((1.0 - frac[:, l], frac[:, l]), axis=1)
+            step = np.zeros_like(wgt, dtype=low.dtype)
+            step[:, 1] = stride
+            wgt[wrap], step[wrap] = wgt[wrap, ::-1], ((1 - n) * stride, 0)
+            shape = (low.size, 2 ** (l + 1))
+            vals = (vals[:, :, None] * wgt[:, None]).reshape(shape)
+            cols = (cols[:, :, None] + step[:, None]).reshape(shape)
+        return cols, vals
 
 
 class FourierMultiplier:
@@ -172,19 +194,23 @@ def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
     mesh alone.  Refused with MemoryError, naming the two largest terms,
     past MAX_PASS_BYTES."""
     spec, n, size = mesh.spec, mesh.grid.points_per_axis, mesh.grid.size
-    block, corners = n ** spec.n_dprime, 2 ** spec.n_dprime
+    n_d, block = spec.n_dprime, n ** spec.n_dprime  # a y'-block's columns
     index = 4 if max(size, mesh.stored) < 2 ** 31 else 8
     slices = mesh.y_nodes if whole else min(mesh.y_nodes, mesh.step)
     entries = slices * mesh.per_slice
     span = slices * n ** (spec.n_prime - 1) * block  # a chunk's columns
-    chunk = entries * (index + corners * (8 + index))  # rows, cols, vals
+    blocks = mesh.entries // max(1, mesh.per_block)  # the mesh's y'-blocks
+    chunk = entries * (2 * index + 8 + 8 * n_d)  # rows, low, weight, frac
+    # per corner: its column and value, their layout (``corners``), and an
+    # argsort and the gathers of the CSR, or the CSR of a product's piece
+    corner = 2 ** n_d * (32 + 3 * index)
     # the transient sets, each with the one chunk alive while it is built
-    # and read: one being built holds its mask and seven mesh-sized floats
-    scratch = {"chunk scratch": chunk + entries * (1 + 7 * 8)}
-    if spec.n_dprime == 1:
+    # and read: one being built holds its mask and five mesh-sized floats
+    scratch = {"chunk scratch": chunk + entries * (1 + 5 * 8)}
+    if n_d == 1:
         # per multiplier four arrays over the grid, sixteen over the y''-axis;
-        # a piece holds seven arrays and a mask per entry, three over its
-        # columns and six over its (x''-node, rank) cells: a y'-block
+        # a piece holds three arrays and an index per entry, three over its
+        # columns and five over its (x''-node, rank) cells: a y'-block
         # reaches its x''-window widened by the terms of S that vary in it,
         # with at most N + 1 ranks each (pieces: see _InterpolationSums)
         acc = 8 * mults * (4 * size + 16 * n)
@@ -195,25 +221,25 @@ def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
                     + int(2 * vary / mesh.grid.spacing))
         cells = min(entries // max(1, mesh.per_block) * reach * (n + 1),
                     max(_PIECE_VALUES * reach // n, reach * (n + 1)))
-        scratch["statistics scratch"] = bool(mults) * (chunk + entries + 8 * (
-            7 * entries + 3 * min(span, max(_PIECE_VALUES, n)) + 6 * cells))
-        # _circulant's two matrices and index table; three column-sum arrays
-        scratch["circulants"] = bool(mults) * 8 * (3 * n * n + 3 * size)
+        scratch["statistics scratch"] = bool(mults) * (
+            chunk + entries * (24 + index) + 8 * (
+                3 * min(span, max(_PIECE_VALUES, n)) + 5 * cells))
+        # _circulant's matrix and index table; five arrays over the columns
+        # of the y'-blocks that hold an entry, and a mark per y'-block
+        scratch["circulants"] = bool(mults) * (8 * n * (2 * n + 5 * blocks)
+                                               + size // n)
     else:
-        # the y''-kernel, a buffer of step + 1 rows, one product and its CSR
+        # the y''-kernel, a buffer of step + 1 rows and one product, if any
         acc = 8 * mults * (size + 2 * block)
         step = max(1, _PIECE_VALUES // block)
         piece = min(step, entries)
-        scratch["statistics scratch"] = bool(mults) * (
-            chunk + 8 * block * (block + step + 1 + piece)
-            + piece * corners * (8 + 2 * index))
+        scratch["statistics scratch"] = bool(mults and entries) * (
+            chunk + 8 * block * (block + step + 1 + piece) + piece * corner)
     # the CSR at capacity, its row pointer and row mark over the grid, R and
     # C (at most the mesh's rows, and the y''-lines of its y'-blocks); a
-    # chunk's argsort and counts; Lanczos's basis and one product, over C
-    rows = mesh.per_block
-    domain = mesh.entries * block // max(1, rows)
-    scratch["CSR scratch"] = csr * (chunk + entries * corners * (
-        24 + 2 * index) + 16 * span)
+    # chunk's corners and counts; Lanczos's basis and one product, over C
+    rows, domain = mesh.per_block, blocks * block
+    scratch["CSR scratch"] = csr * (chunk + entries * corner + 16 * span)
     scratch["Lanczos"] = csr * 8 * ((KRYLOV_DIM + 7) * domain + 2 * rows)
     worst = max(scratch, key=scratch.get)
     terms = {"accumulators": acc,
@@ -259,16 +285,15 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
     return [acc.result() for acc in accs], entries, op
 
 
-def _block_runs(cols: np.ndarray, span: int) -> list[tuple[int, int]]:
-    """The nonempty runs of entries whose lower corners lie in one range
+def _block_runs(low: np.ndarray, span: int) -> list[tuple[int, int]]:
+    """The nonempty runs of entries whose lower columns lie in one range
     [k span, (k + 1) span), span a multiple of the y'-block size, found by
-    bisection: ``cols[:, 0] < k span`` is monotone along the entries."""
-    first = cols[:, 0]
-    if not first.size:
+    bisection: ``low < k span`` is monotone along the entries."""
+    if not low.size:
         return []
-    cuts = np.arange(first[0] // span + 1, first[-1] // span + 1) * span
+    cuts = np.arange(low[0] // span + 1, low[-1] // span + 1) * span
     edges = np.unique(np.r_[0, np.searchsorted(
-        first, cuts.astype(first.dtype)), first.size]).tolist()
+        low, cuts.astype(low.dtype)), low.size]).tolist()
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -276,20 +301,20 @@ class _InterpolationSums:
     """The statistics at n'' = 1 of the slab composed with one multiplier,
     from the breakpoints of its y''-kernel u, accumulated chunk by chunk.
 
-    An entry with lower x''-node i0, weight sum ``base`` and fraction f (the
-    weight at i0 + 1 over ``base``) has the product row base (u_m + f d_m)
-    at column (i0 - m) mod N, where d_m = u_{m+1} - u_m.  Each u_m + f d_m
-    changes sign at most once in f, at t_m = -u_m / d_m, so:
+    An entry of weight c, lower x''-node i0 and fraction f has the product
+    row c (u_m + f d_m) at column (i0 - m) mod N, where d_m = u_{m+1} - u_m.
+    Each u_m + f d_m changes sign at most once in f, at t_m = -u_m / d_m, so:
 
-    - the row's absolute sum is |base| F(f) and its largest entry |base| G(f),
+    - the row's absolute sum is |c| F(f) and its largest entry |c| G(f),
       with F = sum_m |u_m + f d_m| and G = max_m |u_m + f d_m| convex and
       piecewise linear: both are evaluated exactly at their knots (the t_m
       for F, the corners of the upper envelope of the lines for G) and
       interpolated between them;
     - a column sum is the signed sum with the signs just above f = 0, which
-      is a circulant product of the per-(y'-block, i0) sums of |base| and
-      |base| f, minus twice the terms of the entries past each t_m, read off
-      cumulative sums of a (group, breakpoint rank) histogram.
+      is a circulant product of the per-(y'-block, i0) sums of |c| and
+      |c| f, minus twice the terms of the entries past each t_m, read off
+      cumulative sums of a (group, breakpoint rank) histogram; the y'-blocks
+      that hold no entry have column sums 0 and take no product.
 
     The entries are taken in pieces of max(1, ``_PIECE_VALUES`` // (ranks
     N)) whole y'-blocks, counted by the global block index: a histogram has
@@ -319,55 +344,54 @@ class _InterpolationSums:
         self.entry_fn = exact(_envelope_knots(u, d), np.max)
         size = mult.grid.size
         self.rowsums, self.past_sums = np.zeros(size), np.zeros(size)
-        # per (y'-block, i0) group: the sums of |base| and |base| f
+        # per (y'-block, i0) group: the sums of |c| and |c| f
         self.base_sums, self.frac_sums = np.zeros(size), np.zeros(size)
         self.max_abs = 0.0
         self.span = self.n * max(1, _PIECE_VALUES // (self.ranks * self.n))
 
     def add(self, chunk: SparseKernelOperator) -> None:
         """Add the entries of ``chunk``."""
-        for a, b in _block_runs(chunk.cols, self.span):
-            self._add_piece(chunk.rows[a:b], chunk.cols[a:b],
-                            chunk.vals[a:b])
+        for a, b in _block_runs(chunk.low, self.span):
+            self._add_piece(chunk.rows[a:b], chunk.low[a:b],
+                            chunk.weight[a:b], chunk.frac[a:b, 0])
 
-    def _add_piece(self, rows: np.ndarray, cols: np.ndarray,
-                   vals: np.ndarray) -> None:
+    def _add_piece(self, rows: np.ndarray, low: np.ndarray,
+                   weight: np.ndarray, f: np.ndarray) -> None:
         n, cross, ranks = self.n, self.cross, self.ranks
-        wrap = cols[:, 1] - cols[:, 0] > 1  # the pair (0, N-1): i0 = N-1
-        base = vals[:, 0] + vals[:, 1]
-        f = np.where(wrap, vals[:, 0], vals[:, 1]) / base
-        weight = np.abs(base)
+        weight = np.abs(weight)
         np.add.at(self.rowsums, rows, weight * np.interp(f, *self.row_fn))
         self.max_abs = max(self.max_abs, float(
             (weight * np.interp(f, *self.entry_fn)).max()))
-        # group: y'-block and i0, as the flat column of the lower corner,
-        # counted from the piece's first y'-block; ``seen`` spans its blocks
-        first = cols[0, 0] - cols[0, 0] % n
-        key = cols[:, 0] + wrap * (n - 1) - first
-        seen = np.zeros(cols[-1, 0] - cols[-1, 0] % n + n - first, np.intp)
+        # group: y'-block and i0, as the lower column, counted from the
+        # piece's first y'-block; ``seen`` spans its blocks
+        first = low[0] - low[0] % n
+        key = low - first
+        seen = np.zeros(low[-1] - low[-1] % n + n - first, np.intp)
         seen[key] = 1
         groups = np.flatnonzero(seen)
-        # rank: how many t_m are >= f, so an entry is past the q-th highest
-        # breakpoint exactly when its rank is at most q
-        rank = cross.size - np.searchsorted(self.rising, f)
-        cell = (np.cumsum(seen) - 1)[key] * ranks + rank
+        # cell: the group, then the rank: how many t_m are >= f, so an entry
+        # is past the q-th highest breakpoint exactly when its rank is <= q
+        cell = np.cumsum(seen)[key] * ranks
+        del key
+        cell -= np.searchsorted(self.rising, f) + 1
         past, past_f = (np.bincount(cell, w, minlength=groups.size * ranks)
                         .reshape(-1, ranks).cumsum(axis=1)
                         for w in (weight, weight * f))
         self.base_sums[first + groups] += past[:, -1]
         self.frac_sums[first + groups] += past_f[:, -1]
         target = (groups - groups % n)[:, None] + (groups[:, None] - cross) % n
+        terms = past[:, :-1] * self.signed_u[cross]
+        terms += past_f[:, :-1] * self.signed_d[cross]
         self.past_sums[first:first + seen.size] += np.bincount(
-            target.ravel(), (past[:, :-1] * self.signed_u[cross]
-                             + past_f[:, :-1] * self.signed_d[cross]).ravel(),
-            minlength=seen.size)
+            target.ravel(), terms.ravel(), minlength=seen.size)
 
     def result(self) -> tuple[float, float, float]:
-        n = self.n
-        colsums = (self.base_sums.reshape(-1, n) @ _circulant(self.signed_u)
-                   + self.frac_sums.reshape(-1, n)
-                   @ _circulant(self.signed_d)).ravel()
-        return (float((colsums - 2 * self.past_sums).max()),
+        base, frac, past = (sums.reshape(-1, self.n) for sums in (
+            self.base_sums, self.frac_sums, self.past_sums))
+        held = base.any(axis=1)
+        colsums = (base[held] @ _circulant(self.signed_u) + frac[held]
+                   @ _circulant(self.signed_d) - 2 * past[held])
+        return (float(colsums.max(initial=-np.inf if held.all() else 0.0)),
                 float(self.rowsums.max()), self.max_abs)
 
 
@@ -407,7 +431,7 @@ class _ProductSums:
         """Add the entries of ``chunk``, y'-block after y'-block; an empty
         chunk builds no kernel."""
         n_block = self.mult.ydd_block.size
-        runs = _block_runs(chunk.cols, n_block)
+        runs = _block_runs(chunk.low, n_block)
         if not runs:
             return
         import scipy.sparse as sp
@@ -416,16 +440,14 @@ class _ProductSums:
         # row 0 carries the block's column sums so far: summing it with the
         # piece's rows adds in the same order as one sum over the whole run
         buf = np.empty((step + 1, n_block))
-        n_corners = chunk.cols.shape[1]
-        indptr = np.arange(0, step * n_corners + 1, n_corners)
         for lo, hi in runs:
             buf[0] = 0.0
             for a in range(lo, hi, step):
                 m = min(step, hi - a)
-                sub = sp.csr_matrix(
-                    (chunk.vals[a:a + m].ravel(),
-                     chunk.cols[a:a + m].ravel() % n_block, indptr[:m + 1]),
-                    shape=(m, n_block))
+                cols, vals = chunk.corners(slice(a, a + m))
+                sub = sp.csr_matrix((vals.ravel(), cols.ravel() % n_block,
+                                     np.arange(0, cols.size + 1, cols.shape[1])),
+                                    shape=(m, n_block))
                 g = np.abs(sub @ kernel, out=buf[1:m + 1])
                 self.rowsums[chunk.rows[a:a + m]] += g.sum(axis=1)
                 self.max_abs = max(self.max_abs, float(g.max()))
@@ -469,18 +491,19 @@ class _TransposeRows:
         self.nnz = self.n_cols = 0
 
     def add(self, chunk: SparseKernelOperator) -> None:
-        """Write the rows of the columns of ``chunk``."""
-        keys = chunk.cols.ravel()
-        if not keys.size:
+        """Write the rows of the columns of ``chunk``, from its corners."""
+        if not chunk.rows.size:
             return
+        cols, vals = chunk.corners()
+        keys = cols.ravel()
         n, end = self.block, self.nnz + keys.size
         order = np.argsort(keys, kind="stable")
-        self.indices[self.nnz:end] = chunk.rows[order // chunk.cols.shape[1]]
-        self.data[self.nnz:end] = chunk.vals.ravel()[order]
+        self.indices[self.nnz:end] = chunk.rows[order // cols.shape[1]]
+        self.data[self.nnz:end] = vals.ravel()[order]
         self.nnz = end
         self.mark[chunk.rows] = 1
         # the corners of an entry lie in its y'-block: count per y'-block
-        first, last = chunk.cols[0, 0] // n, chunk.cols[-1, 0] // n
+        first, last = chunk.low[0] // n, chunk.low[-1] // n
         counts = np.bincount(keys - first * n,
                              minlength=(last + 1 - first) * n).reshape(-1, n)
         held = np.flatnonzero(counts.any(axis=1))
@@ -586,41 +609,28 @@ class SlabMesh:
                   else product_cutoff(j))
         cutoff *= math.prod(phi0(t / rho) for t in ax)  # psi
 
-        # one entry per nonzero of the cutoff; the 2^n'' corners of its x''-
-        # interpolation run along trailing axes of length 2, one per x''-slot
+        # one entry per nonzero of the cutoff
         mask = cutoff != 0.0
-        corner = (-1,) + (1,) * n_d
-        vals = np.empty((np.count_nonzero(mask),) + (2,) * n_d)
-        vals[...] = (cutoff[mask] * h ** n_p).reshape(corner)
+        weight = cutoff[mask] * h ** n_p
         del cutoff
         index = np.int32 if grid.size < 2 ** 31 else np.int64
         flat = [self._shaped(w.astype(index), c)
                 for c, w in enumerate(self.windows)]
-        cols = np.empty(vals.shape, dtype=index)  # y'-part, then x''-corners
-        cols[...] = np.broadcast_to(sum(
+        low = np.broadcast_to(sum(  # y'-part, then the x''-slots' i0
             flat[n + i] * N ** (n - 1 - i) for i in range(n_p))[run],
-            mask.shape)[mask].reshape(corner)
+            mask.shape)[mask]
+        frac = np.empty((weight.size, n_d))
         for l in range(n_d):
             # the x''-position in cells, then its fraction
-            frac = ((ax[n_p + l]
-                     + spec.s[l].evaluate(ax[:n_p], ax[n_p:n], ax[n:])
-                     + L) / h - 0.5)[mask]
-            i0 = np.floor(frac)
-            frac -= i0
-            i0 = (i0.astype(np.int64) % N).astype(index)
-            idx = np.stack((i0, (i0 + 1) % N), axis=1)
-            wgt = np.stack((1.0 - frac, frac), axis=1)
-            wrap = i0 == N - 1  # corners in increasing column order: (0, N-1)
-            idx[wrap], wgt[wrap] = idx[wrap, ::-1], wgt[wrap, ::-1]
-            sides = (-1,) + (1,) * l + (2,) + (1,) * (n_d - 1 - l)
-            vals *= wgt.reshape(sides)
-            idx *= N ** (n_d - 1 - l)
-            cols += idx.reshape(sides)
+            pos = ((ax[n_p + l]
+                    + spec.s[l].evaluate(ax[:n_p], ax[n_p:n], ax[n:])
+                    + L) / h - 0.5)[mask]
+            i0 = np.floor(pos)
+            frac[:, l] = pos - i0
+            low += (i0.astype(np.int64) % N * N ** (n_d - 1 - l)).astype(index)
         rows = np.broadcast_to(sum(flat[c] * N ** (n - 1 - c)
                                    for c in range(n)), mask.shape)[mask]
-        return SparseKernelOperator(grid, rows,
-                                    cols.reshape(rows.size, 2 ** n_d),
-                                    vals.reshape(rows.size, 2 ** n_d))
+        return SparseKernelOperator(grid, rows, low, weight, frac)
 
     def whole(self) -> SparseKernelOperator:
         """The slab in one chunk, for ``discretize_tj`` and ``discretize_uj``

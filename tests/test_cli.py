@@ -250,7 +250,7 @@ def test_commands_without_a_csr_leave_scipy_sparse_unimported(argv):
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     # with chunks of one y'-slice and a limit of 1 MiB, the statistics of
-    # slab 1 of rank_one at grid 64 stream (558592 B at most); the (2,2)
+    # slab 1 of rank_one at grid 64 stream (491520 B at most); the (2,2)
     # norm adds the CSR of its transpose, at capacity 2 * 32768 values,
     # and the Lanczos vectors over its support, and is refused before the
     # CSR is allocated
@@ -277,8 +277,8 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
 
 
 def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
-    # built whole, slab 1 of rank_one at grid 64 would hold 2916352 B; in
-    # chunks of one y'-slice its pass holds at most 558592 B, under the
+    # built whole, slab 1 of rank_one at grid 64 would hold 2260992 B; in
+    # chunks of one y'-slice its pass holds at most 491520 B, under the
     # limit of 1 MiB, and gives the same bytes.  Whole, it is refused
     # before any entry array is built
     from anisoradon.numerics import Grid, discretize_tj
@@ -297,7 +297,7 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
     monkeypatch.setattr(operators.SlabMesh, "chunk",
                         lambda mesh, run: built.append(run)
                         or original(mesh, run))
-    with pytest.raises(MemoryError, match="^slab j=1 needs 2916352 B"):
+    with pytest.raises(MemoryError, match="^slab j=1 needs 2260992 B"):
         discretize_tj(load_spec(SPECS / "rank_one.json"),
                       Grid(dim=2, points_per_axis=64), 1)
     assert built == []
@@ -306,7 +306,7 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
 def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
         monkeypatch):
     # one y'-slice of slab 1 of rank_one at grid 64 is 1024 mesh entries:
-    # with its scratch and the interpreter's objects, 218112 B, more than a
+    # with its scratch and the interpreter's objects, 197632 B, more than a
     # limit of 192 KiB
     from anisoradon.numerics import Grid
     from anisoradon.specfile import load_spec
@@ -320,7 +320,7 @@ def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
     monkeypatch.setattr(operators.SlabMesh, "chunk",
                         lambda mesh, run: built.append(run)
                         or original(mesh, run))
-    with pytest.raises(MemoryError, match="^slab j=1 needs 218112 B"):
+    with pytest.raises(MemoryError, match="^slab j=1 needs 197632 B"):
         next(mesh.chunks())
     assert built == []
 
@@ -348,8 +348,8 @@ def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "slab j=1 needs 2212961216 B at once, more than the limit of "
-        "603979776 B: 2161712064 B of statistics scratch, 51118080 B of "
+        "slab j=1 needs 2210769920 B at once, more than the limit of "
+        "603979776 B: 2159520768 B of statistics scratch, 51118080 B of "
         "accumulators")
     assert built == []
 
@@ -373,7 +373,7 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert error["error"] == "MemoryError"
     assert "1024020480 B of accumulators" in error["message"]
     assert built == []
-    # three multipliers of slab 1 (Q_1, P_10, P_11) need 312832 B, more
+    # three multipliers of slab 1 (Q_1, P_10, P_11) need 278528 B, more
     # than a limit of 256 KiB; the refusal comes before any accumulator
     # is allocated
     monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 18)
@@ -386,7 +386,7 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert error["message"].startswith("slab j=1 needs 312832 B at once")
+    assert error["message"].startswith("slab j=1 needs 278528 B at once")
     assert made == [] and built == []
 
 

@@ -326,3 +326,27 @@ def test_pass_account_bounds_what_a_slab_pass_holds(spec_path, n, kmax,
         finally:
             tracemalloc.stop()
         assert peak <= account <= 1.5 * peak, (j, peak, account)
+
+
+def test_pass_account_charges_no_ydd_kernel_to_a_mesh_without_entries():
+    # slabs 4 and 5 of shear_1_2 (n'' = 2) at grid 16 have no mesh entry, so
+    # their pass builds no dense y''-kernel (256^2 values, 512 KiB) and no
+    # buffer; the account charges neither, and still bounds the traced peak
+    import tracemalloc
+    import scipy.sparse  # noqa: F401  its import is not the pass's memory
+    from anisoradon.numerics import experiments, operators
+    spec = load_spec(GOLDEN_INPUTS / "shear_1_2.json")
+    grid = Grid(dim=3, points_per_axis=16)
+    for j in (4, 5):
+        mesh = operators.SlabMesh(spec, grid, j, shell=True)
+        assert mesh.entries == 0
+        terms = operators.pass_account(mesh, 3, True)
+        assert sum(terms.values()) < 8 * 256 ** 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiments._slab_rows(spec, grid, j, 1, ("11", "22"), [])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(terms.values())

@@ -35,9 +35,14 @@ def _two_dprime_spec() -> OperatorSpec:
                         s=(mono(1, 1), mono(0, 2)), psi_radius=0.5)
 
 
+def _stored(slab: SparseKernelOperator) -> int:
+    """The values of the slab's interpolation corners."""
+    return slab.rows.size * 2 ** slab.frac.shape[1]
+
+
 def _pass_operator(slab: SparseKernelOperator, mult: FourierMultiplier):
     """The slab as the statistics pass returns it for the (2,2) norm."""
-    return operators.absolute_stats([slab], [mult], slab.cols.size)[2]
+    return operators.absolute_stats([slab], [mult], _stored(slab))[2]
 
 
 def _on_grid(op, values: np.ndarray) -> np.ndarray:
@@ -139,14 +144,47 @@ def test_adjoint_consistency():
 
 
 def _embedded_matrix_op():
-    # embed [[1, 2], [3, 4]] in a grid with unit cell volume so the raw
-    # matrix conventions and the quadrature-weighted ones coincide
+    # embed [[1, 3], [1, 7]] in a grid with unit cell volume so the raw
+    # matrix conventions and the quadrature-weighted ones coincide: rows 0
+    # and 1 of the one y'-block, with weights 4 and 8 between the corners
+    # y'' = 0, 1 at the dyadic fractions 3/4 and 7/8, so every product and
+    # sum is exact
     grid = Grid(dim=1, points_per_axis=8, half_width=4.0)
     assert grid.cell_volume == 1.0
-    # rows 0 and 1 of the one y'-block, each with the corners y'' = 0, 1
-    return SparseKernelOperator(grid, np.array([0, 1]),
-                                np.array([[0, 1], [0, 1]]),
-                                np.array([[1.0, 2.0], [3.0, 4.0]]))
+    op = SparseKernelOperator(grid, np.array([0, 1]), np.array([0, 0]),
+                              np.array([4.0, 8.0]),
+                              np.array([[0.75], [0.875]]))
+    assert (op.matrix.toarray()[:2, :2] == [[1.0, 3.0], [1.0, 7.0]]).all()
+    return op
+
+
+def test_corners_lay_out_each_slot_in_increasing_column_order():
+    # n'' = 1, N = 8: an interior entry (i0 = 2) has the corners (i0, i0 + 1)
+    # with c (1 - f) and c f; one at i0 = N-1 in the second y'-block wraps
+    # to the x''-nodes (0, N-1), with c f and c (1 - f)
+    op = SparseKernelOperator(Grid(dim=2, points_per_axis=8),
+                              np.array([0, 1], np.int32),
+                              np.array([2, 8 + 7], np.int32),
+                              np.array([4.0, 8.0]), np.array([[0.25], [0.75]]))
+    cols, vals = op.corners()
+    assert cols.dtype == np.int32
+    assert cols.tolist() == [[2, 3], [8, 15]]
+    assert vals.tolist() == [[3.0, 1.0], [6.0, 2.0]]
+    assert [c.tolist() for c in op.corners(slice(1, 2))] \
+        == [[[8, 15]], [[6.0, 2.0]]]
+    # n'' = 2: corners (0, 0), (0, 1), (1, 0), (1, 1) of the slots, slot 0
+    # the more significant digit; the second entry wraps in slot 0 only.
+    # A value is c times the weight of slot 0, then times that of slot 1
+    c, f0, f1 = 0.1, 0.3, 0.7
+    op = SparseKernelOperator(Grid(dim=3, points_per_axis=8), np.array([0, 1]),
+                              np.array([64 + 2 * 8 + 5, 7 * 8 + 3]),
+                              np.array([c, c]), np.array([[f0, f1], [f0, f1]]))
+    cols, vals = op.corners()
+    assert cols.tolist() == [[85, 86, 93, 94], [3, 4, 59, 60]]
+    lo0, hi0, lo1, hi1 = 1.0 - f0, f0, 1.0 - f1, f1
+    assert vals.tolist() == [
+        [c * lo0 * lo1, c * lo0 * hi1, c * hi0 * lo1, c * hi0 * hi1],
+        [c * hi0 * lo1, c * hi0 * hi1, c * lo0 * lo1, c * lo0 * hi1]]
 
 
 def test_norm_conventions_on_small_matrix():
@@ -156,9 +194,9 @@ def test_norm_conventions_on_small_matrix():
     (stats,), entries, _ = operators.absolute_stats([op], [mult])
     assert entries == 2
     comp = ComposedOperator(None, mult, stats)
-    assert operator_norm(comp, "11") == 6.0
-    assert operator_norm(comp, "oooo") == 7.0
-    assert operator_norm(comp, "1oo") == 4.0
+    assert operator_norm(comp, "11") == 10.0
+    assert operator_norm(comp, "oooo") == 8.0
+    assert operator_norm(comp, "1oo") == 7.0
 
 
 def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
@@ -175,8 +213,8 @@ def test_absolute_norms_need_a_slab_and_a_ydd_multiplier():
 
 def test_two_norm_of_small_matrix():
     op = _embedded_matrix_op()
-    # largest singular value of [[1,2],[3,4]]: sqrt(15 + sqrt(221))
-    exact = np.sqrt(15 + np.sqrt(221))
+    # largest singular value of [[1,3],[1,7]]: sqrt(30 + sqrt(884))
+    exact = np.sqrt(30 + np.sqrt(884))
     assert operator_norm(_pass_operator(op, _ones(op.grid)), "22") \
         == pytest.approx(exact, rel=1e-12)
 
@@ -184,8 +222,8 @@ def test_two_norm_of_small_matrix():
 def test_two_norm_zero_operator():
     grid = Grid(dim=1, points_per_axis=8, half_width=4.0)
     op = SparseKernelOperator(grid, np.zeros(0, dtype=np.int64),
-                              np.zeros((0, 2), dtype=np.int64),
-                              np.zeros((0, 2)))
+                              np.zeros(0, dtype=np.int64), np.zeros(0),
+                              np.zeros((0, 1)))
     assert operator_norm(_pass_operator(op, _ones(grid)), "22") == 0.0
     # zero composites: an empty slab, and a shell at 2^20 times the Qj
     # scale, beyond the grid's frequencies
@@ -196,7 +234,7 @@ def test_two_norm_zero_operator():
     for slab, mult in ((empty_slab, q),
                        (discretize_tj(SPEC, SMALL, 1), off_grid)):
         (stats,), _, op = operators.absolute_stats([slab], [mult],
-                                                   slab.cols.size)
+                                                   _stored(slab))
         assert operator_norm(ComposedOperator(op, mult, stats), "22") == 0.0
 
 
@@ -229,13 +267,11 @@ def test_composed_norms_match_dense():
             (dual, dual_grid, 302)):
         tj = discretize_tj(spec, grid, 1)
         n = grid.points_per_axis
-        corners = tj.cols % n
-        assert np.count_nonzero((corners[:, 0] == 0)
-                                & (corners[:, -1] == n - 1)) == wrapped
+        assert np.count_nonzero(tj.low % n == n - 1) == wrapped
         mults = (qj_multiplier(grid, 1, spec.beta_dprime, 1),
                  pjk_multiplier(grid, 1, spec.beta_dprime, 1, 0))
         stats, entries, op = operators.absolute_stats([tj], mults,
-                                                      tj.cols.size)
+                                                      _stored(tj))
         assert entries == tj.rows.size
         q = mults[0]
         comp = ComposedOperator(op, q, stats[0])
@@ -269,7 +305,7 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
         q = qj_multiplier(grid, 1, spec.beta_dprime, 1)
         (whole,), _, _ = operators.absolute_stats([tj], [q])
         n_block = q.ydd_block.size
-        assert np.bincount(tj.cols[:, 0] // n_block).max() > 3
+        assert np.bincount(tj.low // n_block).max() > 3
         assert tj.rows.size > 3 * n_block  # more than one piece
         monkeypatch.setattr(operators, "_PIECE_VALUES", 3 * n_block)
         assert operators.absolute_stats([tj], [q])[0] == [whole]
@@ -338,7 +374,7 @@ def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
     for j in (1, 2):
         whole = discretize_tj(spec, grid, j)
         q = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
-        stored = whole.cols.size
+        stored = _stored(whole)
         entries = whole.matrix.tocoo()
         assert entries.nnz > 0
         for chunk_entries in (1, 100, 2 ** 17, None):
@@ -353,7 +389,7 @@ def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
             _, count, op = operators.absolute_stats(chunks, [q], stored)
             assert count == whole.rows.size
             assert np.array_equal(op.rows, np.unique(whole.rows))
-            blocks = np.unique(whole.cols // n_block)
+            blocks = np.unique(whole.low // n_block)
             assert np.array_equal(op.cols, (blocks[:, None] * n_block
                                             + np.arange(n_block)).ravel())
             assert op.domain == op.cols.size
@@ -418,23 +454,19 @@ def test_closed_form_statistics_match_the_dense_product(case):
         t = -u / d
     breakpoints = np.sort(t[(t > 0.0) & (t < 1.0)])
     entries = sorted(entries)  # y'-block after y'-block
-    rows, cols, vals = [], [], []
+    rows, low, weight, frac = [], [], [], []
     for g, row, kind, i0, f, base, negative in entries:
         if kind == "on a node":
             f = 0.0
         elif kind == "at a breakpoint" and breakpoints.size:
             f = float(breakpoints[i0 % breakpoints.size])
-        base = -base if negative else base
-        lo, hi = base * (1.0 - f), base * f
         rows.append(row)
-        if kind == "wrapped":  # i0 = N-1: node 0 carries the weight f
-            cols.append((g * n, g * n + n - 1))
-            vals.append((hi, lo))
-        else:
-            cols.append((g * n + i0, g * n + i0 + 1))
-            vals.append((lo, hi))
-    slab = SparseKernelOperator(grid, np.array(rows), np.array(cols),
-                                np.array(vals))
+        # i0 = N-1 wraps: node 0 carries the weight f
+        low.append(g * n + (n - 1 if kind == "wrapped" else i0))
+        weight.append(-base if negative else base)
+        frac.append([f])
+    slab = SparseKernelOperator(grid, np.array(rows), np.array(low),
+                                np.array(weight), np.array(frac))
     (got,), _, _ = operators.absolute_stats([slab], [mult])
     want = dense_abs_stats(slab, mult)
     # rounding scale: every column or row sum is at most sum |base| sum |u|.
@@ -442,7 +474,7 @@ def test_closed_form_statistics_match_the_dense_product(case):
     # subnormal, not relatively (the standard model with underflow: Higham,
     # Accuracy and Stability of Numerical Algorithms, 2002, sec. 2.1), and
     # each of the two computations sums at most 2 N products per entry
-    scale = np.abs(slab.vals).sum() * np.abs(u).sum()
+    scale = np.abs(slab.weight).sum() * np.abs(u).sum()
     underflow = 2 * len(entries) * n * np.finfo(float).smallest_subnormal
     for g_val, w_val in zip(got, want):
         assert abs(g_val - w_val) <= 1e-13 * scale + underflow
