@@ -51,8 +51,8 @@ if TYPE_CHECKING:
 MAX_PASS_BYTES = 576 * 2 ** 20
 # mesh entries per chunk, unless one y'-slice is more: from 2**14 to 2**18
 # the decay-2d and grid-512 rank_one verify jobs take the same time, and
-# the peak grows past 2**17 (decay-2d job, ru_maxrss: 52 MB at 2**15,
-# 54 MB at 2**17, 85 MB at 2**19, 213 MB at 2**21)
+# the peak grows past 2**17 (decay-2d job, ru_maxrss: 43 MB at 2**15 and
+# at 2**17, 61 MB at 2**19, 138 MB at 2**21)
 _CHUNK_ENTRIES = 2 ** 17
 # values (4 MB) per piece of the absolute-kernel statistics: histogram
 # cells at n'' = 1, or one y'-block's; y'-block product values at n'' >= 2
@@ -229,7 +229,7 @@ def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
         scratch["circulants"] = bool(mults) * (8 * n * (2 * n + 5 * blocks)
                                                + size // n)
     else:
-        # the y''-kernel, a buffer of step + 1 rows and one product, if any
+        # with any entry: the y''-kernel, a step + 1 row buffer, one product
         acc = 8 * mults * (size + 2 * block)
         step = max(1, _PIECE_VALUES // block)
         piece = min(step, entries)
