@@ -95,13 +95,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_region(args) -> int:
     spec = _load_ranked_spec(args)
-    a_p, b_p, b_dd = spec.weight_sums()
-    block = region_block(a_p, b_p, b_dd, spec.n_dprime, args.rank)
-    _emit(report_json(block), args.out)
+    region = riesz_region(*spec.weight_sums(), spec.n_dprime, args.rank)
+    _emit(report_json(region_block(spec, args.rank, region)), args.out)
     if args.svg:
-        Path(args.svg).write_text(
-            riesz_svg(a_p, b_p, b_dd, spec.n_dprime, args.rank))
-    if not block.get("hypothesis_holds", False):
+        Path(args.svg).write_text(riesz_svg(region))
+    if not region.hypothesis_holds:
         raise HypothesisNotSatisfied("rank hypothesis fails for this spec")
     return 0
 

@@ -236,10 +236,11 @@ def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
         scratch["statistics scratch"] = bool(mults and entries) * (
             chunk + 8 * block * (block + step + 1 + piece) + piece * corner)
     # the CSR at capacity, its row pointer and row mark over the grid, R and
-    # C (at most the mesh's rows, and the y''-lines of its y'-blocks); a
-    # chunk's corners and counts; Lanczos's basis and one product, over C
+    # C (at most the mesh's rows, and the y''-lines of its y'-blocks); one
+    # y'-block's corners and column counts, as the chunk is written block
+    # after block; Lanczos's basis and one product, over C
     rows, domain = mesh.per_block, blocks * block
-    scratch["CSR scratch"] = csr * (chunk + entries * corner + 16 * span)
+    scratch["CSR scratch"] = csr * (chunk + rows * corner + 8 * block)
     scratch["Lanczos"] = csr * 8 * ((KRYLOV_DIM + 7) * domain + 2 * rows)
     worst = max(scratch, key=scratch.get)
     terms = {"accumulators": acc,
@@ -461,17 +462,19 @@ class _ProductSums:
 class _TransposeRows:
     """The slab as an operator for the (2,2) norm, on its support: its
     transpose restricted to C x R as a CSR ``at`` of shape (|C|, |R|), the
-    rows written chunk after chunk.  R, ``rows``, holds the grid nodes that
-    carry an entry; C, ``cols``, the whole y''-lines of every y'-block that
-    holds one, both as sorted grid indices.  A y''-multiplier maps the
+    rows written y'-block after y'-block.  R, ``rows``, holds the grid nodes
+    that carry an entry; C, ``cols``, the whole y''-lines of every y'-block
+    that holds one, both as sorted grid indices.  A y''-multiplier maps the
     lines of C to themselves, so slab o M vanishes off R x C and has the
     singular values of its restriction, whose vectors are a grid vector's
     values at ``cols`` (the ``domain``) and at ``rows``.
 
-    A chunk is a run of the first y'-axis window, the most significant
-    digit of a column, so its columns, the rows of the transpose, form one
-    range that no other chunk shares.  Within a y'-block the entries come in
-    ascending row, so a stable sort of a chunk's columns keeps each row of
+    The corners of an entry lie in its y'-block, and the y'-blocks come in
+    ascending order (a chunk is a run of the first y'-axis window, the most
+    significant digit of a column), so the columns of a y'-block, rows of
+    the transpose, form one range that no other block shares.  Within a
+    y'-block the entries come in ascending row, so a stable sort of the
+    block's keys alone, its columns modulo the block size, keeps each row of
     the transpose in ascending column: the arrays, and the order in which
     products sum, are those of the canonical CSR of the slab transposed.
     The row pointer keeps the rows of C only; the rows it drops hold no
@@ -487,30 +490,27 @@ class _TransposeRows:
         self.indices = np.empty(capacity, dtype=index)
         self.data = np.empty(capacity)
         self.mark = np.zeros(grid.size, dtype=index)  # 1 on R, then positions
-        self.blocks = [np.zeros(0, dtype=np.intp)]  # the y'-blocks of C
+        self.blocks = []  # the y'-blocks of C
         self.nnz = self.n_cols = 0
 
     def add(self, chunk: SparseKernelOperator) -> None:
-        """Write the rows of the columns of ``chunk``, from its corners."""
-        if not chunk.rows.size:
-            return
-        cols, vals = chunk.corners()
-        keys = cols.ravel()
-        n, end = self.block, self.nnz + keys.size
-        order = np.argsort(keys, kind="stable")
-        self.indices[self.nnz:end] = chunk.rows[order // cols.shape[1]]
-        self.data[self.nnz:end] = vals.ravel()[order]
-        self.nnz = end
+        """Write the rows of the columns of ``chunk``, y'-block after
+        y'-block, from each block's corners."""
+        n = self.block
+        for a, b in _block_runs(chunk.low, n):
+            cols, vals = chunk.corners(slice(a, b))
+            # the corners of an entry lie in its y'-block
+            keys = (cols.ravel() % n).astype(np.min_scalar_type(n - 1))
+            order = np.argsort(keys, kind="stable")
+            end, k = self.nnz + keys.size, cols.shape[1]
+            self.indices[self.nnz:end] = chunk.rows[a:b][order // k]
+            self.data[self.nnz:end] = vals.ravel()[order]
+            self.nnz = end
+            self.indptr[self.n_cols + 1:self.n_cols + 1 + n] = np.bincount(
+                keys, minlength=n)
+            self.n_cols += n
+            self.blocks.append(int(chunk.low[a]) // n)
         self.mark[chunk.rows] = 1
-        # the corners of an entry lie in its y'-block: count per y'-block
-        first, last = chunk.low[0] // n, chunk.low[-1] // n
-        counts = np.bincount(keys - first * n,
-                             minlength=(last + 1 - first) * n).reshape(-1, n)
-        held = np.flatnonzero(counts.any(axis=1))
-        self.blocks.append(first + held)
-        counts = counts[held].ravel()
-        self.indptr[self.n_cols + 1:self.n_cols + 1 + counts.size] = counts
-        self.n_cols += counts.size
 
     def result(self) -> _TransposeRows:
         """This operator, with ``at``, ``rows`` and ``cols`` finished."""
@@ -527,8 +527,8 @@ class _TransposeRows:
             part = self.indices[a:a + _CHUNK_ENTRIES]
             part[...] = self.mark[part]
         del self.mark
-        self.cols = (np.concatenate(self.blocks)[:, None] * self.block
-                     + np.arange(self.block)).ravel()
+        self.cols = (np.array(self.blocks, dtype=np.intp)[:, None]
+                     * self.block + np.arange(self.block)).ravel()
         self.domain = self.cols.size
         self.at = sp.csr_matrix((self.data, self.indices, self.indptr),
                                 shape=(self.domain, self.rows.size))

@@ -12,8 +12,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .exponents import (GenericityReport, OperatorSpec, check_homogeneity,
-                        genericity_report, riesz_region, sobolev_smoothing)
+from .exponents import (GenericityReport, OperatorSpec, RieszRegion,
+                        check_homogeneity, genericity_report, riesz_region,
+                        sobolev_smoothing)
 from .hessian import min_rank_sample, principal_hessian
 from .scaling import MultiIndex
 from .specfile import poly_to_terms, rational_str, spec_to_dict
@@ -30,25 +31,24 @@ def _point_strs(point) -> dict:
             "eta_dprime": [rational_str(v) for v in eta]}
 
 
-def region_block(alpha_prime_sum: int, beta_prime_sum: int,
-                 beta_dprime_sum: int, n_dprime: int, rank: int) -> dict:
-    """Exponent-region block; vertices are withheld when the rank hypothesis
-    fails (the non-endpoint region is still described)."""
+def region_block(spec: OperatorSpec, rank: int,
+                 region: RieszRegion | None) -> dict:
+    """Exponent-region block of ``spec`` at ``rank`` from its ``region``,
+    None below rank 1; vertices are withheld when the rank hypothesis fails
+    (the non-endpoint region is still described)."""
+    a_p, b_p, b_dd = spec.weight_sums()
     block: dict = {
         "rank": rank,
         "hypothesis_ratio": {
-            "lhs": rational_str(Fraction(rank, n_dprime)),
-            "rhs": rational_str(Fraction(alpha_prime_sum + beta_prime_sum,
-                                         beta_dprime_sum)),
+            "lhs": rational_str(Fraction(rank, spec.n_dprime)),
+            "rhs": rational_str(Fraction(a_p + b_p, b_dd)),
         },
     }
-    if rank < 1:
+    if region is None:
         block["hypothesis_holds"] = False
         block["note"] = ("no certified positive Hessian rank; "
                          "endpoint vertices unavailable")
         return block
-    region = riesz_region(alpha_prime_sum, beta_prime_sum, beta_dprime_sum,
-                          n_dprime, rank)
     block["hypothesis_holds"] = region.hypothesis_holds
     block["denominators"] = [region.delta1, region.delta2]
     block["boundary_coefficients"] = {
@@ -119,16 +119,15 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
         "samples_tried": sample.samples_tried,
         "note": "sampled minimum is an upper bound for the true minimal rank",
     }
-    a_p, b_p, b_dd = spec.weight_sums()
-    report["region"] = region_block(a_p, b_p, b_dd, spec.n_dprime,
-                                    sample.min_rank)
-    report["sobolev"] = {"rank": sample.min_rank}
-    if sample.min_rank < 1:
+    rank = sample.min_rank
+    report["region"] = region_block(spec, rank, riesz_region(
+        *spec.weight_sums(), spec.n_dprime, rank) if rank >= 1 else None)
+    report["sobolev"] = {"rank": rank}
+    if rank < 1:
         report["sobolev"]["note"] = ("no sampled positive Hessian rank; "
                                      "smoothing table withheld")
     else:
-        report["sobolev"]["table"] = sobolev_block(spec, sample.min_rank,
-                                                   ANALYZE_P_GRID)
+        report["sobolev"]["table"] = sobolev_block(spec, rank, ANALYZE_P_GRID)
     report["genericity"] = genericity_block(genericity_report(spec.weights),
                                             spec.beta_dprime)
     return report
@@ -138,15 +137,12 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def riesz_svg(alpha_prime_sum: int, beta_prime_sum: int, beta_dprime_sum: int,
-              n_dprime: int, rank: int) -> str:
+def riesz_svg(region: RieszRegion) -> str:
     """Exponent-diagram figure: the boundedness polygon in the (1/p, 1/q)
     unit square with the restricted-weak-type vertices circled.
 
     Built directly from the exact rational vertices; presentation only.
     """
-    region = riesz_region(alpha_prime_sum, beta_prime_sum, beta_dprime_sum,
-                          n_dprime, rank)
     size, pad = 420, 40
     side = size - 2 * pad
 

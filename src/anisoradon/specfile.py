@@ -65,9 +65,7 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 \
-        else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def _exp_list(term, key: str, length: int) -> tuple[int, ...]:

@@ -17,9 +17,9 @@ from anisoradon.numerics import operators
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 REFERENCE_SPEC = str(SPECS / "reference.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # n' = 2, n'' = 1, beta'' = (3): rank 2 satisfies the rank hypothesis
-RANK_TWO_SPEC = str(Path(__file__).resolve().parent
-                    / "golden" / "inputs" / "iso_2_1_b3.json")
+RANK_TWO_SPEC = str(GOLDEN / "inputs" / "iso_2_1_b3.json")
 
 
 def run_cli(*argv):
@@ -79,7 +79,8 @@ def test_region_hypothesis_fails_exit_3(tmp_path):
     assert json.loads(err)["error"] == "HypothesisNotSatisfied"
     block = json.loads(out)
     assert block["hypothesis_holds"] is False
-    assert svg.exists() and "<svg" in svg.read_text()
+    assert svg.read_bytes() \
+        == (GOLDEN / "rank_one" / "region.svg").read_bytes()
 
 
 def test_region_with_vertices(tmp_path):
@@ -93,6 +94,8 @@ def test_region_with_vertices(tmp_path):
     assert block["vertices"]["V2"] == ["3/5", "1/5"]
     text = svg.read_text()
     assert "V1" in text and "polygon" in text
+    assert svg.read_bytes() \
+        == (GOLDEN / "iso_2_1_b3" / "region.svg").read_bytes()
 
 
 def test_sobolev_table():

@@ -367,12 +367,21 @@ def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
     # restricted to its support, bit for bit, and so are the products it
     # gives there.  The support is the rows that carry an entry and the
     # whole y''-lines of the y'-blocks that hold one, and no entry of the
-    # slab lies off it
+    # slab lies off it.  No corners are laid out for more than one y'-block
+    # at a time, however many a chunk holds
     spec, grid = load_spec(spec_path), Grid(dim=dim, points_per_axis=n)
     n_block = n ** spec.n_dprime
     v = np.random.default_rng(3).standard_normal(grid.size)
+    corners = operators.SparseKernelOperator.corners
+    laid_out = []
+
+    def traced(self, part=slice(None)):
+        laid_out.append(self.low[part])
+        return corners(self, part)
+
     for j in (1, 2):
         whole = discretize_tj(spec, grid, j)
+        per_block = operators.SlabMesh(spec, grid, j, shell=True).per_block
         q = qj_multiplier(grid, spec.n_prime, spec.beta_dprime, j)
         stored = _stored(whole)
         entries = whole.matrix.tocoo()
@@ -386,7 +395,16 @@ def test_streamed_transpose_is_the_whole_slab_transposed(monkeypatch,
                 chunks = list(operators.SlabMesh(spec, grid, j,
                                                  shell=True).chunks())
                 assert chunk_entries > 1 or len(chunks) > 1
+            laid_out.clear()
+            monkeypatch.setattr(operators.SparseKernelOperator, "corners",
+                                traced)
             _, count, op = operators.absolute_stats(chunks, [q], stored)
+            monkeypatch.setattr(operators.SparseKernelOperator, "corners",
+                                corners)
+            assert laid_out
+            for low in laid_out:
+                assert 0 < low.size <= per_block
+                assert low[0] // n_block == low[-1] // n_block
             assert count == whole.rows.size
             assert np.array_equal(op.rows, np.unique(whole.rows))
             blocks = np.unique(whole.low // n_block)
