@@ -7,9 +7,10 @@ periodic multilinear interpolation (in the x''-slot only; y' lands on grid
 nodes).  Multilinear interpolation keeps the matrices entrywise nonnegative
 wherever the cutoff is, which the box-counting experiments rely on.  The
 mesh is the product of per-axis node windows; a slab's nonzero mesh entries
-come y'-block after y'-block, in chunks of whole y'-blocks, each as its row,
-the column of its lower x''-corner, its weight and its x''-fractions: its
-2^n'' corners are laid out only for a CSR (``SparseKernelOperator.corners``).
+come y'-block after y'-block, in chunks that are runs of y'-blocks (of the
+y'-window flattened in C order), each as its row, the column of its lower
+x''-corner, its weight and its x''-fractions: its 2^n'' corners are laid
+out only for a CSR (``SparseKernelOperator.corners``).
 
 One pass over the chunks of a slab, ``absolute_stats``, gives all that the
 norms read: the absolute-kernel statistics of the slab composed with each
@@ -17,9 +18,11 @@ of its multipliers (at n'' = 1 in closed form from the breakpoints of the
 y''-kernel, at n'' >= 2 by products with the dense y''-kernel), the slab's
 entry count and, for the (2,2) norm, the CSR of its transpose on its
 support: the grid nodes that carry an entry and the whole y''-lines of the
-y'-blocks that hold one, off which the composite vanishes.  From the mesh
-alone, ``pass_account`` counts the bytes such a pass holds at one time and
-refuses one past MAX_PASS_BYTES before it allocates.
+y'-blocks that hold one, off which the composite vanishes.  The next chunk
+is built on a worker thread while the pass reads this one.  From the mesh
+and the multipliers, ``pass_account`` counts the bytes such a pass holds at
+one time, both chunks included, and refuses one past MAX_PASS_BYTES before
+it allocates.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -49,11 +52,12 @@ if TYPE_CHECKING:
 
 # the bytes a pass over a slab may hold at one time, by ``pass_account``
 MAX_PASS_BYTES = 576 * 2 ** 20
-# mesh entries per chunk, unless one y'-slice is more: from 2**14 to 2**18
-# the decay-2d and grid-512 rank_one verify jobs take the same time, and
-# the peak grows past 2**17 (decay-2d job, ru_maxrss: 43 MB at 2**15 and
-# at 2**17, 61 MB at 2**19, 138 MB at 2**21)
-_CHUNK_ENTRIES = 2 ** 17
+# mesh entries per chunk, unless one y'-block is more; two chunks are alive
+# at once.  The decay-2d verify job (2 cores, median of 7) takes 0.60 s at
+# 2**14, 0.40 s at 2**15, 0.29 s at 2**16 and 0.27 s at 2**17, and its
+# ru_maxrss grows past 2**16: 39 MB at 2**14, 45 MB at 2**16, 52 MB at
+# 2**17, 95 MB at 2**19, 214 MB at 2**21
+_CHUNK_ENTRIES = 2 ** 16
 # values (4 MB) per piece of the absolute-kernel statistics: histogram
 # cells at n'' = 1, or one y'-block's; y'-block product values at n'' >= 2
 _PIECE_VALUES = 2 ** 19
@@ -62,7 +66,7 @@ _PIECE_VALUES = 2 ** 19
 # -- operator containers -------------------------------------------------------
 
 class SparseKernelOperator:
-    """A slab, or a chunk of whole y'-blocks of one, as its nonzero mesh
+    """A slab, or a chunk of a run of its y'-blocks, as its nonzero mesh
     entries, y'-block after y'-block: entry e is row ``rows[e]`` with weight
     c = ``weight[e]`` (the cutoff times the y'-cell volume) at the lower
     column ``low[e]``, every x''-slot at its lower node i0, and ``frac[e, l]``
@@ -185,62 +189,80 @@ class ComposedOperator:
 
 # -- absolute-kernel statistics ------------------------------------------------
 
-def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
-                 whole: bool = False) -> dict[str, int]:
+def pass_account(mesh: SlabMesh,
+                 mults: int | Sequence[FourierMultiplier] = 0,
+                 csr: bool = False, whole: bool = False) -> dict[str, int]:
     """The most bytes a pass over ``mesh`` (in chunks, or ``whole``) with
-    ``mults`` multipliers, and the (2,2) CSR and its Lanczos run when
+    the multipliers ``mults``, and the (2,2) CSR and its Lanczos run when
     ``csr``, holds at one time: what it keeps and its largest transient
     set, by the shape and dtype of each array the code allocates, from the
-    mesh alone.  Refused with MemoryError, naming the two largest terms,
-    past MAX_PASS_BYTES."""
+    mesh and, at n'' = 1, the multipliers' breakpoint ranks.  Given only
+    their count, a multiplier has one rank: a lower bound, to refuse a pass
+    before any multiplier is built.  Refused with MemoryError, naming the
+    two largest terms, past MAX_PASS_BYTES."""
     spec, n, size = mesh.spec, mesh.grid.points_per_axis, mesh.grid.size
     n_d, block = spec.n_dprime, n ** spec.n_dprime  # a y'-block's columns
     index = 4 if max(size, mesh.stored) < 2 ** 31 else 8
-    slices = mesh.y_nodes if whole else min(mesh.y_nodes, mesh.step)
-    entries = slices * mesh.per_slice
-    span = slices * n ** (spec.n_prime - 1) * block  # a chunk's columns
-    blocks = mesh.entries // max(1, mesh.per_block)  # the mesh's y'-blocks
-    chunk = entries * (2 * index + 8 + 8 * n_d)  # rows, low, weight, frac
+    count = mults if isinstance(mults, int) else len(mults)
+    blocks = mesh.blocks  # the mesh's y'-blocks
+    chunk_blocks = blocks if whole else min(blocks, mesh.step)  # the first's
+    entries = chunk_blocks * mesh.per_block
+    # a chunk's columns: the y'_1-slices its run of y'-blocks meets, of
+    # N^(n'-1) y'-blocks each
+    y1 = max(1, len(mesh.windows[spec.n_prime + n_d]))
+    rest = max(1, blocks // y1)  # y'-blocks per y'_1-slice
+    slices = min(y1, (chunk_blocks + 2 * rest - 2) // rest)
+    span = slices * n ** (spec.n_prime - 1) * block
+    per_entry = 2 * index + 8 + 8 * n_d  # rows, low, weight, frac
+    chunk = entries * per_entry
     # per corner: its column and value, their layout (``corners``), and an
     # argsort and the gathers of the CSR, or the CSR of a product's piece
     corner = 2 ** n_d * (32 + 3 * index)
-    # the transient sets, each with the one chunk alive while it is built
-    # and read: one being built holds its mask and five mesh-sized floats
-    scratch = {"chunk scratch": chunk + entries * (1 + 5 * 8)}
+    # the transient sets.  A chunk being built holds its mask and five
+    # mesh-sized floats; in chunks, the next is built while one is read,
+    # so a set that reads a chunk holds the largest chunk after the first
+    # and its scratch too
+    build = per_entry + 1 + 5 * 8
+    later = 0 if whole else max(0, min(mesh.step, blocks - mesh.step))
+    reading = chunk + later * mesh.per_block * build
+    scratch = {"chunk scratch": max(entries * build, reading)}
     if n_d == 1:
         # per multiplier four arrays over the grid, sixteen over the y''-axis;
         # a piece holds three arrays and an index per entry, three over its
         # columns and five over its (x''-node, rank) cells: a y'-block
         # reaches its x''-window widened by the terms of S that vary in it,
-        # with at most N + 1 ranks each (pieces: see _InterpolationSums)
-        acc = 8 * mults * (4 * size + 16 * n)
+        # with the most breakpoint ranks of a multiplier each (pieces: see
+        # _InterpolationSums)
+        acc = 8 * count * (4 * size + 16 * n)
+        ranks = 1 if isinstance(mults, int) else max(
+            (_breakpoints(mult)[3].size + 1 for mult in mults), default=1)
         vary = sum(abs(float(m.coeff)) * math.prod(
             r ** e for r, e in zip(mesh.radii, m.exp_x + m.exp_xx + m.exp_y))
             for m in spec.s[0].monomials() if any(m.exp_x + m.exp_xx))
         reach = min(n, len(mesh.windows[spec.n_prime]) + 2
                     + int(2 * vary / mesh.grid.spacing))
-        cells = min(entries // max(1, mesh.per_block) * reach * (n + 1),
-                    max(_PIECE_VALUES * reach // n, reach * (n + 1)))
-        scratch["statistics scratch"] = bool(mults) * (
-            chunk + entries * (24 + index) + 8 * (
+        cells = min(chunk_blocks * reach * ranks,
+                    max(_PIECE_VALUES * reach // n, reach * ranks))
+        scratch["statistics scratch"] = bool(count) * (
+            reading + entries * (24 + index) + 8 * (
                 3 * min(span, max(_PIECE_VALUES, n)) + 5 * cells))
         # _circulant's matrix and index table; five arrays over the columns
         # of the y'-blocks that hold an entry, and a mark per y'-block
-        scratch["circulants"] = bool(mults) * (8 * n * (2 * n + 5 * blocks)
+        scratch["circulants"] = bool(count) * (8 * n * (2 * n + 5 * blocks)
                                                + size // n)
     else:
         # with any entry: the y''-kernel, a step + 1 row buffer, one product
-        acc = 8 * mults * (size + 2 * block)
+        acc = 8 * count * (size + 2 * block)
         step = max(1, _PIECE_VALUES // block)
         piece = min(step, entries)
-        scratch["statistics scratch"] = bool(mults and entries) * (
-            chunk + 8 * block * (block + step + 1 + piece) + piece * corner)
+        scratch["statistics scratch"] = bool(count and entries) * (
+            reading + 8 * block * (block + step + 1 + piece) + piece * corner)
     # the CSR at capacity, its row pointer and row mark over the grid, R and
     # C (at most the mesh's rows, and the y''-lines of its y'-blocks); one
     # y'-block's corners and column counts, as the chunk is written block
     # after block; Lanczos's basis and one product, over C
     rows, domain = mesh.per_block, blocks * block
-    scratch["CSR scratch"] = csr * (chunk + rows * corner + 8 * block)
+    scratch["CSR scratch"] = csr * (reading + rows * corner + 8 * block)
     scratch["Lanczos"] = csr * 8 * ((KRYLOV_DIM + 7) * domain + 2 * rows)
     worst = max(scratch, key=scratch.get)
     terms = {"accumulators": acc,
@@ -263,7 +285,10 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
     """The one pass over a slab, given as chunks of whole y'-blocks in entry
     order, composed with each of ``mults`` (y''-only multipliers of one
     rank n''): each chunk goes to every multiplier in turn before the next
-    is read, and how the slab is chunked changes no bit of the result.
+    is read, and how the slab is chunked changes no bit of the result.  A
+    worker thread takes the next chunk from ``chunks`` while this one is
+    read, never more than one ahead, and ends with the pass; the sums stay
+    on the calling thread, in chunk order.
 
     Returns the (max column sum, max row sum, max entry) of the absolute
     kernel of each composite, the slab's entry count and, given ``stored``,
@@ -276,12 +301,16 @@ def absolute_stats(chunks: Iterable[SparseKernelOperator],
     if stored is not None:
         accs.append(_TransposeRows(mults[0].grid, mults[0].ydd_block.size,
                                    stored))
-    entries = 0
-    for chunk in chunks:
-        for acc in accs:
-            acc.add(chunk)
-        entries += chunk.rows.size
-        del chunk  # before the next is built
+    from concurrent.futures import ThreadPoolExecutor
+    chunks, entries = iter(chunks), 0
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(next, chunks, None)
+        while (chunk := ahead.result()) is not None:
+            ahead = pool.submit(next, chunks, None)
+            for acc in accs:
+                acc.add(chunk)
+            entries += chunk.rows.size
+            del chunk  # before the one after the next is built
     op = accs.pop().result() if stored is not None else None
     return [acc.result() for acc in accs], entries, op
 
@@ -323,14 +352,10 @@ class _InterpolationSums:
     its sums alone, no sum depends on the pieces or the chunks."""
 
     def __init__(self, mult: FourierMultiplier):
-        u = np.fft.ifft(mult.ydd_block).real
+        u, d, t, cross = _breakpoints(mult)
         self.n = u.size
-        d = np.roll(u, -1) - u
         sign = np.sign(np.where(u != 0.0, u, d))  # of u_m + f d_m above f = 0
         self.signed_u, self.signed_d = sign * u, sign * d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -u / d
-        cross = np.flatnonzero((t > 0.0) & (t < 1.0))
         # highest t_m first
         self.cross = cross[np.argsort(-t[cross], kind="stable")]
         self.rising = t[self.cross][::-1]
@@ -394,6 +419,16 @@ class _InterpolationSums:
                    @ _circulant(self.signed_d) - 2 * past[held])
         return (float(colsums.max(initial=-np.inf if held.all() else 0.0)),
                 float(self.rowsums.max()), self.max_abs)
+
+
+def _breakpoints(mult: FourierMultiplier) -> tuple[np.ndarray, ...]:
+    """The y''-kernel u of an n'' = 1 multiplier, d_m = u_{m+1} - u_m, the
+    t_m = -u_m / d_m and the m whose t_m lies in (0, 1)."""
+    u = np.fft.ifft(mult.ydd_block).real
+    d = np.roll(u, -1) - u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -u / d
+    return u, d, t, np.flatnonzero((t > 0.0) & (t < 1.0))
 
 
 def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -470,13 +505,14 @@ class _TransposeRows:
     values at ``cols`` (the ``domain``) and at ``rows``.
 
     The corners of an entry lie in its y'-block, and the y'-blocks come in
-    ascending order (a chunk is a run of the first y'-axis window, the most
-    significant digit of a column), so the columns of a y'-block, rows of
-    the transpose, form one range that no other block shares.  Within a
-    y'-block the entries come in ascending row, so a stable sort of the
-    block's keys alone, its columns modulo the block size, keeps each row of
-    the transpose in ascending column: the arrays, and the order in which
-    products sum, are those of the canonical CSR of the slab transposed.
+    ascending order (a chunk is a run of the y'-window flattened in C order,
+    and the y'-axes are the leading digits of a column), so the columns of
+    a y'-block, rows of the transpose, form one range that no other block
+    shares.  Within a y'-block the entries come in ascending row, so a
+    stable sort of the block's keys alone, its columns modulo the block
+    size, keeps each row of the transpose in ascending column: the arrays,
+    and the order in which products sum, are those of the canonical CSR of
+    the slab transposed.
     The row pointer keeps the rows of C only; the rows it drops hold no
     entry, so no value moves.  At the end the column indices are mapped to
     positions in R through ``mark``, a table over the grid, in slices of
@@ -546,10 +582,10 @@ class _TransposeRows:
 
 class SlabMesh:
     """The mesh of slab j (shell cutoff) or of the tail from j on (ball
-    cutoff), whose entries are built in chunks, runs of ``step`` nodes of
-    the first y'-axis window, from per-axis factors cut to that run.  Every
-    entry comes from the same per-axis values whatever the run, so the
-    chunks put together are the whole slab bit for bit."""
+    cutoff), whose entries are built in chunks, runs of ``step`` y'-blocks
+    of the y'-window flattened in C order, from per-axis factors cut to
+    that run.  Every entry comes from the same per-axis values whatever the
+    run, so the chunks put together are the whole slab bit for bit."""
 
     def __init__(self, spec: OperatorSpec, grid: Grid, j: int, shell: bool):
         n_p, n_d = spec.n_prime, spec.n_dprime
@@ -562,44 +598,45 @@ class SlabMesh:
             raise ValueError("slab index must be nonnegative")
         self.spec, self.grid, self.j, self.shell = spec, grid, j, shell
         rho = spec.psi_radius
-        nodes = grid.nodes()
+        self.nodes = grid.nodes()
         # per-axis windows limited by supp(psi) (2 rho) and the outer phi
         # shell, on the mesh axes x', x'' then y'
         self.radii = [min(2.0 * rho, math.ldexp(4.0 * rho, -j * wt),
                           grid.half_width) for wt in weights]
-        self.windows = [np.nonzero(np.abs(nodes) <= r + 1e-12)[0]
+        self.windows = [np.nonzero(np.abs(self.nodes) <= r + 1e-12)[0]
                         for r in self.radii]
-        self.axes = [self._shaped(nodes[w], c)
-                     for c, w in enumerate(self.windows)]
         self.entries = math.prod(map(len, self.windows))
-        self.y_nodes = len(self.windows[n])  # the first y'-axis: mesh dim 0
-        self.per_slice = self.entries // max(1, self.y_nodes)
-        self.step = max(1, _CHUNK_ENTRIES // max(1, self.per_slice))  # slices
         self.per_block = math.prod(map(len, self.windows[:n]))
+        self.blocks = math.prod(map(len, self.windows[n:]))  # y'-blocks
+        self.step = max(1, _CHUNK_ENTRIES // max(1, self.per_block))
         self.stored = self.entries * 2 ** n_d  # values of the (2,2) CSR
 
     def _shaped(self, arr: np.ndarray, c: int) -> np.ndarray:
-        # axis c of x', x'', y' lies on mesh dim c + n' (mod ndims): y' comes
-        # first, so each y'-block is one run of the entries in mesh order
-        n_p = self.spec.n_prime
-        ndims = 2 * n_p + self.spec.n_dprime
-        dim = (c + n_p) % ndims
-        return arr.reshape((1,) * dim + (-1,) + (1,) * (ndims - dim - 1))
+        # axis c of x', x'' lies on mesh dim c + 1, and every y'-axis on
+        # dim 0, the y'-blocks: each y'-block is one run of the entries
+        n = self.grid.dim
+        dim = c + 1 if c < n else 0
+        return arr.reshape((1,) * dim + (-1,) + (1,) * (n - dim))
 
     def chunks(self) -> Iterator[SparseKernelOperator]:
         """The slab in chunks, once ``pass_account`` admits one."""
         pass_account(self)
-        for lo in range(0, max(1, self.y_nodes), self.step):
+        for lo in range(0, max(1, self.blocks), self.step):
             yield self.chunk(slice(lo, lo + self.step))
 
     def chunk(self, run: slice) -> SparseKernelOperator:
-        """The entries of the y'-slices ``run`` of the first y'-axis."""
+        """The entries of the y'-blocks ``run`` of the flattened y'-window."""
         spec, grid, j = self.spec, self.grid, self.j
         n_p, n_d = spec.n_prime, spec.n_dprime
         n = n_p + n_d
         N, h, L = grid.points_per_axis, grid.spacing, grid.half_width
         weights, rho = spec.weights.flat, spec.psi_radius
-        ax = [a[run] if c == n else a for c, a in enumerate(self.axes)]
+        # the nodes of each y'-axis at the y'-blocks of the run
+        ys = np.unravel_index(np.arange(self.blocks)[run],
+                              [len(w) for w in self.windows[n:]])
+        picked = self.windows[:n] + [w[i] for w, i in
+                                     zip(self.windows[n:], ys)]
+        ax = [self._shaped(self.nodes[w], c) for c, w in enumerate(picked)]
 
         def product_cutoff(scale_j: int) -> np.ndarray:
             return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
@@ -614,10 +651,9 @@ class SlabMesh:
         weight = cutoff[mask] * h ** n_p
         del cutoff
         index = np.int32 if grid.size < 2 ** 31 else np.int64
-        flat = [self._shaped(w.astype(index), c)
-                for c, w in enumerate(self.windows)]
+        flat = [self._shaped(w.astype(index), c) for c, w in enumerate(picked)]
         low = np.broadcast_to(sum(  # y'-part, then the x''-slots' i0
-            flat[n + i] * N ** (n - 1 - i) for i in range(n_p))[run],
+            flat[n + i] * N ** (n - 1 - i) for i in range(n_p)),
             mask.shape)[mask]
         frac = np.empty((weight.size, n_d))
         for l in range(n_d):

@@ -235,25 +235,33 @@ def test_verify_leaves_the_sparse_solvers_unimported(tmp_path):
     ["analyze", "--spec", REFERENCE_SPEC],
     ["verify", "--spec", str(SPECS / "rank_one.json"), "--grid", "16",
      "--kmax", "1"],
+    ["sample-generic", "--spec", REFERENCE_SPEC, "--tuples", "2",
+     "--points", "5"],
+    ["knapp", "--spec", REFERENCE_SPEC, "--tmin", "-3", "--tmax", "-1"],
+    ["dual-check", "--spec", str(SPECS / "dual_quadratic.json"), "--jmax",
+     "2", "--points", "20"],
 ])
 def test_commands_without_a_csr_leave_scipy_sparse_unimported(argv):
     # only the (2,2) norm and n'' >= 2 build a CSR; importing scipy.sparse
-    # takes about half of the set-up of every other command
+    # takes about half of the set-up of every other command.  Only verify
+    # builds chunks on a worker thread: concurrent.futures, which imports
+    # logging, is left unimported by every other command
     script = ("import sys\n"
               "from anisoradon.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(code, 'scipy.sparse' in sys.modules)\n")
+              "print(code, 'scipy.sparse' in sys.modules,"
+              " 'concurrent.futures' in sys.modules)\n")
     src = str(SPECS.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == f"0 False {argv[0] == 'verify'}"
 
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
-    # with chunks of one y'-slice and a limit of 1 MiB, the statistics of
-    # slab 1 of rank_one at grid 64 stream (491520 B at most); the (2,2)
+    # with chunks of one y'-block and a limit of 1 MiB, the statistics of
+    # slab 1 of rank_one at grid 64 stream (417856 B at most); the (2,2)
     # norm adds the CSR of its transpose, at capacity 2 * 32768 values,
     # and the Lanczos vectors over its support, and is refused before the
     # CSR is allocated
@@ -281,7 +289,7 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
 
 def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
     # built whole, slab 1 of rank_one at grid 64 would hold 2260992 B; in
-    # chunks of one y'-slice its pass holds at most 491520 B, under the
+    # chunks of one y'-block its pass holds at most 417856 B, under the
     # limit of 1 MiB, and gives the same bytes.  Whole, it is refused
     # before any entry array is built
     from anisoradon.numerics import Grid, discretize_tj
@@ -308,24 +316,69 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
 
 def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
         monkeypatch):
-    # one y'-slice of slab 1 of rank_one at grid 64 is 1024 mesh entries:
-    # with its scratch and the interpreter's objects, 197632 B, more than a
+    # one y'-slice of slab 1 of rank_one at grid 64 (n' = 1) is one y'-block
+    # of 1024 mesh entries: read while the next one is built, with that
+    # one's scratch and the interpreter's objects, 222208 B, more than a
     # limit of 192 KiB
     from anisoradon.numerics import Grid
     from anisoradon.specfile import load_spec
     monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
     mesh = operators.SlabMesh(load_spec(SPECS / "rank_one.json"),
                               Grid(dim=2, points_per_axis=64), 1, shell=True)
-    assert mesh.step == 1 and mesh.per_slice == 1024
+    assert mesh.step == 1 and mesh.per_block == 1024 and mesh.blocks > 1
     monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 17 + 2 ** 16)
     built = []
     original = operators.SlabMesh.chunk
     monkeypatch.setattr(operators.SlabMesh, "chunk",
                         lambda mesh, run: built.append(run)
                         or original(mesh, run))
-    with pytest.raises(MemoryError, match="^slab j=1 needs 197632 B"):
+    with pytest.raises(MemoryError, match="^slab j=1 needs 222208 B"):
         next(mesh.chunks())
     assert built == []
+
+
+def test_a_refusal_on_the_chunk_worker_leaves_no_thread(monkeypatch,
+                                                       tmp_path):
+    # the chunks of a slab are built on a worker thread, one ahead of the
+    # statistics; with the check before the pass skipped, slab 1 of
+    # rank_one at grid 64 is refused there, by SlabMesh.chunks(), under a
+    # limit of 1 MiB: verify exits 2 with the JSON error it gives when the
+    # main thread refuses, and no worker thread outlives decay_table,
+    # whether it returns or raises
+    import threading
+    from anisoradon.numerics import Grid, experiments
+    from anisoradon.specfile import load_spec
+    spec = load_spec(SPECS / "rank_one.json")
+    grid = Grid(dim=2, points_per_axis=64)
+    threads = threading.active_count()
+    assert experiments.decay_table(spec, grid, jmax=2)
+    assert threading.active_count() == threads
+    refused = []
+    account = operators.pass_account
+
+    def traced(*args, **kwargs):
+        try:
+            return account(*args, **kwargs)
+        except MemoryError:
+            refused.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(operators, "pass_account", traced)
+    monkeypatch.setattr(experiments, "pass_account", lambda *args: {})
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 20)
+    message = ("slab j=1 needs 2260992 B at once, more than the limit of "
+               "1048576 B: 2129920 B of chunk scratch, 131072 B of objects")
+    with pytest.raises(MemoryError) as refusal:
+        experiments.decay_table(spec, grid, jmax=2)
+    assert str(refusal.value) == message
+    assert threading.active_count() == threads
+    assert refused and threading.main_thread() not in refused
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli("verify", "--spec", str(SPECS / "rank_one.json"),
+                             "--grid", "64", "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert json.loads(err) == {"error": "MemoryError", "message": message}
+    assert threading.active_count() == threads
 
 
 def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
@@ -351,8 +404,8 @@ def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "slab j=1 needs 2210769920 B at once, more than the limit of "
-        "603979776 B: 2159520768 B of statistics scratch, 51118080 B of "
+        "slab j=1 needs 2213019672 B at once, more than the limit of "
+        "603979776 B: 2161770520 B of statistics scratch, 51118080 B of "
         "accumulators")
     assert built == []
 
@@ -376,10 +429,11 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert error["error"] == "MemoryError"
     assert "1024020480 B of accumulators" in error["message"]
     assert built == []
-    # three multipliers of slab 1 (Q_1, P_10, P_11) need 278528 B, more
-    # than a limit of 256 KiB; the refusal comes before any accumulator
-    # is allocated
-    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 18)
+    # three multipliers of slab 1 (Q_1, P_10, P_11) need 196608 B with one
+    # breakpoint rank each, under a limit of 200 KiB, and 237568 B with
+    # their 3, 5 and 9 ranks, more than it: the refusal comes once the
+    # multipliers are built, before any accumulator is allocated
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 200 * 2 ** 10)
     made = []
     original = operators._InterpolationSums.__init__
     monkeypatch.setattr(operators._InterpolationSums, "__init__",
@@ -389,8 +443,8 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert error["message"].startswith("slab j=1 needs 278528 B at once")
-    assert made == [] and built == []
+    assert error["message"].startswith("slab j=1 needs 237568 B at once")
+    assert made == [] and len(built) == 2
 
 
 def test_knapp_subcommand():

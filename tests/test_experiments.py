@@ -208,7 +208,7 @@ def test_decay_table_takes_one_statistics_pass_per_composite(monkeypatch):
 
 
 def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
-    # at every n'' every slab streams in chunks, here of one y'-slice each,
+    # at every n'' every slab streams in chunks, here of one y'-block each,
     # and is never built whole, with or without the (2,2) norm; no slab
     # matrix is built, and only the (2,2) norm writes the CSR of a slab's
     # transpose, one per slab.  The statistics of all the multipliers of a
@@ -250,7 +250,7 @@ def test_decay_table_builds_a_slab_matrix_only_for_the_two_norm(monkeypatch):
             decay_table(spec, grid, jmax=3, kmax=kmax, pairs=pairs)
             assert wholes == [] and matrices == []
             assert len(csrs) == slab_csrs
-    # at n'' = 2, 4 chunks (two y'-slices in slabs 1 and 2; slab 3 is one
+    # at n'' = 2, 4 chunks (two y'-blocks in slabs 1 and 2; slab 3 is one
     # empty chunk, which builds no kernel) x (Q_j, P_j0, P_j1), twice
     assert len(kernels) == 24 and alive == [0] * 24
 
@@ -307,17 +307,20 @@ def test_l2_norm_converges_on_a_clustered_top_spectrum(monkeypatch):
          "iso-n2"])
 def test_pass_account_bounds_what_a_slab_pass_holds(spec_path, n, kmax,
                                                     pairs):
-    # the account is at least the traced peak of the slab's rows, so a
-    # pass it admits stays under the limit, and at most 1.5 times it
+    # the account with the slab's multipliers is at least the traced peak
+    # of its rows, worker thread included, so a pass it admits stays under
+    # the limit, and at most 1.5 times it
     import tracemalloc
     import scipy.sparse  # noqa: F401  its import is not the pass's memory
     from anisoradon.numerics import experiments, operators
     spec = load_spec(spec_path)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=n)
     for j in (1, 2, 3):
+        mults = [mult for _, _, mult, _ in experiments._pieces(
+            spec, grid, j, kmax)]
         account = sum(operators.pass_account(
-            operators.SlabMesh(spec, grid, j, shell=True),
-            2 + max(kmax, -1), "22" in pairs).values())
+            operators.SlabMesh(spec, grid, j, shell=True), mults,
+            "22" in pairs).values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

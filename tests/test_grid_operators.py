@@ -310,11 +310,13 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
         monkeypatch.setattr(operators, "_PIECE_VALUES", 3 * n_block)
         assert operators.absolute_stats([tj], [q])[0] == [whole]
         monkeypatch.undo()
-    # chunks of one y'-slice each give the bits of the whole slab: every
-    # chunk goes to Q_j, the P_jk and P_11 in turn, at n'' = 1 cut at the
-    # same y'-block runs as the whole slab; at n' = 2 a chunk holds many
-    # y'-blocks.  At n'' = 1, P_11 has more than 3 ranks, so each of its
-    # pieces is one y'-block, while a multiplier of one rank takes three
+    # chunks of one y'-block each, and of three, give the bits of the
+    # whole slab: every chunk goes to Q_j, the P_jk and P_11 in turn, at
+    # n'' = 1 cut at the same y'-block runs as the whole slab; at n' = 2 a
+    # y'_1-slice holds several y'-blocks, so a chunk of one ends inside it
+    # and one of three may straddle two.  At n'' = 1, P_11 has more than 3
+    # ranks, so each of its pieces is one y'-block, while a multiplier of
+    # one rank takes three
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
     spans = set()
     for spec, grid, kmax in (
@@ -340,12 +342,19 @@ def test_absolute_statistics_do_not_depend_on_the_piece_size(monkeypatch):
             tj = discretize_tj(spec, grid, j)
             whole = [operators.absolute_stats([tj], [mult])[0][0]
                      for mult in mults]
-            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)
-            slab = operators.SlabMesh(spec, grid, j, shell=True)
-            assert j > 1 or len(list(slab.chunks())) > 1
-            assert operators.absolute_stats(slab.chunks(), mults)[:2] \
-                == (whole, tj.rows.size)
-            monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 2 ** 17)
+            per_block = operators.SlabMesh(spec, grid, j, True).per_block
+            for blocks in (1, 3):  # y'-blocks per chunk
+                monkeypatch.setattr(operators, "_CHUNK_ENTRIES",
+                                    blocks * max(1, per_block))
+                slab = operators.SlabMesh(spec, grid, j, shell=True)
+                assert slab.step == blocks
+                assert len(list(slab.chunks())) \
+                    == max(1, -(-slab.blocks // blocks))
+                assert operators.absolute_stats(slab.chunks(), mults)[:2] \
+                    == (whole, tj.rows.size)
+            assert j > 1 or slab.blocks > 1
+            assert spec.n_prime == 1 \
+                or slab.blocks > len(slab.windows[grid.dim]) > 1
         monkeypatch.undo()
     assert spans == {1, 3}  # y'-blocks per piece
 
