@@ -107,16 +107,14 @@ def decay_table(spec: OperatorSpec, grid: Grid, jmax: int, kmax: int = -1,
 def _slab_rows(spec: OperatorSpec, grid: Grid, j: int, kmax: int,
                pairs: tuple[str, ...], rows: list[DecayRow]) -> int:
     """Append the rows of slab j to ``rows``; returns its entry count.  A
-    pass too large for the memory bound is refused before any chunk is
-    built, and by its multiplier count alone before any multiplier is
-    built.  Its CSR is dropped before the next slab is read."""
-    mesh, csr = SlabMesh(spec, grid, j, shell=True), "22" in pairs
-    pass_account(mesh, 2 + max(kmax, -1), csr)
+    pass too large for the memory bound is refused before any multiplier
+    or chunk is built.  Its CSR is dropped before the next slab is read."""
+    mesh = SlabMesh(spec, grid, j, shell=True)
+    pass_account(mesh, 2 + max(kmax, -1), "22" in pairs)
     pieces = list(_pieces(spec, grid, j, kmax))
-    mults = [mult for _, _, mult, _ in pieces]
-    pass_account(mesh, mults, csr)
-    stats, entries, op = absolute_stats(mesh.chunks(), mults,
-                                        mesh.stored if csr else None)
+    stats, entries, op = absolute_stats(
+        mesh.chunks(), [mult for _, _, mult, _ in pieces],
+        mesh.stored if "22" in pairs else None)
     for (family, k, mult, res), mult_stats in zip(pieces, stats):
         comp = ComposedOperator(op, mult, mult_stats)
         for pair in pairs:

@@ -20,9 +20,9 @@ entry count and, for the (2,2) norm, the CSR of its transpose on its
 support: the grid nodes that carry an entry and the whole y''-lines of the
 y'-blocks that hold one, off which the composite vanishes.  The next chunk
 is built on a worker thread while the pass reads this one.  From the mesh
-and the multipliers, ``pass_account`` counts the bytes such a pass holds at
-one time, both chunks included, and refuses one past MAX_PASS_BYTES before
-it allocates.
+alone, ``pass_account`` counts the bytes such a pass holds at one time,
+both chunks included, and refuses one past MAX_PASS_BYTES before it
+allocates.
 
 Frequency multipliers depend on the y''-frequencies only and are stored as
 that y''-block; they are matrix-free: real FFT over the trailing n'' axes,
@@ -53,10 +53,10 @@ if TYPE_CHECKING:
 # the bytes a pass over a slab may hold at one time, by ``pass_account``
 MAX_PASS_BYTES = 576 * 2 ** 20
 # mesh entries per chunk, unless one y'-block is more; two chunks are alive
-# at once.  The decay-2d verify job (2 cores, median of 7) takes 0.60 s at
-# 2**14, 0.40 s at 2**15, 0.29 s at 2**16 and 0.27 s at 2**17, and its
-# ru_maxrss grows past 2**16: 39 MB at 2**14, 45 MB at 2**16, 52 MB at
-# 2**17, 95 MB at 2**19, 214 MB at 2**21
+# at once.  The decay-2d verify job (2 cores, medians of 7, two runs) takes
+# 0.51-0.52 s at 2**14, 0.32-0.33 s at 2**15, 0.26-0.29 s at 2**16 and
+# 0.22-0.24 s at 2**17, and its ru_maxrss grows past 2**16: 38 MB at 2**14,
+# 44 MB at 2**16, 51 MB at 2**17, 86 MB at 2**19, 180-188 MB at 2**21
 _CHUNK_ENTRIES = 2 ** 16
 # values (4 MB) per piece of the absolute-kernel statistics: histogram
 # cells at n'' = 1, or one y'-block's; y'-block product values at n'' >= 2
@@ -189,21 +189,17 @@ class ComposedOperator:
 
 # -- absolute-kernel statistics ------------------------------------------------
 
-def pass_account(mesh: SlabMesh,
-                 mults: int | Sequence[FourierMultiplier] = 0,
-                 csr: bool = False, whole: bool = False) -> dict[str, int]:
+def pass_account(mesh: SlabMesh, mults: int = 0, csr: bool = False,
+                 whole: bool = False) -> dict[str, int]:
     """The most bytes a pass over ``mesh`` (in chunks, or ``whole``) with
-    the multipliers ``mults``, and the (2,2) CSR and its Lanczos run when
+    ``mults`` multipliers, and the (2,2) CSR and its Lanczos run when
     ``csr``, holds at one time: what it keeps and its largest transient
     set, by the shape and dtype of each array the code allocates, from the
-    mesh and, at n'' = 1, the multipliers' breakpoint ranks.  Given only
-    their count, a multiplier has one rank: a lower bound, to refuse a pass
-    before any multiplier is built.  Refused with MemoryError, naming the
-    two largest terms, past MAX_PASS_BYTES."""
+    mesh alone.  Refused with MemoryError, naming the two largest terms,
+    past MAX_PASS_BYTES."""
     spec, n, size = mesh.spec, mesh.grid.points_per_axis, mesh.grid.size
     n_d, block = spec.n_dprime, n ** spec.n_dprime  # a y'-block's columns
     index = 4 if max(size, mesh.stored) < 2 ** 31 else 8
-    count = mults if isinstance(mults, int) else len(mults)
     blocks = mesh.blocks  # the mesh's y'-blocks
     chunk_blocks = blocks if whole else min(blocks, mesh.step)  # the first's
     entries = chunk_blocks * mesh.per_block
@@ -218,44 +214,44 @@ def pass_account(mesh: SlabMesh,
     # per corner: its column and value, their layout (``corners``), and an
     # argsort and the gathers of the CSR, or the CSR of a product's piece
     corner = 2 ** n_d * (32 + 3 * index)
-    # the transient sets.  A chunk being built holds its mask and five
-    # mesh-sized floats; in chunks, the next is built while one is read,
-    # so a set that reads a chunk holds the largest chunk after the first
-    # and its scratch too
-    build = per_entry + 1 + 5 * 8
+    # the transient sets.  A chunk being built holds its mask and two
+    # mesh-sized floats (S and an x''-position), four when a term of S
+    # varies on every mesh axis; in chunks, the next is built while one is
+    # read, so a set that reads a chunk holds the largest chunk after the
+    # first and its scratch too
+    full = any(all(m.exp_x + m.exp_xx) and any(m.exp_y)
+               for poly in spec.s for m in poly.monomials())
+    build = per_entry + 1 + 8 * (2 + 2 * full)
     later = 0 if whole else max(0, min(mesh.step, blocks - mesh.step))
     reading = chunk + later * mesh.per_block * build
     scratch = {"chunk scratch": max(entries * build, reading)}
     if n_d == 1:
         # per multiplier four arrays over the grid, sixteen over the y''-axis;
         # a piece holds three arrays and an index per entry, three over its
-        # columns and five over its (x''-node, rank) cells: a y'-block
+        # columns and three over its (x''-node, rank) cells: a y'-block
         # reaches its x''-window widened by the terms of S that vary in it,
-        # with the most breakpoint ranks of a multiplier each (pieces: see
-        # _InterpolationSums)
-        acc = 8 * count * (4 * size + 16 * n)
-        ranks = 1 if isinstance(mults, int) else max(
-            (_breakpoints(mult)[3].size + 1 for mult in mults), default=1)
+        # with at most N + 1 ranks each (pieces: see _InterpolationSums)
+        acc = 8 * mults * (4 * size + 16 * n)
         vary = sum(abs(float(m.coeff)) * math.prod(
             r ** e for r, e in zip(mesh.radii, m.exp_x + m.exp_xx + m.exp_y))
             for m in spec.s[0].monomials() if any(m.exp_x + m.exp_xx))
         reach = min(n, len(mesh.windows[spec.n_prime]) + 2
                     + int(2 * vary / mesh.grid.spacing))
-        cells = min(chunk_blocks * reach * ranks,
-                    max(_PIECE_VALUES * reach // n, reach * ranks))
-        scratch["statistics scratch"] = bool(count) * (
+        cells = min(chunk_blocks * reach * (n + 1),
+                    max(_PIECE_VALUES * reach // n, reach * (n + 1)))
+        scratch["statistics scratch"] = bool(mults) * (
             reading + entries * (24 + index) + 8 * (
-                3 * min(span, max(_PIECE_VALUES, n)) + 5 * cells))
+                3 * min(span, max(_PIECE_VALUES, n)) + 3 * cells))
         # _circulant's matrix and index table; five arrays over the columns
         # of the y'-blocks that hold an entry, and a mark per y'-block
-        scratch["circulants"] = bool(count) * (8 * n * (2 * n + 5 * blocks)
+        scratch["circulants"] = bool(mults) * (8 * n * (2 * n + 5 * blocks)
                                                + size // n)
     else:
         # with any entry: the y''-kernel, a step + 1 row buffer, one product
-        acc = 8 * count * (size + 2 * block)
+        acc = 8 * mults * (size + 2 * block)
         step = max(1, _PIECE_VALUES // block)
         piece = min(step, entries)
-        scratch["statistics scratch"] = bool(count and entries) * (
+        scratch["statistics scratch"] = bool(mults and entries) * (
             reading + 8 * block * (block + step + 1 + piece) + piece * corner)
     # the CSR at capacity, its row pointer and row mark over the grid, R and
     # C (at most the mesh's rows, and the y''-lines of its y'-blocks); one
@@ -352,10 +348,14 @@ class _InterpolationSums:
     its sums alone, no sum depends on the pieces or the chunks."""
 
     def __init__(self, mult: FourierMultiplier):
-        u, d, t, cross = _breakpoints(mult)
+        u = np.fft.ifft(mult.ydd_block).real
         self.n = u.size
+        d = np.roll(u, -1) - u
         sign = np.sign(np.where(u != 0.0, u, d))  # of u_m + f d_m above f = 0
         self.signed_u, self.signed_d = sign * u, sign * d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -u / d
+        cross = np.flatnonzero((t > 0.0) & (t < 1.0))
         # highest t_m first
         self.cross = cross[np.argsort(-t[cross], kind="stable")]
         self.rising = t[self.cross][::-1]
@@ -405,9 +405,14 @@ class _InterpolationSums:
                         for w in (weight, weight * f))
         self.base_sums[first + groups] += past[:, -1]
         self.frac_sums[first + groups] += past_f[:, -1]
+        # the terms in place of the cumulative sums, so that at most three
+        # arrays over the cells are alive at once
+        terms = past[:, :-1]
+        terms *= self.signed_u[cross]
+        terms += np.multiply(past_f[:, :-1], self.signed_d[cross],
+                             out=past_f[:, :-1])
+        del past_f
         target = (groups - groups % n)[:, None] + (groups[:, None] - cross) % n
-        terms = past[:, :-1] * self.signed_u[cross]
-        terms += past_f[:, :-1] * self.signed_d[cross]
         self.past_sums[first:first + seen.size] += np.bincount(
             target.ravel(), terms.ravel(), minlength=seen.size)
 
@@ -419,16 +424,6 @@ class _InterpolationSums:
                    @ _circulant(self.signed_d) - 2 * past[held])
         return (float(colsums.max(initial=-np.inf if held.all() else 0.0)),
                 float(self.rowsums.max()), self.max_abs)
-
-
-def _breakpoints(mult: FourierMultiplier) -> tuple[np.ndarray, ...]:
-    """The y''-kernel u of an n'' = 1 multiplier, d_m = u_{m+1} - u_m, the
-    t_m = -u_m / d_m and the m whose t_m lies in (0, 1)."""
-    u = np.fft.ifft(mult.ydd_block).real
-    d = np.roll(u, -1) - u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -u / d
-    return u, d, t, np.flatnonzero((t > 0.0) & (t < 1.0))
 
 
 def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -642,8 +637,9 @@ class SlabMesh:
             return math.prod(phi0(np.ldexp(t, scale_j * wt) / (2.0 * rho))
                              for t, wt in zip(ax, weights))
 
-        cutoff = (product_cutoff(j) - product_cutoff(j + 1) if self.shell
-                  else product_cutoff(j))
+        cutoff = product_cutoff(j)
+        if self.shell:
+            cutoff -= product_cutoff(j + 1)
         cutoff *= math.prod(phi0(t / rho) for t in ax)  # psi
 
         # one entry per nonzero of the cutoff
@@ -657,13 +653,21 @@ class SlabMesh:
             mask.shape)[mask]
         frac = np.empty((weight.size, n_d))
         for l in range(n_d):
-            # the x''-position in cells, then its fraction
-            pos = ((ax[n_p + l]
-                    + spec.s[l].evaluate(ax[:n_p], ax[n_p:n], ax[n:])
-                    + L) / h - 0.5)[mask]
+            # the x''-position in cells, then its fraction; in place, so
+            # that at most two mesh-sized floats are alive at once
+            pos = ax[n_p + l] + spec.s[l].evaluate(ax[:n_p], ax[n_p:n], ax[n:])
+            pos += L
+            pos /= h
+            pos -= 0.5
+            pos = pos[mask]
             i0 = np.floor(pos)
-            frac[:, l] = pos - i0
-            low += (i0.astype(np.int64) % N * N ** (n_d - 1 - l)).astype(index)
+            np.subtract(pos, i0, out=frac[:, l])
+            del pos
+            i0 = i0.astype(np.int64)
+            i0 %= N
+            i0 *= N ** (n_d - 1 - l)
+            low += i0.astype(index)
+            del i0
         rows = np.broadcast_to(sum(flat[c] * N ** (n - 1 - c)
                                    for c in range(n)), mask.shape)[mask]
         return SparseKernelOperator(grid, rows, low, weight, frac)

@@ -261,7 +261,7 @@ def test_commands_without_a_csr_leave_scipy_sparse_unimported(argv):
 
 def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
     # with chunks of one y'-block and a limit of 1 MiB, the statistics of
-    # slab 1 of rank_one at grid 64 stream (417856 B at most); the (2,2)
+    # slab 1 of rank_one at grid 64 stream (491520 B at most); the (2,2)
     # norm adds the CSR of its transpose, at capacity 2 * 32768 values,
     # and the Lanczos vectors over its support, and is refused before the
     # CSR is allocated
@@ -288,8 +288,8 @@ def test_verify_refuses_an_oversized_slab(monkeypatch, tmp_path):
 
 
 def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
-    # built whole, slab 1 of rank_one at grid 64 would hold 2260992 B; in
-    # chunks of one y'-block its pass holds at most 417856 B, under the
+    # built whole, slab 1 of rank_one at grid 64 would hold 1474560 B; in
+    # chunks of one y'-block its pass holds at most 491520 B, under the
     # limit of 1 MiB, and gives the same bytes.  Whole, it is refused
     # before any entry array is built
     from anisoradon.numerics import Grid, discretize_tj
@@ -308,7 +308,7 @@ def test_verify_streams_a_slab_larger_than_the_limit(monkeypatch, tmp_path):
     monkeypatch.setattr(operators.SlabMesh, "chunk",
                         lambda mesh, run: built.append(run)
                         or original(mesh, run))
-    with pytest.raises(MemoryError, match="^slab j=1 needs 2260992 B"):
+    with pytest.raises(MemoryError, match="^slab j=1 needs 1474560 B"):
         discretize_tj(load_spec(SPECS / "rank_one.json"),
                       Grid(dim=2, points_per_axis=64), 1)
     assert built == []
@@ -318,7 +318,7 @@ def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
         monkeypatch):
     # one y'-slice of slab 1 of rank_one at grid 64 (n' = 1) is one y'-block
     # of 1024 mesh entries: read while the next one is built, with that
-    # one's scratch and the interpreter's objects, 222208 B, more than a
+    # one's scratch and the interpreter's objects, 197632 B, more than a
     # limit of 192 KiB
     from anisoradon.numerics import Grid
     from anisoradon.specfile import load_spec
@@ -332,7 +332,7 @@ def test_a_y_slice_over_the_limit_is_refused_before_it_is_built(
     monkeypatch.setattr(operators.SlabMesh, "chunk",
                         lambda mesh, run: built.append(run)
                         or original(mesh, run))
-    with pytest.raises(MemoryError, match="^slab j=1 needs 222208 B"):
+    with pytest.raises(MemoryError, match="^slab j=1 needs 197632 B"):
         next(mesh.chunks())
     assert built == []
 
@@ -366,8 +366,8 @@ def test_a_refusal_on_the_chunk_worker_leaves_no_thread(monkeypatch,
     monkeypatch.setattr(operators, "pass_account", traced)
     monkeypatch.setattr(experiments, "pass_account", lambda *args: {})
     monkeypatch.setattr(operators, "MAX_PASS_BYTES", 2 ** 20)
-    message = ("slab j=1 needs 2260992 B at once, more than the limit of "
-               "1048576 B: 2129920 B of chunk scratch, 131072 B of objects")
+    message = ("slab j=1 needs 1474560 B at once, more than the limit of "
+               "1048576 B: 1343488 B of chunk scratch, 131072 B of objects")
     with pytest.raises(MemoryError) as refusal:
         experiments.decay_table(spec, grid, jmax=2)
     assert str(refusal.value) == message
@@ -404,8 +404,8 @@ def test_verify_counts_the_dense_ydd_kernel_in_the_memory_bound(monkeypatch,
     error = json.loads(err)
     assert error["error"] == "MemoryError"
     assert error["message"] == (
-        "slab j=1 needs 2213019672 B at once, more than the limit of "
-        "603979776 B: 2161770520 B of statistics scratch, 51118080 B of "
+        "slab j=1 needs 2211702744 B at once, more than the limit of "
+        "603979776 B: 2160453592 B of statistics scratch, 51118080 B of "
         "accumulators")
     assert built == []
 
@@ -429,11 +429,10 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert error["error"] == "MemoryError"
     assert "1024020480 B of accumulators" in error["message"]
     assert built == []
-    # three multipliers of slab 1 (Q_1, P_10, P_11) need 196608 B with one
-    # breakpoint rank each, under a limit of 200 KiB, and 237568 B with
-    # their 3, 5 and 9 ranks, more than it: the refusal comes once the
-    # multipliers are built, before any accumulator is allocated
-    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 200 * 2 ** 10)
+    # three multipliers of slab 1 (Q_1, P_10, P_11) need 243712 B, more
+    # than a limit of 236 KiB; the refusal comes before any multiplier or
+    # accumulator is built
+    monkeypatch.setattr(operators, "MAX_PASS_BYTES", 236 * 2 ** 10)
     made = []
     original = operators._InterpolationSums.__init__
     monkeypatch.setattr(operators._InterpolationSums, "__init__",
@@ -443,8 +442,8 @@ def test_verify_refuses_accumulators_past_the_limit(monkeypatch, tmp_path):
     assert code == 2 and not out_csv.exists()
     error = json.loads(err)
     assert error["error"] == "MemoryError"
-    assert error["message"].startswith("slab j=1 needs 237568 B at once")
-    assert made == [] and len(built) == 2
+    assert error["message"].startswith("slab j=1 needs 243712 B at once")
+    assert made == [] and built == []
 
 
 def test_knapp_subcommand():

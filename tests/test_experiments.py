@@ -307,20 +307,18 @@ def test_l2_norm_converges_on_a_clustered_top_spectrum(monkeypatch):
          "iso-n2"])
 def test_pass_account_bounds_what_a_slab_pass_holds(spec_path, n, kmax,
                                                     pairs):
-    # the account with the slab's multipliers is at least the traced peak
-    # of its rows, worker thread included, so a pass it admits stays under
-    # the limit, and at most 1.5 times it
+    # the account is at least the traced peak of the slab's rows, worker
+    # thread included, so a pass it admits stays under the limit, and at
+    # most 1.5 times it
     import tracemalloc
     import scipy.sparse  # noqa: F401  its import is not the pass's memory
     from anisoradon.numerics import experiments, operators
     spec = load_spec(spec_path)
     grid = Grid(dim=spec.n_prime + spec.n_dprime, points_per_axis=n)
     for j in (1, 2, 3):
-        mults = [mult for _, _, mult, _ in experiments._pieces(
-            spec, grid, j, kmax)]
         account = sum(operators.pass_account(
-            operators.SlabMesh(spec, grid, j, shell=True), mults,
-            "22" in pairs).values())
+            operators.SlabMesh(spec, grid, j, shell=True),
+            2 + max(kmax, -1), "22" in pairs).values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
