@@ -91,6 +91,19 @@ CASES["iso_2_1_b3/verify"] = [
 CASES["shear_1_2/verify"] = [
     "verify", "--spec", "tests/golden/inputs/shear_1_2.json", "--grid", "16",
     "--jmax", "3", "--kmax", "1", "--rank", "1", "--norms", "11,oooo,1oo,22"]
+# |alpha'| != |beta'| with an odd |alpha'| + |beta'|, so a swapped alpha/beta
+# label or a lost .5 in the laws shows; no --rank, so the (2,2) context has
+# no k-law, and the 1oo fit is skipped for lack of resolved rows
+CASES["aniso_1_1/verify"] = [
+    "verify", "--spec", "tests/golden/inputs/aniso_1_1.json", "--grid", "128",
+    "--jmax", "4", "--kmax", "1", "--norms", "11,oooo,1oo,22"]
+# expected exponent |alpha'| + |beta'| + |beta''| = 1 + 2 + 3
+CASES["aniso_1_1/knapp"] = [
+    "knapp", "--spec", "tests/golden/inputs/aniso_1_1.json", "--tmin", "-4",
+    "--tmax", "-1"]
+# the rank hypothesis ratio sits at equality, 1 against 1: exit 3
+CASES["aniso_1_1/region"] = [
+    "region", "--spec", "tests/golden/inputs/aniso_1_1.json", "--rank", "1"]
 # weights only, no spec: the genericity block and its threshold table
 CASES["generic/n-range"] = [
     "generic", "--alpha-prime", "1", "--alpha-dprime", "1,1",
