@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import (AnisoradonError, DilationCapError, NumericalError,
                      ResolutionError, SchemaError, SingularMapError)
-from .exponents import OperatorSpec, genericity_report, riesz_region
+from .exponents import decay_laws, genericity_report, riesz_region
 from .hessian import COEFFICIENT_BOUND, generic_rank_trial
 from .numerics import (Grid, decay_table, dual_principal_check,
                        fit_decay_rows, knapp_exponent_table)
@@ -94,26 +94,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    """``region`` and ``sobolev``; both exit 3 if the rank hypothesis fails."""
     spec = _load_ranked_spec(args)
     region = riesz_region(*spec.weight_sums(), spec.n_dprime, args.rank)
-    _emit(report_json(region_block(spec, args.rank, region)), args.out)
-    if args.svg:
-        Path(args.svg).write_text(riesz_svg(region))
-    if not region.hypothesis_holds:
-        raise HypothesisNotSatisfied("rank hypothesis fails for this spec")
-    return 0
-
-
-def _cmd_sobolev(args) -> int:
-    spec = _load_ranked_spec(args)
-    a_p, b_p, b_dd = spec.weight_sums()
-    region = riesz_region(a_p, b_p, b_dd, spec.n_dprime, args.rank)
-    out = {
-        "rank": args.rank,
-        "hypothesis_holds": region.hypothesis_holds,
-        "table": sobolev_block(spec, args.rank, _p_grid(args.p_grid)),
-    }
+    if args.command == "region":
+        out = region_block(spec, args.rank, region)
+    else:
+        out = {"rank": args.rank, "hypothesis_holds": region.hypothesis_holds,
+               "table": sobolev_block(spec, args.rank, _p_grid(args.p_grid))}
     _emit(report_json(out), args.out)
+    if args.command == "region" and args.svg:
+        Path(args.svg).write_text(riesz_svg(region))
     if not region.hypothesis_holds:
         raise HypothesisNotSatisfied("rank hypothesis fails for this spec")
     return 0
@@ -163,22 +154,12 @@ def _cmd_sample_generic(args) -> int:
     return 0
 
 
-def _predicted_context(spec: OperatorSpec, family: str, pair: str,
-                       rank: int | None) -> str:
-    """The paper's decay laws for one (family, pair), as CSV text."""
-    a_p, b_p, b_dd = spec.weight_sums()
-    if pair == "11":
-        return f"j-slope<=-|alpha'|={-a_p}"
-    if pair == "oooo":
-        return f"j-slope<=-|beta'|={-b_p}"
-    if pair == "1oo":
-        if family == "TjQj":
-            return f"j-slope=+|beta''|={b_dd}"
-        return f"j-slope=+|beta''|={b_dd};k-slope=+n''={spec.n_dprime}"
-    base = f"j-slope<=-(|alpha'|+|beta'|)/2={-(a_p + b_p) / 2}"
-    if family == "TjPjk" and rank is not None:
-        base += f";k-slope<=-r/2={-rank / 2}"
-    return base
+def _law_text(laws: dict, family: str, pair: str) -> str:
+    """One (family, pair)'s laws as CSV text; (2,2) slopes print as floats."""
+    return ";".join(
+        f"{axis}-slope{law.relation}{law.symbol}="
+        f"{float(law.slope) if pair == '22' else law.slope}"
+        for axis in "jk" if (law := laws.get((family, pair, axis))))
 
 
 def _cmd_verify(args) -> int:
@@ -193,11 +174,12 @@ def _cmd_verify(args) -> int:
                 half_width=args.half_width)
     rows = decay_table(spec, grid, jmax=args.jmax, kmax=args.kmax,
                        pairs=pairs)
+    laws, _ = decay_laws(*spec.weight_sums(), spec.n_dprime, args.rank)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["j", "k", "normPair", "value", "predictedSlopeContext"])
     for r in rows:
-        law = _predicted_context(spec, r.family, r.pair, args.rank)
+        law = _law_text(laws, r.family, r.pair)
         flag = "" if r.converged else ";unconverged"
         ctx = f"family={r.family};{law}{flag};resolved={int(r.resolved)}"
         writer.writerow([r.j, "" if r.k is None else r.k, r.pair,
@@ -208,8 +190,8 @@ def _cmd_verify(args) -> int:
     for pair in pairs:
         name = f"TjQj_{pair}_j_slope"
         try:
-            fit = fit_decay_rows(rows, "TjQj", pair,
-                                 resolved_only=(pair == "1oo"))
+            growth = laws["TjQj", pair, "j"].slope > 0
+            fit = fit_decay_rows(rows, "TjQj", pair, resolved_only=growth)
             fitted[name] = fit.slope
         except ValueError as exc:
             skipped[name] = str(exc)
@@ -227,12 +209,9 @@ def _cmd_knapp(args) -> int:
     spec = load_spec(args.spec)
     rows = knapp_exponent_table(spec, t_min=args.tmin, t_max=args.tmax,
                                 epsilon_box=args.epsilon)
-    a_p, b_p, b_dd = spec.weight_sums()
-    out = {
-        "expected_exponent": a_p + b_p + b_dd,
-        "epsilon_box": args.epsilon,
-        "rows": rows,
-    }
+    _, knapp_exponent = decay_laws(*spec.weight_sums(), spec.n_dprime, None)
+    out = {"expected_exponent": knapp_exponent, "epsilon_box": args.epsilon,
+           "rows": rows}
     _emit(report_json(out), args.out)
     return 0
 
@@ -284,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--p-grid", default="6/5:6:1/2",
                    help="start:stop:step, exact rationals")
-    p.set_defaults(func=_cmd_sobolev)
+    p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("generic", help="genericity quantities for weights")
     p.add_argument("--alpha-prime", required=True)

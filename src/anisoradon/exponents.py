@@ -1,10 +1,11 @@
 """Exact calculators for the three theorem statements.
 
 Everything here is driven by five integers: the weight sums |alpha'|, |beta'|,
-|beta''|, the codimension n'' and the Hessian rank r.  The Lebesgue-exponent
-region lives in the (1/p, 1/q) unit square and is evaluated with exact
-rational arithmetic; the only real-valued output is the genericity threshold
-(a square root), which is reported with a directed-rounding honesty interval.
+|beta''|, the codimension n'' and the Hessian rank r.  ``decay_laws`` is the
+one table of the dyadic pieces' decay laws; the Lebesgue-exponent region
+interpolates them in the (1/p, 1/q) unit square, with exact rational
+arithmetic.  The only real-valued output is the genericity threshold (a
+square root), which is reported with a directed-rounding honesty interval.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import (DegenerateDenominator, HomogeneityViolation,
                      VanishingPrincipalPart, WeightOrderViolation)
@@ -100,6 +101,33 @@ def check_homogeneity(spec: OperatorSpec) -> tuple[Polynomial, ...]:
 Classification = Literal["strong", "restricted-weak", "outside"]
 
 
+class DecayLaw(NamedTuple):
+    """log2 of a piece's norm has a slope in j or k that is ``relation``
+    ``slope``; ``symbol`` writes that slope in the weight sums, n'' and r."""
+
+    relation: Literal["<=", "="]
+    symbol: str
+    slope: Fraction
+
+
+def decay_laws(alpha_prime_sum: int, beta_prime_sum: int,
+               beta_dprime_sum: int, n_dprime: int,
+               rank: int | None) -> tuple[dict, int]:
+    """The pieces' laws by (family, pair, axis), the (2,2) k-law only at a
+    given rank, and the Knapp box exponent |alpha'| + |beta'| + |beta''|."""
+    j_laws = {"11": DecayLaw("<=", "-|alpha'|", Fraction(-alpha_prime_sum)),
+              "oooo": DecayLaw("<=", "-|beta'|", Fraction(-beta_prime_sum)),
+              "1oo": DecayLaw("=", "+|beta''|", Fraction(beta_dprime_sum)),
+              "22": DecayLaw("<=", "-(|alpha'|+|beta'|)/2",
+                             Fraction(-alpha_prime_sum - beta_prime_sum, 2))}
+    laws = {(family, pair, "j"): law for family in ("TjQj", "TjPjk")
+            for pair, law in j_laws.items()}
+    laws["TjPjk", "1oo", "k"] = DecayLaw("=", "+n''", Fraction(n_dprime))
+    if rank is not None:
+        laws["TjPjk", "22", "k"] = DecayLaw("<=", "-r/2", Fraction(-rank, 2))
+    return laws, alpha_prime_sum + beta_prime_sum + beta_dprime_sum
+
+
 @dataclass(frozen=True)
 class RieszRegion:
     """The exponent region of the L^p -> L^q theorem for one (sums, n'', r)."""
@@ -130,6 +158,14 @@ class RieszRegion:
         return lhs, rhs
 
 
+def hypothesis_ratio(alpha_prime_sum: int, beta_prime_sum: int,
+                     beta_dprime_sum: int, n_dprime: int,
+                     rank: int) -> tuple[Fraction, Fraction]:
+    """(r/n'', (|alpha'|+|beta'|)/|beta''|): the rank hypothesis is lhs > rhs."""
+    return (Fraction(rank, n_dprime),
+            Fraction(alpha_prime_sum + beta_prime_sum, beta_dprime_sum))
+
+
 def riesz_region(alpha_prime_sum: int, beta_prime_sum: int,
                  beta_dprime_sum: int, n_dprime: int, rank: int) -> RieszRegion:
     """Exponent region with its two restricted-weak-type vertices.
@@ -145,7 +181,8 @@ def riesz_region(alpha_prime_sum: int, beta_prime_sum: int,
     a_p, b_p, b_dd = alpha_prime_sum, beta_prime_sum, beta_dprime_sum
     at = a_p + b_dd
     bt = b_p + b_dd
-    hypothesis = Fraction(rank, n_dprime) > Fraction(a_p + b_p, b_dd)
+    ratio = hypothesis_ratio(a_p, b_p, b_dd, n_dprime, rank)
+    hypothesis = ratio[0] > ratio[1]
     delta1 = at * rank + (a_p - b_p) * n_dprime
     delta2 = bt * rank + (b_p - a_p) * n_dprime
     if not hypothesis:

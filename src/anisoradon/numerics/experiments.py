@@ -1,13 +1,12 @@
 """Decay-law measurements, box-pair (Knapp) integrals and duality checks.
 
 The decay tables measure norms of the dyadic pieces T_j Q_j (j = 1..jmax)
-and T_j P_jk (k = 0..kmax) and fit log2(norm) against the slab index; the
-predicted exponents are written next to the rows by the CLI.  Each row
-carries a resolution flag: a frequency projection is only meaningful while
-its symbol support fits inside the grid's frequency range, and fits of
-frequency-side growth laws must be restricted to the resolved rows.  The
-duality check draws all its samples in one block and inverts the shear by
-Newton iteration over all of them at once.
+and T_j P_jk (k = 0..kmax) and fit log2(norm) against the slab index, to be
+set against ``exponents.decay_laws``.  Each row carries a resolution flag: a
+frequency projection is only meaningful while its symbol support fits inside
+the grid's frequency range, and fits of frequency-side growth laws must be
+restricted to the resolved rows.  The duality check draws all its samples in
+one block and inverts the shear by Newton iteration over all of them at once.
 """
 
 from __future__ import annotations
@@ -198,8 +197,8 @@ def knapp_exponent_table(spec: OperatorSpec, t_min: int, t_max: int,
     """Successive-ratio estimates of the box-pair scaling exponent.
 
     Row at t reports value(t) and the implied exponent
-    log2(value(t) / value(t-1)), to be compared against
-    |alpha'| + |beta'| + |beta''|.
+    log2(value(t) / value(t-1)), which estimates the Knapp box exponent of
+    ``exponents.decay_laws``.
     """
     if t_max > -1 or t_min > t_max:
         raise ValueError("need t_min <= t_max <= -1")

@@ -13,8 +13,8 @@ from typing import Sequence
 
 from . import __version__
 from .exponents import (GenericityReport, OperatorSpec, RieszRegion,
-                        check_homogeneity, genericity_report, riesz_region,
-                        sobolev_smoothing)
+                        check_homogeneity, genericity_report,
+                        hypothesis_ratio, riesz_region, sobolev_smoothing)
 from .hessian import min_rank_sample, principal_hessian
 from .scaling import MultiIndex
 from .specfile import poly_to_terms, rational_str, spec_to_dict
@@ -36,14 +36,9 @@ def region_block(spec: OperatorSpec, rank: int,
     """Exponent-region block of ``spec`` at ``rank`` from its ``region``,
     None below rank 1; vertices are withheld when the rank hypothesis fails
     (the non-endpoint region is still described)."""
-    a_p, b_p, b_dd = spec.weight_sums()
-    block: dict = {
-        "rank": rank,
-        "hypothesis_ratio": {
-            "lhs": rational_str(Fraction(rank, spec.n_dprime)),
-            "rhs": rational_str(Fraction(a_p + b_p, b_dd)),
-        },
-    }
+    lhs, rhs = hypothesis_ratio(*spec.weight_sums(), spec.n_dprime, rank)
+    block: dict = {"rank": rank, "hypothesis_ratio": {
+        "lhs": rational_str(lhs), "rhs": rational_str(rhs)}}
     if region is None:
         block["hypothesis_holds"] = False
         block["note"] = ("no certified positive Hessian rank; "

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisoradon.errors import (HomogeneityViolation, VanishingPrincipalPart,
                                WeightOrderViolation)
 from anisoradon.exponents import (OperatorSpec, check_homogeneity,
-                                  classify_pq, genericity_report,
+                                  classify_pq, decay_laws, genericity_report,
                                   riesz_region, sobolev_smoothing)
 from anisoradon.polynomials import Monomial, Polynomial
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
@@ -186,6 +188,93 @@ def test_sobolev_duality_symmetry():
 def test_sobolev_rejects_bad_p():
     with pytest.raises(ValueError):
         sobolev_smoothing(1, 1, MultiIndex([2]), 1, F(1))
+
+
+# -- decay laws ----------------------------------------------------------------------
+# The region and the smoothing order interpolate the laws of the dyadic pieces
+# over (1/p, 1/q); these tests check that the table and the theorem
+# statements agree exactly.
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def law_inputs(draw):
+    """|alpha'|, |beta'|, beta'', n'' and r, with no rank hypothesis."""
+    n_dd = draw(st.integers(1, 3))
+    beta_dd = MultiIndex(draw(st.lists(st.integers(1, 9), min_size=n_dd,
+                                       max_size=n_dd)))
+    return (draw(st.integers(1, 12)), draw(st.integers(1, 12)), beta_dd,
+            n_dd, draw(st.integers(1, 6)))
+
+
+def plane(points, x, y):
+    """The affine function through three ((x, y), value) points, at (x, y)."""
+    ((x0, y0), v0), ((x1, y1), v1), ((x2, y2), v2) = points
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    l1 = F((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
+    l2 = F((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
+    return v0 + l1 * (v1 - v0) + l2 * (v2 - v0)
+
+
+def j_plane(laws, x, y):
+    """The TjQj j-laws, 11 at (1,1), oooo at (0,0), 1oo at (1,0)."""
+    return plane([((1, 1), laws["TjQj", "11", "j"].slope),
+                  ((0, 0), laws["TjQj", "oooo", "j"].slope),
+                  ((1, 0), laws["TjQj", "1oo", "j"].slope)], x, y)
+
+
+def k_plane(laws, x, y):
+    """The TjPjk k-laws, 22 at (1/2,1/2) and 1oo at (1,0), with the half
+    of the square through (1,1) or (0,0), where 11 and oooo do not change
+    with k: their k-slope is 0, a law the CSV does not print."""
+    corner = (1, 1) if x + y >= 1 else (0, 0)
+    return plane([((F(1, 2), F(1, 2)), laws["TjPjk", "22", "k"].slope),
+                  ((1, 0), laws["TjPjk", "1oo", "k"].slope),
+                  (corner, F(0))], x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_inputs(), UNIT, UNIT)
+def test_j_laws_interpolate_to_condition1(inputs, x, y):
+    a_p, b_p, beta_dd, n_dd, r = inputs
+    laws, _ = decay_laws(a_p, b_p, beta_dd.order, n_dd, r)
+    lhs, rhs = riesz_region(a_p, b_p, beta_dd.order, n_dd, r).condition1(x, y)
+    assert j_plane(laws, x, y) == lhs - rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_inputs(), UNIT, UNIT)
+def test_k_laws_interpolate_to_condition2(inputs, x, y):
+    a_p, b_p, beta_dd, n_dd, r = inputs
+    laws, _ = decay_laws(a_p, b_p, beta_dd.order, n_dd, r)
+    lhs, rhs = riesz_region(a_p, b_p, beta_dd.order, n_dd, r).condition2(x, y)
+    assert k_plane(laws, x, y) == F(r, 2) * (lhs - rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_inputs(), UNIT, UNIT)
+def test_knapp_line_is_condition1(inputs, x, y):
+    # E has sides 2^(beta t) and F sides 2^(alpha~ t); <chi_F, T chi_E>
+    # ~ 2^(t K) is at most |E|^(1/p) |F|^(1-1/q) as t -> -oo iff the line
+    # below is <= 0
+    a_p, b_p, beta_dd, n_dd, r = inputs
+    _, knapp = decay_laws(a_p, b_p, beta_dd.order, n_dd, r)
+    beta, alpha_tilde = b_p + beta_dd.order, a_p + beta_dd.order
+    lhs, rhs = riesz_region(a_p, b_p, beta_dd.order, n_dd, r).condition1(x, y)
+    assert beta * x + alpha_tilde * (1 - y) - knapp == lhs - rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_inputs(), UNIT.filter(lambda t: 0 < t < 1))
+def test_sobolev_order_is_the_laws_on_the_diagonal(inputs, t):
+    a_p, b_p, beta_dd, n_dd, r = inputs
+    laws, _ = decay_laws(a_p, b_p, beta_dd.order, n_dd, r)
+    s_j = -j_plane(laws, t, t) / max(beta_dd)
+    s_k = -k_plane(laws, t, t)
+    bound = sobolev_smoothing(a_p, b_p, beta_dd, r, 1 / t)
+    assert bound.s_supremum == min(s_j, s_k)
+    assert bound.attained == (s_j < s_k)
 
 
 # -- genericity ---------------------------------------------------------------------

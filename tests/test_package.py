@@ -68,3 +68,32 @@ def test_memory_is_refused_in_one_check():
                   and "MemoryError" in ast.unparse(node.exc)]
     assert sorted(found) == [("operators.py", "_circulant"),
                              ("operators.py", "pass_account")]
+
+
+def test_weight_sums_enter_arithmetic_only_in_exponents():
+    # what the paper predicts is decided in exponents.py; elsewhere the
+    # weight sums are handed to its functions, never combined into a law
+    def is_sums_call(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "weight_sums")
+
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "exponents.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            bound = {name.id for node in ast.walk(func)
+                     if isinstance(node, ast.Assign)
+                     and is_sums_call(node.value)
+                     for target in node.targets
+                     for name in ast.walk(target)
+                     if isinstance(name, ast.Name)}
+            found += [f"{path.name}:{node.lineno} {func.name}"
+                      for node in ast.walk(func)
+                      if isinstance(node, (ast.BinOp, ast.UnaryOp))
+                      and any(is_sums_call(n) or isinstance(n, ast.Name)
+                              and n.id in bound for n in ast.walk(node))]
+    assert found == []
