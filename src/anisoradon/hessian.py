@@ -21,10 +21,12 @@ evaluates a chunk of about ``CHUNK_ENTRIES`` entries of its widest per-point
 temporary (distinct lower monomials or n'^2 n'' terms) to integer matrices
 that are nonzero multiples of the true ones, so ranks agree; an a-priori
 bound on the chunk picks float64, exact while every partial sum is an
-integer below 2^53, or Python integers otherwise.
+integer below 2^53, or Python integers otherwise.  Points run along the last,
+contiguous axis of every temporary, so each step is a whole-row operation.
 
 Ranks are screened by a stacked elimination modulo the prime
-``SCREEN_PRIME`` in int64.  The rank mod p is at most the rank over Q, so a
+``SCREEN_PRIME`` in float64, exact because p < 2^25 (see
+``_nonsingular_mod_p``).  The rank mod p is at most the rank over Q, so a
 nonzero determinant mod p certifies full rank; only the matrices that fail
 the screen go to fraction-free (Bareiss) elimination over the integers.
 
@@ -59,9 +61,9 @@ SAMPLE_DENOMINATOR = 16
 # entries of the widest per-point temporary (distinct monomials or Hessian
 # terms) evaluated at once, at least one point: keeps them to a few MB
 CHUNK_ENTRIES = 2 ** 16
-# modulus of the rank screen: residues below 2^31 multiply without
-# overflowing int64
-SCREEN_PRIME = 2 ** 31 - 1
+# modulus of the rank screen, the largest prime below 2^25: a difference of
+# two products of residues is an integer below 2^50, exact in float64
+SCREEN_PRIME = 33554393
 # the bound M of the trial coefficients, uniform on {-M..M} \ {0}
 COEFFICIENT_BOUND = 10
 
@@ -145,24 +147,36 @@ def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
 
 def _nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
     """Which of a stack of integer matrices, shape (points, n, n), are
-    nonsingular modulo ``SCREEN_PRIME``: one stacked elimination in int64."""
-    n_points, n, _ = mats.shape
+    nonsingular modulo ``SCREEN_PRIME``: one stacked elimination in float64
+    on an (n, n, points) array.
+
+    The entries are reduced once as x - p (x // p), exact for int64 and for
+    Python integers.  A step forms a_kk a_rc - a_rk a_kc from residues below
+    p < 2^25, an integer below 2^50 and so exact, and reduces it as
+    x - p floor(x / p): the quotient is below 2^25, so x / p errs by at most
+    2^-29, while a non-integer quotient lies at least 1/p > 2^-25 from an
+    integer, so the floor is exact.  x * (1 / p) is not: for some p it puts
+    an exact multiple of p just below its quotient and leaves p in place of 0.
+    """
+    n = mats.shape[1]
     p = SCREEN_PRIME
-    a = np.mod(mats, p).astype(np.int64)
-    nonsingular = np.ones(n_points, dtype=bool)
+    x = np.moveaxis(mats, 0, -1)
+    a = (x - p * (x // p)).astype(np.float64, order="C")
+    nonsingular = np.ones(len(mats), dtype=bool)
     for k in range(n):
-        nonzero = a[:, k:, k] != 0
-        nonsingular &= nonzero.any(axis=1)
-        piv = k + nonzero.argmax(axis=1)
+        nonzero = a[k:, k] != 0
+        nonsingular &= nonzero.any(axis=0)
+        piv = k + nonzero.argmax(axis=0)
         # swap rows only where the pivot is off the diagonal
-        rows = np.flatnonzero(piv != k)
-        top = a[rows, piv[rows]].copy()
-        a[rows, piv[rows]] = a[rows, k]
-        a[rows, k] = top
+        cols = np.flatnonzero(piv != k)
+        top = a[piv[cols], k:, cols]
+        a[piv[cols], k:, cols] = a[k, k:, cols]
+        a[k, k:, cols] = top
         # row_r <- a_kk row_r - a_rk row_k: a nonzero multiple of row_r plus
-        # a multiple of row_k, so the rank mod p is unchanged
-        a[:, k + 1:, k:] = (a[:, k, k, None, None] * a[:, k + 1:, k:]
-                            - a[:, k + 1:, k:k + 1] * a[:, None, k, k:]) % p
+        # a multiple of row_k, so the rank mod p is unchanged; column k is
+        # read no more
+        x = a[k, k] * a[k + 1:, k + 1:] - a[k + 1:, k, None] * a[k, k + 1:]
+        a[k + 1:, k + 1:] = x - p * np.floor(x / p)
     return nonsingular
 
 
@@ -188,10 +202,11 @@ class _CompiledHessian:
     monomials of component l.  Each term of the map is one (monomial, slot)
     pair whose second derivative is nonzero: the index of its coefficient in
     the concatenated coefficient list, its multiplier a_i c_j, its lower
-    monomial and its column, slot * n'' + l.  A bound Hessian sums the terms
-    into a matrix from the distinct lower monomials to the columns, so a
-    chunk evaluates as one product of its monomial values with that matrix,
-    after which the n'' columns of each slot are weighted by eta''.
+    monomial and its row, l * n'^2 + slot.  A bound Hessian sums the terms
+    into a matrix from the distinct lower monomials to the rows, so a chunk
+    evaluates as one product of that matrix with its monomial values, one
+    row per monomial and one column per point, after which the n'' blocks of
+    n'^2 rows are weighted by eta'' and added.
 
     Each distinct lower monomial is stored as ``max_degree`` variable indices.
     Index ``nvars`` is a sentinel for the homogenizing variable, which reads
@@ -220,7 +235,7 @@ class _CompiledHessian:
                 low[:, y0 + j] -= 1
                 source.append(hit)
                 lower.append(low)
-                col.append((i * n + j) * self.n_dprime + component[hit])
+                col.append(component[hit] * n * n + i * n + j)
         monos, mono = np.unique(np.concatenate(lower), axis=0,
                                 return_inverse=True)
         self.n_monos = len(monos)
@@ -234,7 +249,7 @@ class _CompiledHessian:
             padded.ravel()).reshape(len(padded), self.max_degree).T.copy()
         # the terms in the order of their flat index into the matrix, so that
         # each entry sums one segment with ``np.add.reduceat``
-        entry = mono.ravel() * n * n * self.n_dprime + np.concatenate(col)
+        entry = np.concatenate(col) * self.n_monos + mono.ravel()
         order = np.argsort(entry, kind="stable")
         self._source = np.concatenate(source)[order]
         self._mult = np.concatenate(mult)[order].astype(object)
@@ -261,9 +276,8 @@ class BoundHessian:
     def __init__(self, compiled: _CompiledHessian, terms: np.ndarray):
         self.map = compiled
         self.max_coeff = max(map(abs, terms), default=0)
-        matrix = np.zeros((compiled.n_monos,
-                           compiled.n_prime ** 2 * compiled.n_dprime),
-                          dtype=object)
+        matrix = np.zeros((compiled.n_prime ** 2 * compiled.n_dprime,
+                           compiled.n_monos), dtype=object)
         matrix.flat[compiled._entries] = np.add.reduceat(
             terms, compiled._entry_starts)
         self._matrix = {object: matrix}
@@ -287,14 +301,21 @@ class BoundHessian:
             * int(np.abs(etas).max(initial=1))
         dtype, out = ((np.float64, np.int64) if bound < 2 ** 53
                       else (object, object))
-        # the sentinel column holds the homogenizing variable
-        values = np.hstack([nums, np.full((len(nums), 1), den)]).astype(dtype)
-        monos = np.ones((len(nums), m.n_monos), dtype=dtype)
-        for factor in m._var_idx:
-            monos *= values[:, factor]
-        parts = (monos @ self._matrix[dtype]).reshape(-1, n * n, m.n_dprime)
-        flat = (parts * np.asarray(etas, dtype=dtype)[:, None, :]).sum(axis=2)
-        return flat.reshape(-1, n, n).astype(out, copy=False)
+        # one row per variable, the sentinel row holds the homogenizing one
+        values = np.empty((m.nvars + 1, len(nums)), dtype=dtype)
+        values[:-1] = np.transpose(nums)
+        values[-1] = den
+        # the product of max_degree factors, none for a constant Hessian
+        monos = (values[m._var_idx[0]] if m.max_degree
+                 else np.ones((m.n_monos, len(nums)), dtype=dtype))
+        for factor in m._var_idx[1:]:
+            monos *= values[factor]
+        parts = (self._matrix[dtype] @ monos).reshape(m.n_dprime, n, n, -1)
+        etas = np.transpose(np.asarray(etas, dtype=dtype))
+        flat = parts[0] * etas[0]
+        for part, eta in zip(parts[1:], etas[1:]):
+            flat += part * eta
+        return np.moveaxis(flat, -1, 0).astype(out, copy=False)
 
 
 def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -412,10 +433,10 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
     if include_probes:
         chunks = itertools.chain([_probe_chunk(n_p, n_d)], chunks)
     best = None
-    counts: Counter = Counter()
+    hist = np.zeros(n_p + 1, dtype=np.int64)
     for nums, den, etas in chunks:
         ranks = _screened_ranks(h.evaluate(nums, den, etas))
-        counts.update(ranks.tolist())
+        hist += np.bincount(ranks, minlength=n_p + 1)
         first = int(np.argmin(ranks))  # the first minimal rank in draw order
         if best is None or ranks[first] < best[0]:
             best = (int(ranks[first]), nums[first].tolist(), den,
@@ -428,7 +449,8 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
     top = max(map(abs, eta))
     return RankSampleReport(
         min_rank=rank, witness=(point, tuple(Fraction(e, top) for e in eta)),
-        samples_tried=sum(counts.values()), rank_counts=counts)
+        samples_tried=int(hist.sum()),
+        rank_counts=Counter({r: int(c) for r, c in enumerate(hist) if c}))
 
 
 def _weighted_bases(w: Weights, beta_dprime: MultiIndex):

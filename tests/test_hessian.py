@@ -266,13 +266,19 @@ def test_big_integer_evaluation_matches_sympy():
         assert rank == want.rank()
 
 
-@pytest.mark.parametrize("alpha_dprime, bdd, dtype", [
+@pytest.mark.parametrize("alpha_dprime, bdd, max_degree, dtype", [
     # the float64 tier returns int64 matrices
-    ((1, 1), (4, 5), np.int64),
+    ((1, 1), (4, 5), 3, np.int64),
+    # three eta'' blocks to fold
+    ((1, 1, 1), (4, 5, 4), 3, np.int64),
+    # a constant Hessian: at degree 2 the only mixed monomial is the
+    # bilinear x'_1 y'_2, so every monomial is a product of no factors
+    ((1,), (2,), 0, np.int64),
     # entries of degree up to 12: the shell points push the bound past 2^53
-    ((1,), (14,), object),
+    ((1,), (14,), 12, object),
 ])
-def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
+def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, max_degree,
+                                            dtype):
     # anisotropic weights: the lower monomials differ in degree, so the
     # homogenizing factor reads the chunk's denominator
     w = Weights(MultiIndex([1, 2]), MultiIndex(alpha_dprime),
@@ -280,6 +286,7 @@ def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
     bdd = MultiIndex(bdd)
     polys = generic_trial_tuple(w, bdd, seed=1, trial_index=0)
     h = principal_hessian(polys, w, bdd)
+    assert h.map.max_degree == max_degree
     probes = _probe_chunk(2, w.n_dprime)
     shells = next(_shell_chunks(h.map.weights_flat, w.n_dprime,
                                 len(probes[0]), seed=2, per_chunk=100))
@@ -292,6 +299,28 @@ def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
         for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
             assert mat.tolist() == scaled_sympy(polys, point, den, eta,
                                                 h.map.max_degree)
+
+
+def test_screened_ranks_match_bareiss_on_a_dense_spec():
+    # the shape of the benchmark's point-eval spec: n' = 4, n'' = 2, all
+    # weights 1, and a nonzero coefficient in [-9, 9] on every monomial of
+    # degree 4
+    w, bdd = isotropic_weights(4, 2), MultiIndex([4, 4])
+    basis = lambda_basis(w, 4)
+    rng = np.random.default_rng(27)
+    polys = tuple(Polynomial.from_monomials(4, 2, [
+        Monomial(F(int(c)), m.exp_x, m.exp_xx, m.exp_y)
+        for c, m in zip(rng.choice(np.r_[-9:0, 1:10], len(basis)), basis)])
+        for _ in bdd)
+    h = principal_hessian(polys, w, bdd)
+    assert len(basis) == 715
+    shells = next(_shell_chunks(h.map.weights_flat, 2, 300, seed=27,
+                                per_chunk=300))
+    for chunk in (_probe_chunk(4, 2), shells):
+        mats = h.evaluate(*chunk)
+        assert mats.dtype == np.int64
+        assert _screened_ranks(mats).tolist() == [
+            integer_matrix_rank(m.tolist()) for m in mats]
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -399,8 +428,15 @@ def test_screen_sends_det_p_to_bareiss(monkeypatch):
     assert calls == [[[p, 0], [0, 1]]]
 
 
-small_ints = st.integers(-3, 3) | st.sampled_from(
-    [SCREEN_PRIME, -SCREEN_PRIME, 2 * SCREEN_PRIME])
+# entries that vanish mod p, residues p - 1 (whose products are the largest
+# the float64 screen forms) and int64 entries up to 2^53 - 1, as the float64
+# tier returns them
+int64_ints = st.integers(-3, 3) | st.sampled_from(
+    [SCREEN_PRIME, -SCREEN_PRIME, 2 * SCREEN_PRIME, SCREEN_PRIME - 1,
+     1 - SCREEN_PRIME, 2 ** 53 - 1, 1 - 2 ** 53])
+# and Python integers past int64, as the exact tier returns them
+small_ints = int64_ints | st.integers(2 ** 63, 2 ** 65) | st.integers(
+    -2 ** 65, -2 ** 63 - 1)
 
 
 @st.composite
@@ -433,31 +469,65 @@ def test_ranks_match_sympy(mat):
 
 @st.composite
 def screen_stacks(draw):
-    """Stacks of same-size integer matrices, the first with a zero leading
-    entry mod p, so that its screen swaps rows at the first step, the second
-    with a nonzero one."""
+    """Stacks of same-size integer matrices, int64 or Python integers, the
+    first with a zero leading entry mod p, so that its screen swaps rows at
+    the first step, the second with a nonzero one."""
     n = draw(st.integers(1, 4))
-    mats = draw(st.lists(st.lists(st.lists(small_ints, min_size=n,
-                                            max_size=n),
+    dtype = draw(st.sampled_from([np.int64, object]))
+    ints = int64_ints if dtype is np.int64 else small_ints
+    mats = draw(st.lists(st.lists(st.lists(ints, min_size=n, max_size=n),
                                    min_size=n, max_size=n),
                          min_size=2, max_size=6))
     mats[0][0][0] = draw(st.sampled_from([0, SCREEN_PRIME]))
     mats[1][0][0] = draw(st.sampled_from([1, -2, SCREEN_PRIME + 1]))
-    return mats
+    return np.array(mats, dtype=dtype)
+
+
+P = SCREEN_PRIME
 
 
 @settings(max_examples=300, deadline=None)
 @given(screen_stacks())
-@example([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0],
-                                              [0, 0, 1]]])
+@example(np.array([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                   [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]))
+# residues p - 1: the first step forms (p - 1)^2 - 1 = p (p - 2) and
+# (p - 1)^2, the largest product of two residues
+@example(np.array([[[P - 1, 1], [1, P - 1]], [[P - 1, 0], [0, P - 1]]]))
+# the float64 tier's largest entries, and Python integers past int64
+@example(np.array([[[2 ** 53 - 1, 1 - 2 ** 53], [1, 2 ** 53 - 1]]] * 2))
+@example(np.array([[[2 ** 63, P], [2 ** 64 + P, 1]], [[2 ** 63 * P, 1],
+                                                     [1, 2 ** 63]]],
+                  dtype=object))
 def test_stacked_screen_matches_sympy(mats):
     # only some matrices of the stack need a pivot swap at each step; the
     # screen passes exactly those with a nonzero determinant mod p
-    stack = np.array(mats, dtype=object)
-    want = [sympy.Matrix(m) for m in mats]
-    assert _nonsingular_mod_p(stack).tolist() == [
+    want = [sympy.Matrix(m) for m in mats.tolist()]
+    assert _nonsingular_mod_p(mats).tolist() == [
         m.det() % SCREEN_PRIME != 0 for m in want]
-    assert _screened_ranks(stack).tolist() == [m.rank() for m in want]
+    assert _screened_ranks(mats).tolist() == [m.rank() for m in want]
+
+
+def test_screen_prime_keeps_the_float64_screen_exact():
+    # a difference of two products of residues must be an integer that
+    # float64 holds exactly
+    assert sympy.isprime(SCREEN_PRIME)
+    assert 2 * (SCREEN_PRIME - 1) ** 2 < 2 ** 53
+
+
+@pytest.mark.parametrize("p, reciprocal_floor", [(SCREEN_PRIME, 1),
+                                                 (33552419, 0)])
+def test_screen_is_exact_at_any_prime_below_2_25(p, reciprocal_floor,
+                                                 monkeypatch):
+    # det [[p-1, p-2], [1, 2]] = p, and the first step forms x = p.  At
+    # p = 33552419, p * (1 / p) rounds below 1, so a screen that multiplied
+    # by the reciprocal would leave the residue p and pass this matrix
+    assert np.floor(np.float64(p) * (1 / p)) == reciprocal_floor
+    monkeypatch.setattr(hessian, "SCREEN_PRIME", p)
+    calls = counting_rank(monkeypatch)
+    mats = np.array([[[p - 1, p - 2], [1, 2]], [[p - 1, p - 1], [1, 2]]])
+    assert _nonsingular_mod_p(mats).tolist() == [False, True]
+    assert _screened_ranks(mats).tolist() == [2, 2]
+    assert calls == [mats[0].tolist()]
 
 
 @pytest.mark.parametrize("chunk_entries", [1, 64, 2 ** 24])
