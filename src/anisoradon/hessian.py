@@ -160,18 +160,18 @@ def _nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
     """
     n = mats.shape[1]
     p = SCREEN_PRIME
-    x = np.moveaxis(mats, 0, -1)
-    a = (x - p * (x // p)).astype(np.float64, order="C")
+    a = np.moveaxis(mats, 0, -1)
+    a = (a - p * (a // p)).astype(np.float64, order="C")
     nonsingular = np.ones(len(mats), dtype=bool)
     for k in range(n):
         nonzero = a[k:, k] != 0
         nonsingular &= nonzero.any(axis=0)
         piv = k + nonzero.argmax(axis=0)
-        # swap rows only where the pivot is off the diagonal
-        cols = np.flatnonzero(piv != k)
-        top = a[piv[cols], k:, cols]
-        a[piv[cols], k:, cols] = a[k, k:, cols]
-        a[k, k:, cols] = top
+        # swap rows only at the points whose pivot is off the diagonal
+        pts = np.flatnonzero(piv != k)
+        top = a[piv[pts], k:, pts]
+        a[piv[pts], k:, pts] = a[k, k:, pts]
+        a[k, k:, pts] = top
         # row_r <- a_kk row_r - a_rk row_k: a nonzero multiple of row_r plus
         # a multiple of row_k, so the rank mod p is unchanged; column k is
         # read no more
