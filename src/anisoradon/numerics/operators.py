@@ -429,7 +429,15 @@ class _InterpolationSums:
 def _envelope_knots(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The f in (0, 1) where max_m |u_m + f d_m| changes line: the upper
     envelope of the lines +-(u_m + f d_m) is the upper convex hull of the
-    points (slope, intercept), found by a monotone chain."""
+    points (slope, intercept), found by a monotone chain.  The knots do not
+    change with the scale of u and d, so both are first scaled by a power
+    of two (exactly) to a largest magnitude in [1/2, 1): the products of
+    the turn test then do not underflow to 0, as they do for a subnormal
+    kernel, where every turn would read as collinear and drop its knot."""
+    peak = max(np.abs(u).max(), np.abs(d).max())
+    if peak > 0.0:
+        shift = -int(np.frexp(peak)[1])
+        u, d = np.ldexp(u, shift), np.ldexp(d, shift)
     slope, icpt = np.concatenate((d, -d)), np.concatenate((u, -u))
     order = np.lexsort((icpt, slope))
     slope, icpt = slope[order], icpt[order]

@@ -467,6 +467,10 @@ def _closed_form_cases(draw):
 # the closed form keeps u_0 = 5e-324
 @example(case=(8, np.full(8, 5e-324), [(0, 0, "interior", 0, 0.5, 1.0,
                                          False)]))
+# a subnormal kernel whose envelope turns: the products of the hull's turn
+# test underflow to 0 unless u and d are first scaled up
+@example(case=(8, np.eye(8)[3] * 2.22507386e-311,
+               [(0, 0, "interior", 0, 0.75, 1.0, False)]))
 def test_closed_form_statistics_match_the_dense_product(case):
     # a random real y''-block has a kernel with many sign changes, and a
     # constant one the kernel c delta, whose u_m = 0 take their sign from
