@@ -22,7 +22,9 @@ temporary (distinct lower monomials or n'^2 n'' terms) to integer matrices
 that are nonzero multiples of the true ones, so ranks agree; an a-priori
 bound on the chunk picks float64, exact while every partial sum is an
 integer below 2^53, or Python integers otherwise.  Points run along the last,
-contiguous axis of every temporary, so each step is a whole-row operation.
+contiguous axis of every temporary, so each step is a whole-row operation;
+``min_rank_sample`` allocates the float64 temporaries (``EvalBuffers``) once
+and every chunk writes into them.
 
 Ranks are screened by a stacked elimination modulo the prime
 ``SCREEN_PRIME`` in float64, exact because p < 2^25 (see
@@ -195,6 +197,20 @@ def _screened_ranks(mats: np.ndarray) -> np.ndarray:
 
 # -- the compiled Hessian map ------------------------------------------------
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in lexicographic order and
+    the index of each row among them, as ``np.unique(a, axis=0,
+    return_inverse=True)`` gives them; one lexsort over the columns is
+    several times faster than its sort of rows as opaque records."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[new], inverse
+
+
 class _CompiledHessian:
     """The linear map from monomial coefficients to mixed-Hessian terms.
 
@@ -236,8 +252,7 @@ class _CompiledHessian:
                 source.append(hit)
                 lower.append(low)
                 col.append(component[hit] * n * n + i * n + j)
-        monos, mono = np.unique(np.concatenate(lower), axis=0,
-                                return_inverse=True)
+        monos, mono = _unique_rows(np.concatenate(lower))
         self.n_monos = len(monos)
         degree = monos.sum(axis=1)
         self.max_degree = int(degree.max(initial=0))
@@ -249,7 +264,7 @@ class _CompiledHessian:
             padded.ravel()).reshape(len(padded), self.max_degree).T.copy()
         # the terms in the order of their flat index into the matrix, so that
         # each entry sums one segment with ``np.add.reduceat``
-        entry = np.concatenate(col) * self.n_monos + mono.ravel()
+        entry = np.concatenate(col) * self.n_monos + mono
         order = np.argsort(entry, kind="stable")
         self._source = np.concatenate(source)[order]
         self._mult = np.concatenate(mult)[order].astype(object)
@@ -285,37 +300,74 @@ class BoundHessian:
         if self.max_coeff * compiled.n_terms < 2 ** 53:
             self._matrix[np.float64] = matrix.astype(np.float64)
 
-    def evaluate(self, nums: np.ndarray, den: int,
-                 etas: np.ndarray) -> np.ndarray:
+    def evaluate(self, nums: np.ndarray, den: int, etas: np.ndarray,
+                 work: EvalBuffers | None = None) -> np.ndarray:
         """The matrices at the points ``nums[k] / den`` with eta'' =
         ``etas[k]``, each scaled by den**max_degree, in shape (points, n',
         n').  Requires |nums| <= den, as shell normalization guarantees.
         The temporaries hold n_monos or n'^2 n'' entries per point.  The
         a-priori bound picks float64, exact while every partial sum is an
-        integer below 2^53 and returned as int64, or Python integers."""
+        integer below 2^53 and returned as int64, or Python integers.
+
+        In float64 the temporaries are written into ``work`` when it holds
+        the chunk, so that a caller evaluating many chunks allocates them
+        once; otherwise, and for Python integers, they are allocated here.
+        The result never aliases them."""
         m = self.map
         n = m.n_prime
+        points = len(nums)
         # each term is bounded by max_coeff * den**max_degree, and every
         # partial sum, weighted by eta'', by max |eta''| times n_terms of them
         bound = self.max_coeff * den ** m.max_degree * m.n_terms \
             * int(np.abs(etas).max(initial=1))
         dtype, out = ((np.float64, np.int64) if bound < 2 ** 53
                       else (object, object))
+        if dtype is object or work is None or work.capacity < points:
+            work = EvalBuffers(m, points, dtype)
         # one row per variable, the sentinel row holds the homogenizing one
-        values = np.empty((m.nvars + 1, len(nums)), dtype=dtype)
+        values = work.rows("values", points)
         values[:-1] = np.transpose(nums)
         values[-1] = den
-        # the product of max_degree factors, none for a constant Hessian
-        monos = (values[m._var_idx[0]] if m.max_degree
-                 else np.ones((m.n_monos, len(nums)), dtype=dtype))
-        for factor in m._var_idx[1:]:
-            monos *= values[factor]
-        parts = (self._matrix[dtype] @ monos).reshape(m.n_dprime, n, n, -1)
+        # the product of max_degree factors, none for a constant Hessian;
+        # mode="clip" keeps take from buffering (every index is in range)
+        monos = work.rows("monos", points)
+        if m.max_degree:
+            np.take(values, m._var_idx[0], axis=0, out=monos, mode="clip")
+        else:
+            monos.fill(1)
+        factor = work.rows("factor", points)
+        for idx in m._var_idx[1:]:
+            np.take(values, idx, axis=0, out=factor, mode="clip")
+            monos *= factor
+        parts = np.matmul(self._matrix[dtype], monos,
+                          out=work.rows("parts", points))
+        parts = parts.reshape(m.n_dprime, n, n, points)
         etas = np.transpose(np.asarray(etas, dtype=dtype))
-        flat = parts[0] * etas[0]
+        flat = parts[0]
+        flat *= etas[0]
         for part, eta in zip(parts[1:], etas[1:]):
-            flat += part * eta
+            part *= eta
+            flat += part
         return np.moveaxis(flat, -1, 0).astype(out, copy=False)
+
+
+class EvalBuffers:
+    """The temporaries of ``BoundHessian.evaluate`` for chunks of up to
+    ``capacity`` points: the variable values, the monomial values, one
+    gathered factor and the n'' blocks of n'^2 Hessian rows.  Each is kept
+    flat, so a shorter chunk takes a contiguous prefix."""
+
+    def __init__(self, m: _CompiledHessian, capacity: int, dtype=np.float64):
+        self.capacity = capacity
+        self._rows = {"values": m.nvars + 1, "monos": m.n_monos,
+                      "factor": m.n_monos if m.max_degree > 1 else 0,
+                      "parts": m.n_dprime * m.n_prime ** 2}
+        self._flat = {name: np.empty(rows * capacity, dtype=dtype)
+                      for name, rows in self._rows.items()}
+
+    def rows(self, name: str, points: int) -> np.ndarray:
+        rows = self._rows[name]
+        return self._flat[name][:rows * points].reshape(rows, points)
 
 
 def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -397,8 +449,10 @@ def _shell_chunks(weights_flat: Sequence[int], n_dprime: int, samples: int,
     rest = np.empty(0, dtype=np.int64)
     while samples > 0:
         # rest is shorter than the points left need, so the draw is nonempty
-        raw = np.concatenate([rest, rng.integers(
-            -D, D + 1, size=min(per_chunk, samples) * width - len(rest))])
+        raw = rng.integers(-D, D + 1,
+                           size=min(per_chunk, samples) * width - len(rest))
+        if len(rest):
+            raw = np.concatenate([rest, raw])
         recs = raw.reshape(-1, width)
         zero = np.flatnonzero(~recs[:, :nv].any(axis=1))
         stop = zero[0] if len(zero) else len(recs)
@@ -432,10 +486,11 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
     chunks = _shell_chunks(m.weights_flat, n_d, samples, seed, per_chunk)
     if include_probes:
         chunks = itertools.chain([_probe_chunk(n_p, n_d)], chunks)
+    work = EvalBuffers(m, per_chunk)
     best = None
     hist = np.zeros(n_p + 1, dtype=np.int64)
     for nums, den, etas in chunks:
-        ranks = _screened_ranks(h.evaluate(nums, den, etas))
+        ranks = _screened_ranks(h.evaluate(nums, den, etas, work))
         hist += np.bincount(ranks, minlength=n_p + 1)
         first = int(np.argmin(ranks))  # the first minimal rank in draw order
         if best is None or ranks[first] < best[0]:

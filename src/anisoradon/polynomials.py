@@ -63,7 +63,8 @@ class Polynomial:
         clean: dict[ExponentTriple, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff == 0:
                     continue
                 self._check_exps(exps)

@@ -100,11 +100,15 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
     A spec that fails the homogeneity conditions raises before anything is
     sampled."""
     principal = check_homogeneity(spec)
+    spec_doc = spec_to_dict(spec)
     report: dict = {"tool_version": __version__, "seed": seed,
-                    "spec": spec_to_dict(spec)}
+                    "spec": spec_doc}
+    # a component that is its own principal part shares its term list
     report["homogeneity"] = {
         "status": "ok",
-        "principal_parts": [poly_to_terms(p) for p in principal],
+        "principal_parts": [terms if part == poly else poly_to_terms(part)
+                            for part, poly, terms in zip(principal, spec.s,
+                                                         spec_doc["S"])],
     }
     hess = principal_hessian(principal, spec.weights, spec.beta_dprime)
     sample = min_rank_sample(hess, samples, seed)
@@ -129,7 +133,11 @@ def analyze_report(spec: OperatorSpec, samples: int, seed: int) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``report`` as one line of JSON with sorted keys and a final newline.
+
+    Without ``indent`` ``json.dumps`` takes its C encoder; to read a report,
+    pipe it through ``python -m json.tool``."""
+    return json.dumps(report, sort_keys=True) + "\n"
 
 
 def riesz_svg(region: RieszRegion) -> str:

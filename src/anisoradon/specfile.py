@@ -65,7 +65,7 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(q: Fraction) -> str:
-    return str(Fraction(q))
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def _exp_list(term, key: str, length: int) -> tuple[int, ...]:

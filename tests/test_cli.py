@@ -14,6 +14,8 @@ import pytest
 from anisoradon import cli, errors
 from anisoradon.cli import HypothesisNotSatisfied, main
 from anisoradon.numerics import operators
+from anisoradon.report import analyze_report
+from anisoradon.specfile import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 REFERENCE_SPEC = str(SPECS / "reference.json")
@@ -523,6 +525,18 @@ def test_verify_refuses_a_repeated_norm_pair(norms):
     assert code == 1 and out == ""
     error = json.loads(err)
     assert error["error"] == "SchemaError" and "repeats" in error["message"]
+
+
+def test_analyze_writes_the_report_as_one_json_line(tmp_path):
+    # the C encoder writes no indentation: one line, and the same report
+    out = tmp_path / "analyze.json"
+    code, _, err = run_cli("analyze", "--spec", RANK_TWO_SPEC, "--samples",
+                           "200", "--seed", "4", "--out", str(out))
+    assert code == 0, err
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == analyze_report(load_spec(RANK_TWO_SPEC), 200,
+                                              4)
 
 
 @pytest.mark.parametrize("half_width", ["inf", "1e-300", "1e200"])

@@ -12,9 +12,10 @@ from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
 from anisoradon.exponents import check_homogeneity
 from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
-                                _CompiledHessian, _nonsingular_mod_p,
-                                _probe_chunk, _screened_ranks, _shell_chunks,
-                                _stream, _trial_coefficients,
+                                EvalBuffers, _CompiledHessian,
+                                _nonsingular_mod_p, _probe_chunk,
+                                _screened_ranks, _shell_chunks, _stream,
+                                _trial_coefficients, _unique_rows,
                                 generic_rank_trial,
                                 generic_trial_tuple, integer_matrix_rank,
                                 min_rank_sample, mixed_hessian,
@@ -291,10 +292,16 @@ def test_probe_and_shell_chunks_match_sympy(alpha_dprime, bdd, dtype):
     shells = next(_shell_chunks(h.map.weights_flat, w.n_dprime,
                                 len(probes[0]), seed=2, per_chunk=100))
     assert shells[1] == SAMPLE_DENOMINATOR
+    # one workspace for both chunks and wider than either, as rank sampling
+    # holds one for all its chunks: every result equals a fresh evaluation
+    # and keeps its values once the next chunk has reused the workspace
+    work = EvalBuffers(h.map, len(probes[0]) + 5)
+    chunks = (probes, shells)
+    results = [h.evaluate(*chunk, work) for chunk in chunks]
     # probes stay in the float64 tier whatever the degree
-    for chunk, want_dtype in ((probes, np.int64), (shells, dtype)):
-        got = h.evaluate(*chunk)
+    for chunk, got, want_dtype in zip(chunks, results, (np.int64, dtype)):
         assert got.dtype == want_dtype
+        assert (got == h.evaluate(*chunk)).all()
         nums, den, etas = chunk
         for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
             assert mat.tolist() == scaled_sympy(polys, point, den, eta,
@@ -417,6 +424,20 @@ def test_compiled_basis_binds_the_trial_tuple():
         assert (bound.evaluate(*chunk) == own.evaluate(*chunk)).all()
     with pytest.raises(ValueError):
         compiled.bind([[1]] * 2)
+
+
+@given(st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4),
+                max_size=40))
+# the lower monomials of a constant Hessian: one row, repeated
+@example([[0] * 4] * 6)
+@example([])
+def test_unique_rows_match_numpy(rows):
+    a = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    got, inverse = _unique_rows(a)
+    want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+    assert got.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.ravel().tolist()
+    assert (got[inverse] == a).all()
 
 
 def test_screen_sends_det_p_to_bareiss(monkeypatch):
