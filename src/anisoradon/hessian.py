@@ -10,9 +10,10 @@ Rank sampling differentiates nothing symbolically: the second derivative
 ``d^2/dx'_i dy'_j`` of a monomial with exponents (a, b, c) is a_i c_j times a
 monomial of lower degree.  ``_CompiledHessian`` does that bookkeeping once and
 is then a linear map from integer monomial coefficients to Hessian terms;
-``bind`` applies it to one coefficient tuple.  ``sample-generic`` binds every
-trial to the compiled monomial basis, ``analyze`` the principal part with its
-denominators cleared.
+``bind`` applies it to one coefficient tuple, in int64 when an a-priori bound
+proves that exact and in Python integers otherwise.  ``sample-generic`` binds
+every trial to the compiled monomial basis, ``analyze`` the principal part
+with its denominators cleared.
 
 A chunk of points is an int64 array of numerators, an int64 array of eta''
 and one denominator: 1 for the axis probes, ``SAMPLE_DENOMINATOR`` for the
@@ -70,17 +71,25 @@ SCREEN_PRIME = 33554393
 COEFFICIENT_BOUND = 10
 
 
+def _check_counts(s_principal: Sequence[Polynomial], w: Weights,
+                  beta_dprime: MultiIndex) -> None:
+    if len(s_principal) != w.n_dprime or len(beta_dprime) != w.n_dprime:
+        raise ValueError("expected one polynomial and one degree per output "
+                         "coordinate")
+
+
+def _inhomogeneous(l: int, deg: int) -> ValueError:
+    return ValueError(f"component {l} is not quasihomogeneous of degree {deg}")
+
+
 def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
                      beta_dprime: MultiIndex) -> None:
     """Reject a tuple whose component l is not weighted-homogeneous of
     degree beta''_l."""
-    if len(s_principal) != w.n_dprime or len(beta_dprime) != w.n_dprime:
-        raise ValueError("expected one polynomial and one degree per output "
-                         "coordinate")
+    _check_counts(s_principal, w, beta_dprime)
     for l, (poly, deg) in enumerate(zip(s_principal, beta_dprime)):
         if not is_quasihomogeneous(poly, w, deg):
-            raise ValueError(
-                f"component {l} is not quasihomogeneous of degree {deg}")
+            raise _inhomogeneous(l, deg)
 
 
 def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -267,9 +276,12 @@ class _CompiledHessian:
         entry = np.concatenate(col) * self.n_monos + mono
         order = np.argsort(entry, kind="stable")
         self._source = np.concatenate(source)[order]
-        self._mult = np.concatenate(mult)[order].astype(object)
+        self._mult = np.concatenate(mult)[order]
         self._entries, self._entry_starts = np.unique(entry[order],
                                                       return_index=True)
+        # the quasidegree of every monomial, for the guard of
+        # ``principal_hessian``
+        self.degrees = exps @ np.array(self.weights_flat, dtype=np.int64)
 
     @property
     def n_terms(self) -> int:
@@ -277,28 +289,52 @@ class _CompiledHessian:
 
     def bind(self, coeffs: Sequence[Sequence[int]]) -> "BoundHessian":
         """The Hessian of eta'' . S for the integer coefficients
-        ``coeffs[l]`` of the monomials of component l."""
+        ``coeffs[l]`` of the monomials of component l.
+
+        A term is a coefficient times its multiplier a_i c_j, and a matrix
+        entry sums at most ``n_terms`` terms.  The a-priori bound
+        max |coeff| * max a_i c_j * n_terms picks int64, exact while it is
+        below 2^63, or Python integers; ``BoundHessian.evaluate`` then picks
+        its own tier per chunk."""
         if [len(c) for c in coeffs] != self.sizes:
             raise ValueError("expected one coefficient per monomial")
+        try:
+            flat = np.concatenate([np.asarray(c, dtype=np.int64)
+                                   for c in coeffs])
+            peak = max(int(flat.max(initial=0)), -int(flat.min(initial=0)))
+            in_int64 = (peak * int(self._mult.max(initial=0)) * self.n_terms
+                        < 2 ** 63)
+        except OverflowError:  # some coefficient is past int64
+            in_int64 = False
+        if in_int64:
+            return BoundHessian(self, flat[self._source] * self._mult)
         flat = np.array([int(v) for c in coeffs for v in c], dtype=object)
-        return BoundHessian(self, flat[self._source] * self._mult)
+        return BoundHessian(self, flat[self._source]
+                            * self._mult.astype(object))
 
 
 class BoundHessian:
     """The mixed Hessian of one coefficient tuple, evaluated in batches of
-    points; see ``_CompiledHessian`` for the layout."""
+    points; see ``_CompiledHessian`` for the layout.
+
+    ``matrix`` is exact, in the tier that ``_CompiledHessian.bind`` chose:
+    int64 or Python integers.  ``max_coeff`` is its largest |term|, a Python
+    integer.  ``evaluate`` picks float64 or Python integers per chunk; the
+    float64 copy of the matrix is made here when every entry is an integer
+    below 2^53, the Python-integer one only for a chunk that needs it."""
 
     def __init__(self, compiled: _CompiledHessian, terms: np.ndarray):
         self.map = compiled
-        self.max_coeff = max(map(abs, terms), default=0)
-        matrix = np.zeros((compiled.n_prime ** 2 * compiled.n_dprime,
-                           compiled.n_monos), dtype=object)
-        matrix.flat[compiled._entries] = np.add.reduceat(
+        self.max_coeff = max(int(terms.max(initial=0)),
+                             -int(terms.min(initial=0)))
+        self.matrix = np.zeros((compiled.n_prime ** 2 * compiled.n_dprime,
+                                compiled.n_monos), dtype=terms.dtype)
+        self.matrix.flat[compiled._entries] = np.add.reduceat(
             terms, compiled._entry_starts)
-        self._matrix = {object: matrix}
         # an entry sums at most n_terms terms, as the bound in evaluate does
-        if self.max_coeff * compiled.n_terms < 2 ** 53:
-            self._matrix[np.float64] = matrix.astype(np.float64)
+        self._float = (self.matrix.astype(np.float64)
+                       if self.max_coeff * compiled.n_terms < 2 ** 53
+                       else None)
 
     def evaluate(self, nums: np.ndarray, den: int, etas: np.ndarray,
                  work: EvalBuffers | None = None) -> np.ndarray:
@@ -339,8 +375,9 @@ class BoundHessian:
         for idx in m._var_idx[1:]:
             np.take(values, idx, axis=0, out=factor, mode="clip")
             monos *= factor
-        parts = np.matmul(self._matrix[dtype], monos,
-                          out=work.rows("parts", points))
+        matrix = self._float if dtype is np.float64 else \
+            self.matrix.astype(object)
+        parts = np.matmul(matrix, monos, out=work.rows("parts", points))
         parts = parts.reshape(m.n_dprime, n, n, points)
         etas = np.transpose(np.asarray(etas, dtype=dtype))
         flat = parts[0]
@@ -375,12 +412,19 @@ def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
     """The mixed Hessian of eta'' . S^P, compiled and bound for sampling.
 
     The coefficients are multiplied by their common denominator, a global
-    positive factor that leaves every rank unchanged.
+    positive factor that leaves every rank unchanged.  Every component must
+    be weighted-homogeneous of its target degree beta''_l; the compiled map
+    grades all the monomials in one product, not term by term.
     """
-    _check_principal(s_principal, w, beta_dprime)
+    _check_counts(s_principal, w, beta_dprime)
     monos = [p.monomials() for p in s_principal]
     den = math.lcm(*(m.coeff.denominator for ms in monos for m in ms))
     compiled = _CompiledHessian(w, [[_flat(m) for m in ms] for ms in monos])
+    component = np.repeat(np.arange(w.n_dprime), compiled.sizes)
+    off = compiled.degrees != np.asarray(beta_dprime.entries)[component]
+    if off.any():
+        l = int(component[off.argmax()])
+        raise _inhomogeneous(l, beta_dprime[l])
     return compiled.bind([[int(m.coeff * den) for m in ms] for ms in monos])
 
 
@@ -521,8 +565,9 @@ def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
 
 
 def _trial_coefficients(sizes: Sequence[int], seed: int, trial_index: int,
-                        coefficient_bound: int) -> list[list[int]]:
-    """The coefficients of trial ``trial_index``, one list per component.
+                        coefficient_bound: int) -> list[np.ndarray]:
+    """The coefficients of trial ``trial_index``, one int64 array per
+    component.
 
     They are uniform on {-M..M} \\ {0}, drawn from the counter-based stream
     keyed by (seed, trial_index), component after component.
@@ -532,7 +577,7 @@ def _trial_coefficients(sizes: Sequence[int], seed: int, trial_index: int,
     coeffs = []
     for size in sizes:
         raw = rng.integers(1, 2 * M + 1, size=size)
-        coeffs.append(np.where(raw <= M, raw - M - 1, raw - M).tolist())
+        coeffs.append(np.where(raw <= M, raw - M - 1, raw - M))
     return coeffs
 
 
@@ -544,7 +589,9 @@ def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
 
     Its coefficients on each monomial basis are those that
     ``generic_rank_trial`` samples; callers can regenerate any trial for
-    independent cross-checks.
+    independent cross-checks.  The coefficients are drawn in int64 and
+    converted to Python integers first: a ``Fraction`` of an int64 would
+    keep it and wrap on overflow.
     """
     bases = _weighted_bases(w, beta_dprime)
     coeffs = _trial_coefficients([len(b) for b in bases], seed, trial_index,
@@ -552,7 +599,8 @@ def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
     return tuple(Polynomial.from_monomials(
         w.n_prime, w.n_dprime,
         [Monomial(Fraction(c), m.exp_x, m.exp_xx, m.exp_y)
-         for c, m in zip(cs, basis)]) for cs, basis in zip(coeffs, bases))
+         for c, m in zip(cs.tolist(), basis)])
+        for cs, basis in zip(coeffs, bases))
 
 
 def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -183,9 +184,7 @@ class Polynomial:
 
     def quasidegree_of(self, exps: ExponentTriple, w: Weights) -> int:
         a, b, c = exps
-        return (sum(wi * e for wi, e in zip(w.alpha_prime, a))
-                + sum(wi * e for wi, e in zip(w.alpha_dprime, b))
-                + sum(wi * e for wi, e in zip(w.beta_prime, c)))
+        return sum(map(mul, w.flat, a + b + c))
 
 
 def quasidegree_decompose(p: Polynomial, w: Weights) -> dict[int, Polynomial]:
@@ -216,24 +215,23 @@ def lambda_basis(w: Weights, target_degree: int) -> list[Monomial]:
     if target_degree < 0:
         raise ValueError("target degree must be nonnegative")
     weights_flat = w.flat
-    nvars = len(weights_flat)
-    results: list[tuple[int, ...]] = []
-
-    def extend(pos: int, remaining: int, prefix: list[int]) -> None:
-        if pos == nvars:
-            if remaining == 0:
-                results.append(tuple(prefix))
-            return
-        wgt = weights_flat[pos]
-        # remaining weights are all >= 1, so cap the exponent early
-        for e in range(remaining // wgt + 1):
-            prefix.append(e)
-            extend(pos + 1, remaining - e * wgt, prefix)
-            prefix.pop()
-
-    extend(0, target_degree, [])
+    # the exponent rows of the variables so far, and the weight each row
+    # leaves to the variables after them
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([target_degree], dtype=np.int64)
+    for wgt in weights_flat[:-1]:
+        counts = left // wgt + 1
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        exps = np.arange(len(first)) - first
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), exps])
+        left = np.repeat(left, counts) - exps * wgt
+    # the last variable takes whatever weight is left, when it divides it
+    last = weights_flat[-1]
+    fits = left % last == 0
+    rows = np.column_stack([rows[fits], left[fits] // last])
+    # graded-lex: the total degree first, then the exponents in order
+    rows = rows[np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))]
     np_, nd = w.n_prime, w.n_dprime
-    monos = [Monomial(Fraction(1), flat[:np_], flat[np_:np_ + nd],
-                      flat[np_ + nd:]) for flat in results]
-    monos.sort(key=lambda m: _order_key(m.exponents))
-    return monos
+    one = Fraction(1)
+    return [Monomial(one, flat[:np_], flat[np_:np_ + nd], flat[np_ + nd:])
+            for flat in map(tuple, rows.tolist())]

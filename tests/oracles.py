@@ -47,6 +47,33 @@ def minor_rank_oracle(rows: Sequence[Sequence[Fraction]]) -> int:
     return 0
 
 
+def lambda_basis_oracle(weights_flat: Sequence[int],
+                        target_degree: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of quasidegree exactly ``target_degree``, in
+    graded-lex order: (total degree, exponents).
+
+    The reference for ``polynomials.lambda_basis``: a recursion over the
+    variables, one exponent at a time, and a sort by key.
+    """
+    nvars = len(weights_flat)
+    results: list[tuple[int, ...]] = []
+
+    def extend(pos: int, remaining: int, prefix: list[int]) -> None:
+        if pos == nvars:
+            if remaining == 0:
+                results.append(tuple(prefix))
+            return
+        wgt = weights_flat[pos]
+        # remaining weights are all >= 1, so cap the exponent early
+        for e in range(remaining // wgt + 1):
+            prefix.append(e)
+            extend(pos + 1, remaining - e * wgt, prefix)
+            prefix.pop()
+
+    extend(0, target_degree, [])
+    return sorted(results, key=lambda flat: (sum(flat), flat))
+
+
 def sympy_hessian(polys, point: Sequence[Fraction],
                   eta: Sequence[Fraction]):
     """``sympy`` matrix of d^2/dx'_i dy'_j (eta . S) at a rational point.

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from anisoradon import hessian
 from anisoradon.errors import DegenerateSpace
 from anisoradon.exponents import check_homogeneity
-from anisoradon.hessian import (SAMPLE_DENOMINATOR, SCREEN_PRIME,
-                                EvalBuffers, _CompiledHessian,
-                                _nonsingular_mod_p, _probe_chunk,
+from anisoradon.hessian import (COEFFICIENT_BOUND, SAMPLE_DENOMINATOR,
+                                SCREEN_PRIME, EvalBuffers, _CompiledHessian,
+                                _flat, _nonsingular_mod_p, _probe_chunk,
                                 _screened_ranks, _shell_chunks, _stream,
                                 _trial_coefficients, _unique_rows,
-                                generic_rank_trial,
+                                _weighted_bases, generic_rank_trial,
                                 generic_trial_tuple, integer_matrix_rank,
                                 min_rank_sample, mixed_hessian,
                                 principal_hessian)
@@ -105,6 +105,19 @@ def test_mixed_hessian_rejects_inhomogeneous():
     p = poly(1, 1, (1, [1], [0], [1]), (1, [2], [0], [2]))
     with pytest.raises(ValueError):
         mixed_hessian((p,), w, MultiIndex([2]))
+
+
+def test_principal_hessian_rejects_inhomogeneous():
+    w = isotropic_weights(1, 2)
+    p = poly(1, 2, (1, [1], [0, 0], [1]), (1, [2], [0, 0], [2]))
+    with pytest.raises(ValueError, match="component 0 "):
+        principal_hessian((p, p), w, MultiIndex([2, 2]))
+    # a homogeneous first component: the second one is named
+    q = poly(1, 2, (1, [1], [0, 0], [1]))
+    with pytest.raises(ValueError, match="component 1 .* degree 4"):
+        principal_hessian((q, p), w, MultiIndex([2, 4]))
+    with pytest.raises(ValueError, match="one polynomial"):
+        principal_hessian((q,), w, MultiIndex([2, 2]))
 
 
 def test_rank_at_identity_and_zero():
@@ -359,6 +372,83 @@ def test_float64_tier_is_exact_up_to_its_edge(above):
     for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
         assert mat.tolist() == scaled_sympy(scaled, point, den, eta,
                                             h.map.max_degree)
+
+
+def compiled_basis(w, bdd):
+    """The compiled Hessian map of the monomial bases, as sample-generic
+    compiles it."""
+    return _CompiledHessian(w, [[_flat(m) for m in b]
+                                for b in _weighted_bases(w, bdd)])
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_int64_bind_is_exact_up_to_its_edge(above):
+    # scale a trial's coefficients so that the bind bound, max |coeff| times
+    # max a_i c_j times n_terms, sits just below 2^63, where every term and
+    # partial sum is exact in int64, or just above it, where the bind runs on
+    # Python integers
+    w = Weights(MultiIndex([1, 2]), MultiIndex([1, 1]), MultiIndex([2, 1]))
+    bdd = MultiIndex([4, 5])
+    compiled = compiled_basis(w, bdd)
+    coeffs = _trial_coefficients(compiled.sizes, 1, 0, COEFFICIENT_BOUND)
+    unit = (max(int(np.abs(c).max()) for c in coeffs)
+            * int(compiled._mult.max()) * compiled.n_terms)
+    scale = (2 ** 63 - 1) // unit + above
+    assert 2 ** 62 < scale * unit < 2 ** 63 + unit
+    assert (scale * unit < 2 ** 63) != above
+    # the scaled coefficients themselves fit in int64 either way
+    h = compiled.bind([c * scale for c in coeffs])
+    assert h.matrix.dtype == (object if above else np.int64)
+    assert h.max_coeff > 2 ** 62 // compiled.n_terms
+    # the bind in either tier equals the unscaled bind times the scale, in
+    # Python integers
+    unscaled = compiled.bind(coeffs)
+    assert unscaled.matrix.dtype == np.int64
+    assert h.matrix.tolist() == (unscaled.matrix.astype(object)
+                                 * scale).tolist()
+    assert h.max_coeff == scale * unscaled.max_coeff
+    # and evaluates, on Python integers, to the sympy Hessian of the tuple
+    scaled = tuple(Polynomial.from_monomials(
+        p.n_prime, p.n_dprime,
+        [Monomial(m.coeff * scale, m.exp_x, m.exp_xx, m.exp_y)
+         for m in p.monomials()])
+        for p in generic_trial_tuple(w, bdd, seed=1, trial_index=0))
+    nums, den, etas = next(_shell_chunks(compiled.weights_flat, 2, 20, seed=2,
+                                         per_chunk=20))
+    got = h.evaluate(nums, den, etas)
+    assert got.dtype == object
+    assert (got == principal_hessian(scaled, w, bdd).evaluate(
+        nums, den, etas)).all()
+    for point, eta, mat in zip(nums.tolist(), etas.tolist(), got):
+        assert mat.tolist() == scaled_sympy(scaled, point, den, eta,
+                                            compiled.max_degree)
+
+
+def test_sample_generic_trials_bind_in_int64():
+    # a trial's coefficients are at most COEFFICIENT_BOUND, so at the
+    # benchmark's n' = 4, n'' = 2, beta'' = (5, 5) the bind bound is far
+    # below 2^63, and below 2^53, where evaluate has its float64 matrix
+    assert np.iinfo(np.int64).max == 2 ** 63 - 1
+    w, bdd = isotropic_weights(4, 2), MultiIndex([5, 5])
+    compiled = compiled_basis(w, bdd)
+    assert (compiled.sizes, compiled.n_terms) == ([2002, 2002], 7040)
+    assert COEFFICIENT_BOUND * int(compiled._mult.max()) * compiled.n_terms \
+        < 2 ** 53
+    coeffs = _trial_coefficients(compiled.sizes, 0, 0, COEFFICIENT_BOUND)
+    assert all(c.dtype == np.int64 for c in coeffs)
+    h = compiled.bind(coeffs)
+    assert h.matrix.dtype == np.int64
+    assert (h._float == h.matrix).all()
+
+
+def test_generic_trial_tuple_has_python_integer_coefficients():
+    # a Fraction keeps an int64 numerator, whose arithmetic wraps
+    polys = generic_trial_tuple(isotropic_weights(2, 1), MultiIndex([3]),
+                                seed=4, trial_index=1)
+    coeffs = [m.coeff for p in polys for m in p.monomials()]
+    assert len(coeffs) == 35
+    assert all(type(c.numerator) is int and c.denominator == 1
+               and 1 <= abs(c) <= COEFFICIENT_BOUND for c in coeffs)
 
 
 def _skipped_draws(width, n_dprime, seed, samples):

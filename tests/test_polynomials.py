@@ -3,12 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anisoradon.errors import DegenerateSpace
+from anisoradon.hessian import generic_rank_trial
 from anisoradon.polynomials import (Monomial, Polynomial, is_quasihomogeneous,
                                     lambda_basis, quasidegree_decompose)
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
+from oracles import lambda_basis_oracle
 
 W11 = isotropic_weights(1, 1)
 
@@ -130,6 +133,38 @@ def test_lambda_basis_deterministic_order():
         == [(m.exp_x, m.exp_xx, m.exp_y) for m in b2]
     degs = [sum(m.exp_x + m.exp_xx + m.exp_y) for m in b1]
     assert degs == sorted(degs)  # graded order
+
+
+@st.composite
+def basis_weights(draw):
+    """Weights 1-4 with n' <= 3 and n'' <= 2."""
+    n_p, n_d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    alpha_p, alpha_d, beta_p = (
+        draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        for n in (n_p, n_d, n_p))
+    return Weights(MultiIndex(alpha_p), MultiIndex(alpha_d),
+                   MultiIndex(beta_p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_weights(), st.integers(0, 8))
+# all weights 2 and an odd degree: no monomial reaches it
+@example(Weights(MultiIndex([2, 2]), MultiIndex([2]), MultiIndex([2, 2])), 7)
+# the largest basis of the range: 6435 monomials
+@example(isotropic_weights(3, 2), 8)
+def test_lambda_basis_matches_the_recursive_enumeration(w, degree):
+    basis = lambda_basis(w, degree)
+    assert [m.exp_x + m.exp_xx + m.exp_y for m in basis] \
+        == lambda_basis_oracle(w.flat, degree)
+    n_p, n_d = w.n_prime, w.n_dprime
+    for m in basis:
+        assert (len(m.exp_x), len(m.exp_xx), len(m.exp_y)) == (n_p, n_d, n_p)
+        assert m.coeff == 1
+        assert all(type(e) is int for e in m.exp_x + m.exp_xx + m.exp_y)
+    if not basis:
+        with pytest.raises(DegenerateSpace):
+            generic_rank_trial(w, MultiIndex([degree] * n_d), tuples=1,
+                               points_per_tuple=1, seed=0)
 
 
 # -- calculus ---------------------------------------------------------------------
