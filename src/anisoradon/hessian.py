@@ -8,12 +8,14 @@ d^2 s_l / dx'_i dy'_j of the components.
 
 Rank sampling differentiates nothing symbolically: the second derivative
 ``d^2/dx'_i dy'_j`` of a monomial with exponents (a, b, c) is a_i c_j times a
-monomial of lower degree.  ``_CompiledHessian`` does that bookkeeping once and
-is then a linear map from integer monomial coefficients to Hessian terms;
+monomial of lower degree.  ``_CompiledHessian`` does that bookkeeping once, on
+one int64 array of exponent rows over (x', x'', y') per component, and is
+then a linear map from integer monomial coefficients to Hessian terms;
 ``bind`` applies it to one coefficient tuple, in int64 when an a-priori bound
 proves that exact and in Python integers otherwise.  ``sample-generic`` binds
-every trial to the compiled monomial basis, ``analyze`` the principal part
-with its denominators cleared.
+every trial to the rows of ``lambda_basis``, ``analyze`` the principal part
+with its denominators cleared.  The one homogeneity guard, ``_graded_terms``,
+lists a tuple's terms as rows and grades them all in one product.
 
 A chunk of points is an int64 array of numerators, an int64 array of eta''
 and one denominator: 1 for the axis probes, ``SAMPLE_DENOMINATOR`` for the
@@ -52,8 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSpace
-from .polynomials import (Monomial, Polynomial, is_quasihomogeneous,
-                          lambda_basis)
+from .polynomials import Polynomial, lambda_basis
 from .scaling import MultiIndex, Weights
 
 Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -71,25 +72,27 @@ SCREEN_PRIME = 33554393
 COEFFICIENT_BOUND = 10
 
 
-def _check_counts(s_principal: Sequence[Polynomial], w: Weights,
-                  beta_dprime: MultiIndex) -> None:
+def _graded_terms(s_principal: Sequence[Polynomial], w: Weights,
+                  beta_dprime: MultiIndex
+                  ) -> tuple[list[np.ndarray], list[list[Fraction]]]:
+    """The exponent rows and the coefficients of each component, in
+    canonical order, once component l is checked to be weighted-homogeneous
+    of degree beta''_l (the zero polynomial is, at any degree).  All the
+    rows are graded in one product."""
     if len(s_principal) != w.n_dprime or len(beta_dprime) != w.n_dprime:
         raise ValueError("expected one polynomial and one degree per output "
                          "coordinate")
-
-
-def _inhomogeneous(l: int, deg: int) -> ValueError:
-    return ValueError(f"component {l} is not quasihomogeneous of degree {deg}")
-
-
-def _check_principal(s_principal: Sequence[Polynomial], w: Weights,
-                     beta_dprime: MultiIndex) -> None:
-    """Reject a tuple whose component l is not weighted-homogeneous of
-    degree beta''_l."""
-    _check_counts(s_principal, w, beta_dprime)
-    for l, (poly, deg) in enumerate(zip(s_principal, beta_dprime)):
-        if not is_quasihomogeneous(poly, w, deg):
-            raise _inhomogeneous(l, deg)
+    monos = [p.monomials() for p in s_principal]
+    rows = [np.array([m.exp_x + m.exp_xx + m.exp_y for m in ms],
+                     dtype=np.int64).reshape(-1, len(w.flat)) for ms in monos]
+    component = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    off = (np.concatenate(rows) @ np.array(w.flat, dtype=np.int64)
+           != np.asarray(beta_dprime.entries)[component])
+    if off.any():
+        l = int(component[off.argmax()])
+        raise ValueError(f"component {l} is not quasihomogeneous of degree "
+                         f"{beta_dprime[l]}")
+    return rows, [[m.coeff for m in ms] for ms in monos]
 
 
 def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
@@ -102,7 +105,7 @@ def mixed_hessian(s_principal: Sequence[Polynomial], w: Weights,
     Every component must be weighted-homogeneous of its target degree
     beta''_l (the zero polynomial qualifies for any degree).
     """
-    _check_principal(s_principal, w, beta_dprime)
+    _graded_terms(s_principal, w, beta_dprime)
     n_p = w.n_prime
     rows = []
     for i in range(n_p):
@@ -223,8 +226,8 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _CompiledHessian:
     """The linear map from monomial coefficients to mixed-Hessian terms.
 
-    ``components[l]`` lists the exponent tuples, over (x', x'', y'), of the
-    monomials of component l.  Each term of the map is one (monomial, slot)
+    ``components[l]`` holds the int64 exponent rows, over (x', x'', y'), of
+    the monomials of component l.  Each term of the map is one (monomial, slot)
     pair whose second derivative is nonzero: the index of its coefficient in
     the concatenated coefficient list, its multiplier a_i c_j, its lower
     monomial and its row, l * n'^2 + slot.  A bound Hessian sums the terms
@@ -240,14 +243,13 @@ class _CompiledHessian:
     """
 
     def __init__(self, w: Weights,
-                 components: Sequence[Sequence[tuple[int, ...]]]):
+                 components: Sequence[np.ndarray]):
         n = self.n_prime = w.n_prime
         self.n_dprime = w.n_dprime
         self.weights_flat = w.flat
         self.nvars = len(self.weights_flat)
         self.sizes = [len(c) for c in components]
-        exps = np.array([e for c in components for e in c],
-                        dtype=np.int64).reshape(-1, self.nvars)
+        exps = np.concatenate(components)
         component = np.repeat(np.arange(len(components)), self.sizes)
         y0 = self.nvars - n
         source, mult, lower, col = [], [], [], []
@@ -279,9 +281,6 @@ class _CompiledHessian:
         self._mult = np.concatenate(mult)[order]
         self._entries, self._entry_starts = np.unique(entry[order],
                                                       return_index=True)
-        # the quasidegree of every monomial, for the guard of
-        # ``principal_hessian``
-        self.degrees = exps @ np.array(self.weights_flat, dtype=np.int64)
 
     @property
     def n_terms(self) -> int:
@@ -413,23 +412,12 @@ def principal_hessian(s_principal: Sequence[Polynomial], w: Weights,
 
     The coefficients are multiplied by their common denominator, a global
     positive factor that leaves every rank unchanged.  Every component must
-    be weighted-homogeneous of its target degree beta''_l; the compiled map
-    grades all the monomials in one product, not term by term.
+    be weighted-homogeneous of its target degree beta''_l.
     """
-    _check_counts(s_principal, w, beta_dprime)
-    monos = [p.monomials() for p in s_principal]
-    den = math.lcm(*(m.coeff.denominator for ms in monos for m in ms))
-    compiled = _CompiledHessian(w, [[_flat(m) for m in ms] for ms in monos])
-    component = np.repeat(np.arange(w.n_dprime), compiled.sizes)
-    off = compiled.degrees != np.asarray(beta_dprime.entries)[component]
-    if off.any():
-        l = int(component[off.argmax()])
-        raise _inhomogeneous(l, beta_dprime[l])
-    return compiled.bind([[int(m.coeff * den) for m in ms] for ms in monos])
-
-
-def _flat(m: Monomial) -> tuple[int, ...]:
-    return m.exp_x + m.exp_xx + m.exp_y
+    rows, coeffs = _graded_terms(s_principal, w, beta_dprime)
+    den = math.lcm(*(c.denominator for cs in coeffs for c in cs))
+    return _CompiledHessian(w, rows).bind(
+        [[int(c * den) for c in cs] for cs in coeffs])
 
 
 # -- sampling ----------------------------------------------------------------
@@ -553,12 +541,13 @@ def min_rank_sample(h: BoundHessian, samples: int, seed: int,
 
 
 def _weighted_bases(w: Weights, beta_dprime: MultiIndex):
-    """The monomial basis of each component, enumerated once per degree."""
-    by_degree: dict[int, list[Monomial]] = {}
+    """The exponent rows of the monomial basis of each component,
+    enumerated once per degree."""
+    by_degree: dict[int, np.ndarray] = {}
     for l, deg in enumerate(beta_dprime):
         if deg not in by_degree:
             by_degree[deg] = lambda_basis(w, deg)
-        if not by_degree[deg]:
+        if not len(by_degree[deg]):
             raise DegenerateSpace(
                 f"no monomials of quasidegree {deg} for component {l}")
     return [by_degree[deg] for deg in beta_dprime]
@@ -589,17 +578,17 @@ def generic_trial_tuple(w: Weights, beta_dprime: MultiIndex, seed: int,
 
     Its coefficients on each monomial basis are those that
     ``generic_rank_trial`` samples; callers can regenerate any trial for
-    independent cross-checks.  The coefficients are drawn in int64 and
-    converted to Python integers first: a ``Fraction`` of an int64 would
-    keep it and wrap on overflow.
+    independent cross-checks.  The coefficients and the exponents are int64
+    and are converted to Python integers first: a ``Fraction`` of an int64
+    would keep it and wrap on overflow.
     """
     bases = _weighted_bases(w, beta_dprime)
     coeffs = _trial_coefficients([len(b) for b in bases], seed, trial_index,
                                  coefficient_bound)
-    return tuple(Polynomial.from_monomials(
-        w.n_prime, w.n_dprime,
-        [Monomial(Fraction(c), m.exp_x, m.exp_xx, m.exp_y)
-         for c, m in zip(cs.tolist(), basis)])
+    n_p, n_d = w.n_prime, w.n_dprime
+    return tuple(Polynomial(n_p, n_d, {
+        (tuple(e[:n_p]), tuple(e[n_p:n_p + n_d]), tuple(e[n_p + n_d:])): c
+        for e, c in zip(basis.tolist(), cs.tolist())})
         for cs, basis in zip(coeffs, bases))
 
 
@@ -613,8 +602,7 @@ def generic_rank_trial(w: Weights, beta_dprime: MultiIndex,
     stream keyed by (seed, t).  The basis is compiled once; each trial only
     binds its coefficients.
     """
-    bases = _weighted_bases(w, beta_dprime)
-    compiled = _CompiledHessian(w, [[_flat(m) for m in b] for b in bases])
+    compiled = _CompiledHessian(w, _weighted_bases(w, beta_dprime))
     report = GenericRankReport()
     for t in range(tuples):
         h = compiled.bind(_trial_coefficients(

@@ -262,8 +262,9 @@ def dual_principal_check(spec: OperatorSpec, levels: Sequence[int],
     n_p, n_d = spec.n_prime, spec.n_dprime
     partials = [[s.partial_derivative("xx", m) for m in range(n_d)]
                 for s in spec.s]
+    # keyed by the seed modulo 2^64, as the rank-sampling streams are
     rng = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(11)], dtype=np.uint64)))
+        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 11], dtype=np.uint64)))
     # one row per sample: x', y'', y', in the order of per-sample draws
     xp, ydd, yp = np.split(
         rng.uniform(-DUAL_BOX, DUAL_BOX,

@@ -13,6 +13,10 @@ The grading used throughout is the quasihomogeneous weight
 ``alpha' . a + alpha'' . b + beta' . c`` of the exponent triple (a, b, c).
 Monomials are ordered graded-lexicographically by
 ``(total degree, exp_x, exp_xx, exp_y)`` so every report is reproducible.
+
+``Monomial`` is a term as the spec files and the reports read it;
+``lambda_basis`` returns a basis as one int64 array of exponent rows over
+(x', x'', y'), the format that ``hessian`` compiles and binds.
 """
 
 from __future__ import annotations
@@ -180,12 +184,6 @@ class Polynomial:
             total = total + (coeff if term is None else coeff * term)
         return total
 
-    # -- grading -------------------------------------------------------------
-
-    def quasidegree_of(self, exps: ExponentTriple, w: Weights) -> int:
-        a, b, c = exps
-        return sum(map(mul, w.flat, a + b + c))
-
 
 def quasidegree_decompose(p: Polynomial, w: Weights) -> dict[int, Polynomial]:
     """Group the monomials of p by quasihomogeneous weight: quasidegree ->
@@ -193,28 +191,42 @@ def quasidegree_decompose(p: Polynomial, w: Weights) -> dict[int, Polynomial]:
     if (w.n_prime, w.n_dprime) != (p.n_prime, p.n_dprime):
         raise ValueError("weights do not match polynomial dimensions")
     buckets: dict[int, dict[ExponentTriple, Fraction]] = {}
-    for exps, coeff in p._terms.items():
-        d = p.quasidegree_of(exps, w)
-        buckets.setdefault(d, {})[exps] = coeff
+    for (a, b, c), coeff in p._terms.items():
+        d = sum(map(mul, w.flat, a + b + c))
+        buckets.setdefault(d, {})[a, b, c] = coeff
     return {d: Polynomial(p.n_prime, p.n_dprime, t)
             for d, t in buckets.items()}
 
 
-def is_quasihomogeneous(p: Polynomial, w: Weights, degree: int) -> bool:
-    """True when every monomial of p has the given quasidegree (zero counts)."""
-    return all(p.quasidegree_of(e, w) == degree for e in p._terms)
+def lambda_basis(w: Weights, target_degree: int) -> np.ndarray:
+    """The exponent rows of all the monomials of quasidegree exactly
+    target_degree, as one int64 array of shape (count, 2n' + n'') over
+    (x', x'', y'), in the canonical graded-lex order.
 
-
-def lambda_basis(w: Weights, target_degree: int) -> list[Monomial]:
-    """All unit monomials of quasidegree exactly target_degree.
-
-    This enumerates the monomial basis of the space of weighted-homogeneous
-    polynomials in (x', x'', y') used by the genericity analysis; the order is
-    the canonical graded-lex order.
+    This is the monomial basis of the space of weighted-homogeneous
+    polynomials used by the genericity analysis.  The rows are counted
+    before they are built, and an enumeration of more than 2^19 rows is
+    refused with MemoryError.
     """
     if target_degree < 0:
         raise ValueError("target degree must be nonnegative")
     weights_flat = w.flat
+    # ways[k] counts the rows of the variables so far of weight k; each
+    # variable keeps or widens the rows, the last one only filters them
+    limit, ways = 2 ** 19, {0: 1}
+    for wgt in weights_flat[:-1]:
+        count = sum(c * ((target_degree - k) // wgt + 1)
+                    for k, c in ways.items())
+        if count > limit:
+            raise MemoryError(
+                f"the monomials of quasidegree {target_degree} take at least "
+                f"{count} exponent rows to enumerate, more than the limit of "
+                f"{limit}")
+        grown: dict[int, int] = {}
+        for k, c in ways.items():
+            for j in range(k, target_degree + 1, wgt):
+                grown[j] = grown.get(j, 0) + c
+        ways = grown
     # the exponent rows of the variables so far, and the weight each row
     # leaves to the variables after them
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -230,8 +242,4 @@ def lambda_basis(w: Weights, target_degree: int) -> list[Monomial]:
     fits = left % last == 0
     rows = np.column_stack([rows[fits], left[fits] // last])
     # graded-lex: the total degree first, then the exponents in order
-    rows = rows[np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))]
-    np_, nd = w.n_prime, w.n_dprime
-    one = Fraction(1)
-    return [Monomial(one, flat[:np_], flat[np_:np_ + nd], flat[np_ + nd:])
-            for flat in map(tuple, rows.tolist())]
+    return rows[np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))]

@@ -176,6 +176,25 @@ def test_sample_generic():
     assert sum(rep["trial_min_rank_histogram"].values()) == 3
 
 
+def test_sample_generic_refuses_a_basis_too_large_to_enumerate(tmp_path):
+    # n' = 4, n'' = 2, all weights 1, beta'' = (14, 14): 817190 monomials a
+    # component, which took several GB; refused from their count, exit 2
+    term = {"coeff": "1", "x_prime": [14, 0, 0, 0], "x_dprime": [0, 0],
+            "y_prime": [0, 0, 0, 0]}
+    spec = tmp_path / "b14.json"
+    spec.write_text(json.dumps({
+        "n_prime": 4, "n_dprime": 2, "alpha_prime": [1] * 4,
+        "alpha_dprime": [1] * 2, "beta_prime": [1] * 4,
+        "beta_dprime": [14, 14], "S": [[term], [term]]}))
+    code, out, err = run_cli("sample-generic", "--spec", str(spec),
+                             "--tuples", "1", "--points", "10")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "MemoryError"
+    assert "817190 exponent rows" in error["message"]
+
+
 def test_verify_writes_csv(tmp_path):
     out_csv = tmp_path / "decay.csv"
     code, out, err = run_cli("verify", "--spec", REFERENCE_SPEC, "--grid",
@@ -464,6 +483,23 @@ def test_dual_check_subcommand():
     assert code == 0, err
     rep = json.loads(out)
     assert set(rep["max_deviation_by_j"]) == {"1", "2", "3", "4", "5"}
+
+
+@pytest.mark.parametrize("seed, same_as", [
+    (-1, 2 ** 64 - 1), (10 ** 23, 10 ** 23 % 2 ** 64)])
+def test_dual_check_keys_any_integer_seed_modulo_2_64(seed, same_as):
+    # a seed outside [0, 2^64) ended in an OverflowError traceback; it now
+    # keys the stream by its value modulo 2^64, as analyze and
+    # sample-generic do
+    argv = ["dual-check", "--spec", str(SPECS / "dual_quadratic.json"),
+            "--jmax", "3", "--points", "10", "--seed"]
+    code, out, err = run_cli(*argv, str(seed))
+    assert code == 0, err
+    code, want, err = run_cli(*argv, str(same_as))
+    assert code == 0, err
+    assert json.loads(out)["max_deviation_by_j"] \
+        == json.loads(want)["max_deviation_by_j"]
+    assert out.replace(f'"seed": {seed}', f'"seed": {same_as}') == want
 
 
 def test_dual_check_does_its_spec_work_once(monkeypatch):

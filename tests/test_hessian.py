@@ -13,7 +13,7 @@ from anisoradon.errors import DegenerateSpace
 from anisoradon.exponents import check_homogeneity
 from anisoradon.hessian import (COEFFICIENT_BOUND, SAMPLE_DENOMINATOR,
                                 SCREEN_PRIME, EvalBuffers, _CompiledHessian,
-                                _flat, _nonsingular_mod_p, _probe_chunk,
+                                _nonsingular_mod_p, _probe_chunk,
                                 _screened_ranks, _shell_chunks, _stream,
                                 _trial_coefficients, _unique_rows,
                                 _weighted_bases, generic_rank_trial,
@@ -33,6 +33,14 @@ def poly(n_p, n_d, *terms):
     return Polynomial.from_monomials(
         n_p, n_d,
         [Monomial(F(c), tuple(a), tuple(b), tuple(d)) for c, a, b, d in terms])
+
+
+def from_rows(w, rows, coeffs):
+    """The polynomial with coefficient ``coeffs[k]`` on exponent row k."""
+    n_p, n_d = w.n_prime, w.n_dprime
+    return Polynomial(n_p, n_d, {
+        (tuple(e[:n_p]), tuple(e[n_p:n_p + n_d]), tuple(e[n_p + n_d:])): c
+        for e, c in zip(rows.tolist(), coeffs)})
 
 
 def scaled_matrix(h, point, eta):
@@ -107,17 +115,23 @@ def test_mixed_hessian_rejects_inhomogeneous():
         mixed_hessian((p,), w, MultiIndex([2]))
 
 
-def test_principal_hessian_rejects_inhomogeneous():
+@pytest.mark.parametrize("build", [principal_hessian, mixed_hessian],
+                         ids=lambda f: f.__name__)
+def test_principal_hessian_rejects_inhomogeneous(build):
+    # both pass the one guard, so both give the same messages
     w = isotropic_weights(1, 2)
     p = poly(1, 2, (1, [1], [0, 0], [1]), (1, [2], [0, 0], [2]))
     with pytest.raises(ValueError, match="component 0 "):
-        principal_hessian((p, p), w, MultiIndex([2, 2]))
+        build((p, p), w, MultiIndex([2, 2]))
     # a homogeneous first component: the second one is named
     q = poly(1, 2, (1, [1], [0, 0], [1]))
     with pytest.raises(ValueError, match="component 1 .* degree 4"):
-        principal_hessian((q, p), w, MultiIndex([2, 4]))
+        build((q, p), w, MultiIndex([2, 4]))
     with pytest.raises(ValueError, match="one polynomial"):
-        principal_hessian((q,), w, MultiIndex([2, 2]))
+        build((q,), w, MultiIndex([2, 2]))
+    # a zero component is homogeneous of any degree
+    for deg in (0, 2, 7):
+        build((q, Polynomial(1, 2)), w, MultiIndex([2, deg]))
 
 
 def test_rank_at_identity_and_zero():
@@ -180,10 +194,7 @@ def test_dilation_rank_invariance():
     w = Weights(MultiIndex([1, 2]), MultiIndex([1]), MultiIndex([2, 1]))
     bdd = MultiIndex([4])
     basis = lambda_basis(w, 4)
-    coeffs = [int(rng.integers(-5, 6)) for _ in basis]
-    s = Polynomial.from_monomials(
-        2, 1, [Monomial(F(c), m.exp_x, m.exp_xx, m.exp_y)
-               for c, m in zip(coeffs, basis) if c])
+    s = from_rows(w, basis, [int(rng.integers(-5, 6)) for _ in basis])
     h = principal_hessian((s,), w, bdd)
     for _ in range(10):
         # |coordinates| <= 1/16, so every dilation below stays in the unit box
@@ -328,10 +339,9 @@ def test_screened_ranks_match_bareiss_on_a_dense_spec():
     w, bdd = isotropic_weights(4, 2), MultiIndex([4, 4])
     basis = lambda_basis(w, 4)
     rng = np.random.default_rng(27)
-    polys = tuple(Polynomial.from_monomials(4, 2, [
-        Monomial(F(int(c)), m.exp_x, m.exp_xx, m.exp_y)
-        for c, m in zip(rng.choice(np.r_[-9:0, 1:10], len(basis)), basis)])
-        for _ in bdd)
+    polys = tuple(from_rows(w, basis,
+                            rng.choice(np.r_[-9:0, 1:10], len(basis)).tolist())
+                  for _ in bdd)
     h = principal_hessian(polys, w, bdd)
     assert len(basis) == 715
     shells = next(_shell_chunks(h.map.weights_flat, 2, 300, seed=27,
@@ -377,8 +387,7 @@ def test_float64_tier_is_exact_up_to_its_edge(above):
 def compiled_basis(w, bdd):
     """The compiled Hessian map of the monomial bases, as sample-generic
     compiles it."""
-    return _CompiledHessian(w, [[_flat(m) for m in b]
-                                for b in _weighted_bases(w, bdd)])
+    return _CompiledHessian(w, _weighted_bases(w, bdd))
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -442,13 +451,16 @@ def test_sample_generic_trials_bind_in_int64():
 
 
 def test_generic_trial_tuple_has_python_integer_coefficients():
-    # a Fraction keeps an int64 numerator, whose arithmetic wraps
+    # a Fraction keeps an int64 numerator, whose arithmetic wraps; the
+    # exponents are Python integers too, as the reports and sympy read them
     polys = generic_trial_tuple(isotropic_weights(2, 1), MultiIndex([3]),
                                 seed=4, trial_index=1)
-    coeffs = [m.coeff for p in polys for m in p.monomials()]
-    assert len(coeffs) == 35
-    assert all(type(c.numerator) is int and c.denominator == 1
-               and 1 <= abs(c) <= COEFFICIENT_BOUND for c in coeffs)
+    monos = [m for p in polys for m in p.monomials()]
+    assert len(monos) == 35
+    assert all(type(m.coeff.numerator) is int and m.coeff.denominator == 1
+               and 1 <= abs(m.coeff) <= COEFFICIENT_BOUND for m in monos)
+    assert all(type(e) is int for m in monos
+               for e in m.exp_x + m.exp_xx + m.exp_y)
 
 
 def _skipped_draws(width, n_dprime, seed, samples):
@@ -503,9 +515,7 @@ def test_compiled_basis_binds_the_trial_tuple():
     # sample-generic binds the compiled basis to the coefficients that
     # generic_trial_tuple draws: the same map as the trial's own Hessian
     w, bdd = isotropic_weights(3, 2), MultiIndex([3, 4])
-    bases = [lambda_basis(w, d) for d in bdd]
-    compiled = _CompiledHessian(
-        w, [[m.exp_x + m.exp_xx + m.exp_y for m in b] for b in bases])
+    compiled = _CompiledHessian(w, [lambda_basis(w, d) for d in bdd])
     chunk = next(_shell_chunks(compiled.weights_flat, 2, 30, seed=5,
                                per_chunk=30))
     for t in range(3):

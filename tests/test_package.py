@@ -56,7 +56,8 @@ def test_no_private_cross_module_imports():
 
 def test_memory_is_refused_in_one_check():
     # a run too large for memory is refused by the byte account of a pass,
-    # or by _circulant's own cap; no second memory check grows beside them
+    # by _circulant's own cap, or by lambda_basis's count of its rows; no
+    # second memory check grows beside them
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -67,7 +68,8 @@ def test_memory_is_refused_in_one_check():
                   if isinstance(node, ast.Raise) and node.exc is not None
                   and "MemoryError" in ast.unparse(node.exc)]
     assert sorted(found) == [("operators.py", "_circulant"),
-                             ("operators.py", "pass_account")]
+                             ("operators.py", "pass_account"),
+                             ("polynomials.py", "lambda_basis")]
 
 
 def test_weight_sums_enter_arithmetic_only_in_exponents():
@@ -96,4 +98,18 @@ def test_weight_sums_enter_arithmetic_only_in_exponents():
                       if isinstance(node, (ast.BinOp, ast.UnaryOp))
                       and any(is_sums_call(n) or isinstance(n, ast.Name)
                               and n.id in bound for n in ast.walk(node))]
+    assert found == []
+
+
+def test_monomials_are_built_only_where_terms_are_read():
+    # a Monomial is a term as the spec files and reports read it; the
+    # monomial basis and the compiled Hessian carry int64 exponent rows
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name in ("polynomials.py", "specfile.py"):
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "Monomial"]
     assert found == []

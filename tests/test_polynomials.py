@@ -1,3 +1,6 @@
+import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +11,8 @@ from hypothesis import strategies as st
 
 from anisoradon.errors import DegenerateSpace
 from anisoradon.hessian import generic_rank_trial
-from anisoradon.polynomials import (Monomial, Polynomial, is_quasihomogeneous,
-                                    lambda_basis, quasidegree_decompose)
+from anisoradon.polynomials import (Monomial, Polynomial, lambda_basis,
+                                    quasidegree_decompose)
 from anisoradon.scaling import MultiIndex, Weights, isotropic_weights
 from oracles import lambda_basis_oracle
 
@@ -21,6 +24,15 @@ def poly(n_p, n_d, *terms):
         n_p, n_d,
         [Monomial(Fraction(c), tuple(a), tuple(b), tuple(d))
          for c, a, b, d in terms])
+
+
+def unit_poly(w, rows):
+    """The sum of the monomials of the exponent rows, each with coefficient
+    1."""
+    n_p, n_d = w.n_prime, w.n_dprime
+    return Polynomial(n_p, n_d, {
+        (tuple(e[:n_p]), tuple(e[n_p:n_p + n_d]), tuple(e[n_p + n_d:])): 1
+        for e in rows.tolist()})
 
 
 def random_poly(rng, n_p, n_d, max_terms=6, max_exp=3):
@@ -75,7 +87,7 @@ def test_decompose_reconstruction_random():
         assert len({m.exponents for m in monos}) == len(monos)
         assert set(monos) == set(p.monomials())
         for deg, part in d.items():
-            assert is_quasihomogeneous(part, w, deg)
+            assert set(quasidegree_decompose(part, w)) <= {deg}
 
 
 def test_bucket_scaling_law_random():
@@ -101,17 +113,14 @@ def test_bucket_scaling_law_random():
 
 def test_lambda_basis_degree_two():
     basis = lambda_basis(W11, 2)
-    got = {(m.exp_x, m.exp_xx, m.exp_y) for m in basis}
-    assert got == {((2,), (0,), (0,)), ((1,), (1,), (0,)), ((1,), (0,), (1,)),
-                   ((0,), (2,), (0,)), ((0,), (1,), (1,)), ((0,), (0,), (2,))}
-    assert len(basis) == 6
-    assert all(m.coeff == 1 for m in basis)
+    assert basis.dtype == np.int64 and basis.shape == (6, 3)
+    assert basis.tolist() == [[0, 0, 2], [0, 1, 1], [0, 2, 0], [1, 0, 1],
+                              [1, 1, 0], [2, 0, 0]]
 
 
 def test_lambda_basis_degree_zero_and_one():
-    assert [(m.exp_x, m.exp_xx, m.exp_y) for m in lambda_basis(W11, 0)] \
-        == [((0,), (0,), (0,))]
-    assert len(lambda_basis(W11, 1)) == 3
+    assert lambda_basis(W11, 0).tolist() == [[0, 0, 0]]
+    assert lambda_basis(W11, 1).shape == (3, 3)
 
 
 def test_lambda_basis_concentrated_at_target():
@@ -120,18 +129,16 @@ def test_lambda_basis_concentrated_at_target():
         n_p, n_d = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         w = random_weights(rng, n_p, n_d)
         target = int(rng.integers(0, 7))
-        for m in lambda_basis(w, target):
-            p = Polynomial.from_monomials(n_p, n_d, [m])
+        for row in lambda_basis(w, target):
+            p = unit_poly(w, row[None])
             assert list(quasidegree_decompose(p, w)) == [target]
 
 
 def test_lambda_basis_deterministic_order():
     w = Weights(MultiIndex([1, 2]), MultiIndex([2]), MultiIndex([1, 3]))
     b1 = lambda_basis(w, 5)
-    b2 = lambda_basis(w, 5)
-    assert [(m.exp_x, m.exp_xx, m.exp_y) for m in b1] \
-        == [(m.exp_x, m.exp_xx, m.exp_y) for m in b2]
-    degs = [sum(m.exp_x + m.exp_xx + m.exp_y) for m in b1]
+    assert b1.tolist() == lambda_basis(w, 5).tolist()
+    degs = b1.sum(axis=1).tolist()
     assert degs == sorted(degs)  # graded order
 
 
@@ -154,17 +161,39 @@ def basis_weights(draw):
 @example(isotropic_weights(3, 2), 8)
 def test_lambda_basis_matches_the_recursive_enumeration(w, degree):
     basis = lambda_basis(w, degree)
-    assert [m.exp_x + m.exp_xx + m.exp_y for m in basis] \
-        == lambda_basis_oracle(w.flat, degree)
+    want = lambda_basis_oracle(w.flat, degree)
     n_p, n_d = w.n_prime, w.n_dprime
-    for m in basis:
-        assert (len(m.exp_x), len(m.exp_xx), len(m.exp_y)) == (n_p, n_d, n_p)
-        assert m.coeff == 1
-        assert all(type(e) is int for e in m.exp_x + m.exp_xx + m.exp_y)
-    if not basis:
+    # one int64 row of 2n' + n'' exponents per monomial, also when empty
+    assert basis.dtype == np.int64
+    assert basis.shape == (len(want), 2 * n_p + n_d)
+    assert basis.tolist() == [list(e) for e in want]
+    if not want:
         with pytest.raises(DegenerateSpace):
             generic_rank_trial(w, MultiIndex([degree] * n_d), tuples=1,
                                points_per_tuple=1, seed=0)
+
+
+def test_lambda_basis_refuses_a_large_basis_before_building_it():
+    # n' = 4, n'' = 2, all weights 1: degree 12 has C(21, 9) = 293930
+    # monomials and is enumerated; degree 14 has C(23, 9) = 817190 (65 MB of
+    # exponents, and several GB through the compiled Hessian) and is refused
+    # from the count alone
+    w = isotropic_weights(4, 2)
+    assert len(lambda_basis(w, 12)) == math.comb(21, 9)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(MemoryError,
+                           match="at least 817190 exponent rows"):
+            lambda_basis(w, 14)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16 and elapsed < 0.5
+    # a degree past int64 is refused at the first variable
+    with pytest.raises(MemoryError, match=f"at least {10 ** 30 + 1} "):
+        lambda_basis(w, 10 ** 30)
 
 
 # -- calculus ---------------------------------------------------------------------
@@ -186,15 +215,15 @@ def test_partial_derivative_lowers_quasidegree():
         w = random_weights(rng, n_p, n_d)
         target = int(rng.integers(2, 7))
         basis = lambda_basis(w, target)
-        if not basis:
+        if not len(basis):
             continue
-        p = Polynomial.from_monomials(n_p, n_d, basis[:3])
+        p = unit_poly(w, basis[:3])
         for block, idx, wt in (("x", 0, w.alpha_prime[0]),
                                ("xx", 0, w.alpha_dprime[0]),
                                ("y", 0, w.beta_prime[0])):
             d = p.partial_derivative(block, idx)
             if not d.is_zero():
-                assert is_quasihomogeneous(d, w, target - wt)
+                assert set(quasidegree_decompose(d, w)) <= {target - wt}
 
 
 def test_evaluate_examples():
